@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .core import derive_seed, make_rng
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, NumericError
 from .hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
                         solve_lower_level, verify_lemma3)
 from .oracle import (Point, fd_check_oracle, initial_slacks, rel_err,
@@ -94,9 +94,15 @@ class RunSetup:
 
 @dataclass
 class TrialResult:
+    """One trial's trace and tallies.
+
+    A trial cut short by a numeric abort keeps the rows recorded before
+    the abort and has no final point (None) and a NaN wall time.
+    """
+
     trial: int
     trace: SolverTrace
-    final_point: Point
+    final_point: Optional[Point]
     counters: OracleCounters
     wall_seconds: float
 
@@ -155,7 +161,11 @@ def load_run_setup(path, overrides=None) -> RunSetup:
     if "name" not in prob:
         raise ConfigError("[problem] is missing the 'name' key")
     pname = prob.pop("name")
-    get_problem(pname)  # raises on unknown names
+    known = get_problem(pname).defaults  # raises on unknown names
+    unknown = sorted(set(prob) - set(known))
+    if unknown:
+        raise ConfigError(f"[problem] unknown key(s) {unknown} for "
+                          f"{pname!r}; known: {sorted(known)}")
     pparams = {k: _coerce(v) for k, v in prob.items()}
 
     solvers = []
@@ -170,7 +180,10 @@ def load_run_setup(path, overrides=None) -> RunSetup:
         run = dict(cp["run"])
         for key, val in run.items():
             if key in ("trials", "record_every", "seed"):
-                setattr(setup, key, int(val))
+                try:
+                    setattr(setup, key, int(val))
+                except ValueError as exc:
+                    raise ConfigError(f"[run] bad value for {key!r}: {exc}")
             elif key == "out":
                 setup.out = val
             else:
@@ -249,35 +262,44 @@ def _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,
     batchable = (spec.batch_factory is not None and len(trial_ids) > 1
                  and solver != "fmd")
     results = []
-    if batchable:
-        instance = spec.batch_factory(trial_seeds, **pparams)
-        p0 = instance.init_sampler(trial_seeds)
-        oracle, p0, metric = _prepare_instance(instance, solver, p0)
-        cfg = PenaltyConfig(box=instance.box, seed=seed, **cfgkw)
-        counters = OracleCounters()
-        t0 = time.perf_counter()
-        point, traces = _dispatch(solver, oracle, cfg, p0, metric,
-                                  record_every, counters)
-        wall = (time.perf_counter() - t0) / len(trial_ids)
-        for i, t in enumerate(trial_ids):
-            results.append(TrialResult(
-                trial=t, trace=traces[i],
-                final_point=Point(point.u[i], point.v[i]),
-                counters=counters, wall_seconds=wall))
-    else:
-        for t, tseed in zip(trial_ids, trial_seeds):
-            instance = spec.factory(tseed, **pparams)
-            p0 = instance.init_sampler(tseed)
+    try:
+        if batchable:
+            instance = spec.batch_factory(trial_seeds, **pparams)
+            p0 = instance.init_sampler(trial_seeds)
             oracle, p0, metric = _prepare_instance(instance, solver, p0)
-            cfg = PenaltyConfig(box=instance.box, seed=tseed, **cfgkw)
+            cfg = PenaltyConfig(box=instance.box, seed=seed, **cfgkw)
             counters = OracleCounters()
             t0 = time.perf_counter()
-            point, trace = _dispatch(solver, oracle, cfg, p0, metric,
-                                     record_every, counters)
-            wall = time.perf_counter() - t0
-            results.append(TrialResult(
-                trial=t, trace=trace, final_point=point,
-                counters=counters, wall_seconds=wall))
+            point, traces = _dispatch(solver, oracle, cfg, p0, metric,
+                                      record_every, counters)
+            wall = (time.perf_counter() - t0) / len(trial_ids)
+            for i, t in enumerate(trial_ids):
+                results.append(TrialResult(
+                    trial=t, trace=traces[i],
+                    final_point=Point(point.u[i], point.v[i]),
+                    counters=counters, wall_seconds=wall))
+        else:
+            for t, tseed in zip(trial_ids, trial_seeds):
+                instance = spec.factory(tseed, **pparams)
+                p0 = instance.init_sampler(tseed)
+                oracle, p0, metric = _prepare_instance(instance, solver, p0)
+                cfg = PenaltyConfig(box=instance.box, seed=tseed, **cfgkw)
+                counters = OracleCounters()
+                t0 = time.perf_counter()
+                point, trace = _dispatch(solver, oracle, cfg, p0, metric,
+                                         record_every, counters)
+                wall = time.perf_counter() - t0
+                results.append(TrialResult(
+                    trial=t, trace=trace, final_point=point,
+                    counters=counters, wall_seconds=wall))
+    except NumericError as exc:
+        # the aborted call's traces belong to the first trials not done
+        pending = trial_ids[len(results):]
+        exc.results = results + [
+            TrialResult(trial=t, trace=trace, final_point=None,
+                        counters=counters, wall_seconds=float("nan"))
+            for t, trace in zip(pending, getattr(exc, "traces", []))]
+        raise
     return results
 
 
@@ -300,13 +322,22 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
                           record_every)
     chunks = [trial_ids[i::workers] for i in range(workers)]
     out = []
+    abort = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_chunk, problem, pparams, solver, cfgkw,
                                seed, chunk, record_every)
                    for chunk in chunks if chunk]
         for fut in futures:
-            out.extend(fut.result())
+            try:
+                out.extend(fut.result())
+            except NumericError as exc:
+                abort = abort or exc
+                out.extend(exc.results)
     out.sort(key=lambda r: r.trial)
+    if abort is not None:
+        # every chunk's finished and partial trials, in trial order
+        abort.results = out
+        raise abort
     return out
 
 
@@ -390,16 +421,31 @@ def write_summary_csv(path, rows):
 # Commands (return process exit codes)
 # ---------------------------------------------------------------------------
 
+def _run_to_csv(setup: RunSetup, entry: SolverEntry, cfg: dict, path):
+    """run_trials, then the run CSV at `path` (None: no CSV).
+
+    On a numeric abort the CSV still gets the rows recorded so far, and
+    the NumericError propagates.
+    """
+    try:
+        results = run_trials(setup.problem, entry.name,
+                             pparams=setup.problem_params, cfg=cfg,
+                             trials=setup.trials, seed=setup.seed,
+                             record_every=setup.record_every)
+    except NumericError as exc:
+        if path:
+            write_run_csv(path, exc.results)
+        raise
+    if path:
+        write_run_csv(path, results)
+    return results
+
+
 def cmd_run(setup: RunSetup, quiet=False) -> int:
     if len(setup.solvers) != 1:
         raise ConfigError("run expects exactly one [solver] section")
     entry = setup.solvers[0]
-    results = run_trials(setup.problem, entry.name,
-                         pparams=setup.problem_params, cfg=entry.cfg,
-                         trials=setup.trials, seed=setup.seed,
-                         record_every=setup.record_every)
-    if setup.out:
-        write_run_csv(setup.out, results)
+    results = _run_to_csv(setup, entry, entry.cfg, setup.out)
     if not quiet:
         s = summarize(entry.label, entry.name, results)
         print(f"{setup.problem}/{entry.name}: trials={setup.trials} "
@@ -424,13 +470,10 @@ def cmd_sweep(setup: RunSetup, quiet=False) -> int:
         for value in setup.sweep_values:
             cfg = dict(entry.cfg)
             cfg[setup.sweep_axis] = value
-            results = run_trials(setup.problem, entry.name,
-                                 pparams=setup.problem_params, cfg=cfg,
-                                 trials=setup.trials, seed=setup.seed,
-                                 record_every=setup.record_every)
-            if setup.out:
-                tag = f"{entry.label}_{setup.sweep_axis}={_fmt(value)}"
-                write_run_csv(_derived_path(setup.out, tag), results)
+            tag = f"{entry.label}_{setup.sweep_axis}={_fmt(value)}"
+            results = _run_to_csv(
+                setup, entry, cfg,
+                setup.out and _derived_path(setup.out, tag))
             row = summarize(entry.label, entry.name, results, value=value)
             summary_rows.append(row)
             if not quiet:

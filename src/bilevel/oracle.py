@@ -13,7 +13,7 @@ ever called with single (unbatched) points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,9 @@ class Point:
 
 
 def sqnorm(x, axis=-1):
-    return np.sum(x * x, axis=axis)
+    # np.add.reduce is the reduction np.sum dispatches to, minus its
+    # Python wrapper
+    return np.add.reduce(x * x, axis=axis)
 
 
 @dataclass
@@ -88,19 +90,29 @@ class PenaltyParams:
     gamma > 0 is the penalty weight, lam >= 0 the lower-cost regularizer
     (applies to the v-gradient only), nu the multiplier for the
     stationarity constraint, nu_h the multiplier for h when present.
-    gamma/lam may be scalars or per-batch arrays.
+    gamma/lam may be scalars or per-batch arrays. The weights are read
+    into column views (``gamma_col``, ``lam_col``) at construction; build
+    a new instance to change them.
     """
 
     gamma: float | np.ndarray
     lam: float | np.ndarray = 0.0
     nu: Optional[np.ndarray] = None
     nu_h: Optional[np.ndarray] = None
+    gamma_col: np.ndarray = field(init=False, repr=False, compare=False)
+    # None when lam is the scalar 0.0: the lam term is then left out
+    lam_col: Optional[np.ndarray] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if np.any(np.asarray(self.gamma) < 0):
             raise ContractViolationError("gamma must be >= 0")
         if np.any(np.asarray(self.lam) < 0):
             raise ContractViolationError("lam must be >= 0")
+        self.gamma_col = _col(self.gamma)
+        lam = self.lam
+        self.lam_col = (None if np.ndim(lam) == 0 and lam == 0.0
+                        else _col(lam))
 
 
 def _col(x):
@@ -142,16 +154,15 @@ def penalty_grad_v(oracle: ProblemOracle, p: Point,
     """
     gvf = oracle.grad_v_f(p)
     gvg = oracle.grad_v_g(p)
-    w = _col(params.gamma) * gvg
+    w = params.gamma_col * gvg
     if params.nu is not None:
         w = w + params.nu
     out = gvf + oracle.hvp_vv_g(p, w)
-    lam = params.lam
-    if not (np.ndim(lam) == 0 and lam == 0.0):
-        out = out + _col(lam) * gvg
+    if params.lam_col is not None:
+        out = out + params.lam_col * gvg
     if oracle.has_constraints:
         h = oracle.eval_h(p)
-        mu = _col(params.gamma) * h
+        mu = params.gamma_col * h
         if params.nu_h is not None:
             mu = mu + params.nu_h
         out = out + oracle.jtvp_v_h(p, mu)
@@ -163,13 +174,13 @@ def penalty_grad_u(oracle: ProblemOracle, p: Point,
     """u-gradient of the penalized objective (no lam term)."""
     guf = oracle.grad_u_f(p)
     gvg = oracle.grad_v_g(p)
-    w = _col(params.gamma) * gvg
+    w = params.gamma_col * gvg
     if params.nu is not None:
         w = w + params.nu
     out = guf + oracle.jvp_uv_g(p, w)
     if oracle.has_constraints:
         h = oracle.eval_h(p)
-        mu = _col(params.gamma) * h
+        mu = params.gamma_col * h
         if params.nu_h is not None:
             mu = mu + params.nu_h
         out = out + oracle.jtvp_u_h(p, mu)
@@ -190,9 +201,8 @@ def penalty_value_full(oracle: ProblemOracle, p: Point,
         out = out + np.sum(oracle.grad_v_g(p) * params.nu, axis=-1)
     if params.nu_h is not None and oracle.has_constraints:
         out = out + np.sum(oracle.eval_h(p) * params.nu_h, axis=-1)
-    lam = params.lam
-    if not (np.ndim(lam) == 0 and lam == 0.0):
-        out = out + np.asarray(lam) * oracle.eval_g(p)
+    if params.lam_col is not None:
+        out = out + np.asarray(params.lam) * oracle.eval_g(p)
     return out
 
 

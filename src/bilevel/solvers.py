@@ -67,11 +67,11 @@ class OracleCounters:
 def attach_counters(oracle: ProblemOracle,
                     counters: OracleCounters) -> ProblemOracle:
     """Counting view of an oracle; the original is untouched."""
-    c = counters
+    tally = counters.__dict__
 
     def cf(fn, name):
         def wrapped(*args):
-            setattr(c, name, getattr(c, name) + 1)
+            tally[name] += 1
             return fn(*args)
         return wrapped
 
@@ -268,6 +268,16 @@ def _abort(message, recorder):
 # Penalty solvers
 # ---------------------------------------------------------------------------
 
+def _schedule_weights(cfg, gamma, lam, nu, nu_h):
+    """Penalty weights and per-trial v-step sizes of one schedule phase."""
+    params = PenaltyParams(gamma=gamma, lam=lam, nu=nu, nu_h=nu_h)
+    # v-step size shrinks with the penalty weight so the step on the
+    # gamma-scaled stationarity term stays constant; without this the
+    # v iterate limit-cycles at amplitude rho0 and the u-gradient
+    # inherits gamma * rho0 noise.
+    return params, cfg.rho0 * (cfg.gamma0 / gamma)[:, None]
+
+
 def _penalty_engine(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
                     aug: bool, metric=None, record_every: int = 1,
                     counters: Optional[OracleCounters] = None):
@@ -293,13 +303,9 @@ def _penalty_engine(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
     box = cfg.box
     rec = _Recorder(oracle, metric, counters, B, record_every, cfg.K)
 
+    # rebuilt only when the schedule advances
+    params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
     for k in range(cfg.K):
-        params = PenaltyParams(gamma=gamma, lam=lam, nu=nu, nu_h=nu_h)
-        # v-step size shrinks with the penalty weight so the step on the
-        # gamma-scaled stationarity term stays constant; without this the
-        # v iterate limit-cycles at amplitude rho0 and the u-gradient
-        # inherits gamma * rho0 noise.
-        rho_k = cfg.rho0 * (cfg.gamma0 / gamma)[:, None]
         try:
             for _ in range(cfg.T):
                 gv = penalty_grad_v(alg, Point(u, v), params)
@@ -317,7 +323,7 @@ def _penalty_engine(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
         gu_sq = sqnorm(gu)
         gv_sq = sqnorm(gv)
         tol_sq = gu_sq + gv_sq
-        if not np.all(np.isfinite(tol_sq)):
+        if not np.isfinite(tol_sq).all():
             bad = np.flatnonzero(~np.isfinite(tol_sq))
             _abort(f"non-finite penalty gradient at u-iteration {k}, "
                    f"trial(s) {bad.tolist()}", rec)
@@ -339,6 +345,7 @@ def _penalty_engine(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
                              gamma)
             eps = np.where(advance, eps * cfg.c_eps, eps)
             phase = np.where(advance, 0, phase)
+            params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
 
         rec.record(k, Point(u, v), gu_sq, gv_sq, gamma, eps,
                    lam if aug else np.zeros(B))
@@ -419,17 +426,20 @@ def gd_alternating(oracle: ProblemOracle, cfg: PenaltyConfig,
     nan = np.full(B, np.nan)
 
     for k in range(cfg.K):
-        for _ in range(cfg.T):
-            gv = alg.grad_v_g(Point(u, v))
-            v = stepper_step(st_v, v, gv, cfg.rho0)
-            if box is not None:
-                v = project_box(v, box)
-        gu = alg.grad_u_f(Point(u, v))
-        u = stepper_step(st_u, u, gu, cfg.sigma0)
+        try:
+            for _ in range(cfg.T):
+                gv = alg.grad_v_g(Point(u, v))
+                v = stepper_step(st_v, v, gv, cfg.rho0)
+                if box is not None:
+                    v = project_box(v, box)
+            gu = alg.grad_u_f(Point(u, v))
+            u = stepper_step(st_u, u, gu, cfg.sigma0)
+        except NumericError as exc:
+            _abort(f"{exc} (u-iteration {k})", rec)
         if box is not None:
             u = project_box(u, box)
         gu_sq, gv_sq = sqnorm(gu), sqnorm(gv)
-        if not np.all(np.isfinite(gu_sq + gv_sq)):
+        if not np.isfinite(gu_sq + gv_sq).all():
             _abort(f"non-finite gradient at u-iteration {k}", rec)
         rec.record(k, Point(u, v), gu_sq, gv_sq, nan, nan, nan)
 
@@ -478,7 +488,7 @@ def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
         pt = Point(u, traj[t])
         p = p - rho * alg.jvp_uv_g(pt, q)
         q = q - rho * alg.hvp_vv_g(pt, q)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NumericError("non-finite reverse-mode hypergradient")
     return p, v
 
@@ -515,7 +525,7 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
         v = v - rho * alg.grad_v_g(pt)
     pt_T = Point(u, v)
     hg = alg.grad_u_f(pt_T) + P @ alg.grad_v_f(pt_T)
-    if not np.all(np.isfinite(hg)):
+    if not np.isfinite(hg).all():
         raise NumericError("non-finite forward-mode hypergradient")
     return hg, v
 
@@ -586,7 +596,7 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
         raise ContractViolationError(f"unknown lin_solver {lin_solver!r}")
 
     hg = alg.grad_u_f(pt) - alg.jvp_uv_g(pt, q)
-    if not np.all(np.isfinite(hg)):
+    if not np.isfinite(hg).all():
         raise NumericError("non-finite approximate hypergradient")
     return hg, v, q
 
@@ -642,20 +652,23 @@ def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
         q_stepper = Stepper(make_stepper("adam", v.shape), cfg.rho0)
 
     for k in range(cfg.K):
-        if estimator == "rmd":
-            hg, v = rmd_hypergrad(alg, u, v, cfg.T, cfg.rho0)
-        elif estimator == "fmd":
-            hg1, v1 = fmd_hypergrad(alg, u[0], v[0], cfg.T, cfg.rho0)
-            hg, v = hg1[None, :], v1[None, :]
-        else:
-            hg, v, q = approxgrad_hypergrad(
-                alg, u, v, cfg.T, cfg.T, cfg.rho0, cfg.approx_reg,
-                q0=q, v_stepper=v_stepper, q_stepper=q_stepper)
-        u = stepper_step(st_u, u, hg, cfg.sigma0)
+        try:
+            if estimator == "rmd":
+                hg, v = rmd_hypergrad(alg, u, v, cfg.T, cfg.rho0)
+            elif estimator == "fmd":
+                hg1, v1 = fmd_hypergrad(alg, u[0], v[0], cfg.T, cfg.rho0)
+                hg, v = hg1[None, :], v1[None, :]
+            else:
+                hg, v, q = approxgrad_hypergrad(
+                    alg, u, v, cfg.T, cfg.T, cfg.rho0, cfg.approx_reg,
+                    q0=q, v_stepper=v_stepper, q_stepper=q_stepper)
+            u = stepper_step(st_u, u, hg, cfg.sigma0)
+        except NumericError as exc:
+            _abort(f"{exc} (u-iteration {k})", rec)
         if box is not None:
             u = project_box(u, box)
         hg_sq = sqnorm(hg)
-        if not np.all(np.isfinite(hg_sq)):
+        if not np.isfinite(hg_sq).all():
             _abort(f"non-finite {estimator} hypergradient at iteration {k}",
                    rec)
         if rec.due(k):

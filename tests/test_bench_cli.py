@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from bilevel.bench import (RUN_COLUMNS, load_run_setup, run_trials,
-                           summarize, write_run_csv)
+from bilevel.bench import (RUN_COLUMNS, _run_chunk, load_run_setup,
+                           run_trials, summarize, write_run_csv)
 from bilevel.cli import main
-from bilevel.errors import ConfigError
+from bilevel.errors import ConfigError, NumericError
+from bilevel.solvers import traces_equal
 
 
 def write_config(path, text):
@@ -89,6 +90,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="axis"):
             load_run_setup(cfg)
 
+    @pytest.mark.parametrize("line", ["trials = 2", "record_every = 20",
+                                      "seed = 3"])
+    def test_run_value_not_an_integer(self, tmp_path, line):
+        key = line.split()[0]
+        cfg = write_config(tmp_path / "a.cfg",
+                           BASE_CONFIG.replace(line, f"{key} = abc"))
+        with pytest.raises(ConfigError, match=key):
+            load_run_setup(cfg)
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+
+    def test_unknown_problem_key(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+            "dim = 6", "dim = 6\nbogus = 3"))
+        with pytest.raises(ConfigError, match="bogus"):
+            load_run_setup(cfg)
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+
     def test_sweep_empty_values(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg",
                            BASE_CONFIG + "\n[sweep]\naxis = T\nvalues =\n")
@@ -165,6 +183,39 @@ seed = 0
         code = main(["run", "--config", cfg, "--out",
                      str(tmp_path / "o.csv"), "--quiet"])
         assert code == 3
+
+    def test_numeric_abort_writes_partial_csv(self, tmp_path):
+        # plain-gd at step 10 diverges on the quadratic; the abort comes
+        # at u-iteration 7, after 7 recorded rows
+        text = """
+[problem]
+name = quadratic
+
+[solver]
+name = penalty_plain
+stepper = plain-gd
+rho0 = 10
+sigma0 = 10
+K = 200
+
+[run]
+record_every = 1
+"""
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+        rows = read_csv(out)
+        assert tuple(rows[0]) == RUN_COLUMNS
+        assert [r[:2] for r in rows[1:]] == [["0", str(k)] for k in range(7)]
+        with pytest.raises(NumericError, match="u-iteration 7") as err:
+            run_trials("quadratic", "penalty_plain", cfg=dict(
+                K=200, stepper="plain-gd", rho0=10.0, sigma0=10.0),
+                trials=2, record_every=1)
+        # trial 0 aborted, so trial 1 never ran
+        assert [r.trial for r in err.value.results] == [0]
+        assert len(err.value.results[0].trace) == 7
+        assert err.value.results[0].final_point is None
 
 
 COMPARE_CONFIG = """
@@ -288,6 +339,23 @@ class TestRunTrialsApi:
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.final_point.u, b.final_point.u)
             assert a.trace.final.distance == b.trace.final.distance
+
+    @pytest.mark.parametrize("solver", ["penalty", "rmd", "approxgrad",
+                                        "gd"])
+    @pytest.mark.parametrize("problem", ["example1", "example2", "example3",
+                                         "example4"])
+    def test_batched_equals_serial(self, problem, solver):
+        # trial i of a lockstep batch reproduces trial i run alone, bit
+        # for bit, through the batched and the single-point factories
+        cfg = dict(K=30, T=5, sigma0=1e-3, rho0=1e-4, gamma0=1.0, eps0=1.0,
+                   lambda0=10.0)
+        batched = _run_chunk(problem, {}, solver, cfg, 5, [0, 1, 2], 1)
+        for i in range(3):
+            alone = _run_chunk(problem, {}, solver, cfg, 5, [i], 1)[0]
+            assert len(alone.trace) == 30
+            assert traces_equal(batched[i].trace, alone.trace)
+            np.testing.assert_array_equal(batched[i].final_point.u,
+                                          alone.final_point.u)
 
     def test_constrained_pipeline_adds_slacks(self):
         res = run_trials("constrained_toy", "penalty", cfg=dict(K=20, T=2),

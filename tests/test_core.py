@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bilevel.core import (BoxBounds, RngSeed, adam_step, gaussian_matrix,
                           make_rng, make_stepper, project_box, sgd_step,
@@ -100,6 +101,106 @@ class TestAdam:
             make_stepper("rmsprop", 2)
 
 
+def formula_adam(params, grads, lr, b1, b2, eps):
+    """Adam written out per element, in the library's operation order."""
+    m = np.zeros_like(params)
+    s = np.zeros_like(params)
+    outs = []
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        s = b2 * s + ((1.0 - b2) * g) * g
+        mhat = m / (1.0 - b1**t)
+        shat = s / (1.0 - b2**t)
+        params = params - (lr * mhat) / (np.sqrt(shat) + eps)
+        outs.append(params)
+    return outs, m, s
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def adam_cases(draw):
+    batch = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 5))
+    steps = draw(st.integers(1, 6))
+    arr = hnp.arrays(np.float64, (batch, dim), elements=finite)
+    params = draw(arr)
+    grads = [draw(arr) for _ in range(steps)]
+    if draw(st.booleans()):
+        lr = draw(st.floats(1e-6, 1.0))
+    else:
+        lr = draw(hnp.arrays(np.float64, (batch, 1),
+                             elements=st.floats(1e-6, 1.0)))
+    b1 = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    b2 = draw(st.sampled_from([0.0, 0.9, 0.999]))
+    return params, grads, lr, b1, b2
+
+
+class TestAdamBitIdentity:
+    @given(adam_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_formula_bitwise(self, case):
+        params, grads, lr, b1, b2 = case
+        state = make_stepper("adam", params.shape, beta1=b1, beta2=b2)
+        want, m, s = formula_adam(params, grads, lr, b1, b2, 1e-8)
+        p = params
+        for g, expect in zip(grads, want):
+            out = adam_step(state, p, g, lr)
+            assert out is not p
+            assert out.tobytes() == expect.tobytes()
+            p = out
+        assert state.m.tobytes() == m.tobytes()
+        assert state.s.tobytes() == s.tobytes()
+        assert state.step_count == len(grads)
+
+    def test_long_run_matches_formula_bitwise(self):
+        # numpy's vector pow rounds b**t differently from the scalar pow
+        # for some t (b1 = 0.9: t = 12, 23, ...; b2 = 0.999: t = 7, 23, ...)
+        rng = make_rng(3, 4)
+        params = rng.standard_normal((3, 4))
+        grads = list(rng.standard_normal((100, 3, 4)))
+        lr = np.array([[1e-3], [0.1], [1.0]])
+        want, _, _ = formula_adam(params, grads, lr, 0.9, 0.999, 1e-8)
+        state = make_stepper("adam", params.shape)
+        for g, expect in zip(grads, want):
+            params = adam_step(state, params, g, lr)
+            assert params.tobytes() == expect.tobytes()
+
+    def test_moments_are_views_of_one_buffer(self):
+        state = make_stepper("adam", (3, 2))
+        assert state.moments.shape == (2, 3, 2)
+        assert np.shares_memory(state.m, state.moments)
+        assert np.shares_memory(state.s, state.moments)
+        adam_step(state, np.zeros((3, 2)), np.ones((3, 2)), 0.1)
+        np.testing.assert_array_equal(state.moments[0], state.m)
+        np.testing.assert_array_equal(state.moments[1], state.s)
+        assert state.m.min() > 0 and state.s.min() > 0
+
+    def test_params_not_mutated(self):
+        state = make_stepper("adam", 3)
+        params = np.array([1.0, -2.0, 0.5])
+        before = params.copy()
+        adam_step(state, params, np.ones(3), 0.1)
+        np.testing.assert_array_equal(params, before)
+
+    @pytest.mark.parametrize("lr", [np.array([[0.1], [-0.1]]),
+                                    np.array([[0.1], [np.nan]]), np.nan,
+                                    -1.0, 0])
+    def test_rejects_non_positive_lr(self, lr):
+        st_ = make_stepper("adam", (2, 2))
+        with pytest.raises(ContractViolationError):
+            adam_step(st_, np.zeros((2, 2)), np.ones((2, 2)), lr)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_batched_grad(self, bad):
+        st_ = make_stepper("adam", (2, 3))
+        grad = np.ones((2, 3))
+        grad[1, 2] = bad
+        with pytest.raises(NumericError):
+            stepper_step(st_, np.zeros((2, 3)), grad, np.full((2, 1), 0.1))
+
+
 class TestSgd:
     def test_arithmetic(self):
         out = sgd_step(np.array([1.0, 1.0]), np.array([2.0, -2.0]), 0.5)
@@ -133,6 +234,23 @@ class TestProjectBox:
         box = BoxBounds(-5.0, 5.0)
         once = project_box(np.array(xs), box)
         np.testing.assert_array_equal(project_box(once, box), once)
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3),
+                                            st.integers(1, 40)),
+                      elements=st.sampled_from(
+                          [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                           -5e-324, 1.0, -1.0, 3.0, -7.0])
+                      | st.floats(-10, 10)),
+           st.sampled_from([(-5.0, 5.0), (-0.0, 1.0), (0.0, 2.0),
+                            (-1.0, -0.0), (-3.0, 0.0), (-np.inf, 0.0),
+                            (0.0, np.inf), (-np.inf, np.inf)]))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_clip(self, x, bounds):
+        box = BoxBounds(*bounds)
+        for arr in (x, x[0], x.T):
+            got = project_box(arr, box)
+            want = np.clip(arr, box.lo, box.hi)
+            assert got.tobytes() == want.tobytes()
 
     def test_invalid_box(self):
         with pytest.raises(ContractViolationError):

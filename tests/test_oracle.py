@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError, NumericError
@@ -138,6 +139,104 @@ def test_augmented_grads_match_fd():
     fd_u = _fd(lambda u: penalty_value_full(o, Point(u, p.v), params_u), p.u)
     np.testing.assert_allclose(gv, fd_v, rtol=1e-6, atol=1e-7)
     np.testing.assert_allclose(gu, fd_u, rtol=1e-6, atol=1e-7)
+
+
+def formula_penalty_grads(o, p, gamma, lam, nu, nu_h):
+    """Penalized v- and u-gradients written out term by term, in the
+    library's operation order; no term is skipped for being zero."""
+    g_col = np.asarray(gamma, dtype=np.float64)[..., None]
+    gvg = o.grad_v_g(p)
+    w = g_col * gvg
+    if nu is not None:
+        w = w + nu
+    gv = o.grad_v_f(p) + o.hvp_vv_g(p, w)
+    if not (np.ndim(lam) == 0 and lam == 0.0):
+        gv = gv + np.asarray(lam, dtype=np.float64)[..., None] * gvg
+    gu = o.grad_u_f(p) + o.jvp_uv_g(p, w)
+    if o.has_constraints:
+        mu = g_col * o.eval_h(p)
+        if nu_h is not None:
+            mu = mu + nu_h
+        gv = gv + o.jtvp_v_h(p, mu)
+        gu = gu + o.jtvp_u_h(p, mu)
+    return gv, gu
+
+
+GRAD_ORACLES = {"quadratic": make_quadratic(1, dim_u=3, dim_v=4).oracle,
+                "slack_toy": slackify(make_constrained_toy(0).oracle)}
+signed = (st.sampled_from([-0.0, 0.0]) | st.floats(-5, 5))
+weight = st.sampled_from([0.0, 1.0]) | st.floats(0, 100)
+
+
+@st.composite
+def penalty_cases(draw):
+    name = draw(st.sampled_from(sorted(GRAD_ORACLES)))
+    o = GRAD_ORACLES[name]
+    batch = draw(st.integers(1, 3))
+    # single point or batch; slackify pads single points only to (U,)
+    single = name == "quadratic" and draw(st.booleans())
+    lead = () if single else (batch,)
+    p = Point(draw(hnp.arrays(np.float64, lead + (o.dim_u,), elements=signed)),
+              draw(hnp.arrays(np.float64, lead + (o.dim_v,), elements=signed)))
+
+    def scalar_or_batch(elements):
+        if draw(st.booleans()):
+            return draw(elements)
+        return draw(hnp.arrays(np.float64, (batch,), elements=elements))
+
+    gamma = scalar_or_batch(weight)
+    lam = scalar_or_batch(weight)
+    nu = nu_h = None
+    if draw(st.booleans()):
+        nu = draw(hnp.arrays(np.float64, (batch, o.dim_v), elements=signed))
+    if o.has_constraints and draw(st.booleans()):
+        nu_h = draw(hnp.arrays(np.float64, (batch, o.dim_c),
+                               elements=signed))
+    return o, p, gamma, lam, nu, nu_h
+
+
+class TestPenaltyGradBitIdentity:
+    @given(penalty_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_formula_bitwise(self, case):
+        o, p, gamma, lam, nu, nu_h = case
+        params = PenaltyParams(gamma=gamma, lam=lam, nu=nu, nu_h=nu_h)
+        want_v, want_u = formula_penalty_grads(o, p, gamma, lam, nu, nu_h)
+        gv = penalty_grad_v(o, p, params)
+        gu = penalty_grad_u(o, p, params)
+        assert gv.shape == want_v.shape and gu.shape == want_u.shape
+        assert gv.tobytes() == want_v.tobytes()
+        assert gu.tobytes() == want_u.tobytes()
+
+    def test_zero_multipliers_still_added(self):
+        # at u = s = 0, v = -0.0 and gamma = 0 the weighted stationarity
+        # vector is -0.0; adding the zero nu turns it into +0.0, and that
+        # sign reaches the v-gradient
+        o = GRAD_ORACLES["slack_toy"]
+        p = Point(np.zeros((1, 2)), np.full((1, 1), -0.0))
+        gamma, nu, nu_h = np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1))
+        params = PenaltyParams(gamma=gamma, nu=nu, nu_h=nu_h)
+        want_v, _ = formula_penalty_grads(o, p, gamma, 0.0, nu, nu_h)
+        gv = penalty_grad_v(o, p, params)
+        assert gv.tobytes() == want_v.tobytes()
+        assert gv[0, 0] == 0.0 and not np.signbit(gv[0, 0])
+
+    def test_single_point_batched_weights(self):
+        # w = gamma * grad_v g broadcasts a (V,) point gradient to (B, V)
+        o = GRAD_ORACLES["quadratic"]
+        p = Point(np.full(o.dim_u, -0.0), np.full(o.dim_v, -0.0))
+        gamma = np.array([0.0, 2.0, 5.0])
+        nu = np.zeros((3, o.dim_v))
+        lam = np.array([0.0, 0.5, 1.0])
+        params = PenaltyParams(gamma=gamma, lam=lam, nu=nu)
+        want_v, want_u = formula_penalty_grads(o, p, gamma, lam, nu, None)
+        gv = penalty_grad_v(o, p, params)
+        gu = penalty_grad_u(o, p, params)
+        assert gv.shape == (3, o.dim_v) and gu.shape == (3, o.dim_u)
+        assert gv.tobytes() == want_v.tobytes()
+        assert gu.tobytes() == want_u.tobytes()
+        # p was not written through
+        assert np.signbit(p.u).all() and np.signbit(p.v).all()
 
 
 class TestHvpProperties:
