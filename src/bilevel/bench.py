@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -57,7 +58,11 @@ RUN_COLUMNS = ("trial", "k", "wall_seconds", "gamma", "eps", "lambda",
                "f", "g", "grad_u_norm", "grad_v_norm", "feas_norm",
                "distance", "n_hvp", "n_jvp", "peak_stored_vecs")
 
-_ROW_FIELD = {"lambda": "lam"}
+# every column but `trial`, as TraceRow fields; ints %d, floats %.17g,
+# which for these values writes what _fmt does; CRLF as csv.writer ends rows
+_row_values = operator.attrgetter(*(
+    {"lambda": "lam"}.get(col, col) for col in RUN_COLUMNS[1:]))
+_RUN_ROW = "%d,%d," + "%.17g," * 10 + "%d,%d,%d\r\n"
 
 _CFG_INT = {"K", "T", "while_cap", "seed"}
 _CFG_FLOAT = {"sigma0", "rho0", "gamma0", "eps0", "lambda0", "nu0",
@@ -110,6 +115,11 @@ class TrialResult:
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
+
+# accepted value types per [problem] default type; an int may stand
+# for a float
+_PARAM_TYPES = {int: int, float: (int, float)}
+
 
 def _coerce(value: str):
     for cast in (int, float):
@@ -166,7 +176,14 @@ def load_run_setup(path, overrides=None) -> RunSetup:
     if unknown:
         raise ConfigError(f"[problem] unknown key(s) {unknown} for "
                           f"{pname!r}; known: {sorted(known)}")
-    pparams = {k: _coerce(v) for k, v in prob.items()}
+    pparams = {}
+    for key, raw in prob.items():
+        value = _coerce(raw)
+        want = type(known[key])
+        if not isinstance(value, _PARAM_TYPES.get(want, want)):
+            raise ConfigError(f"[problem] bad value for {key!r}: {raw!r} "
+                              f"is not {want.__name__}")
+        pparams[key] = value
 
     solvers = []
     for sec in cp.sections():
@@ -358,17 +375,15 @@ def mean_wall(results) -> float:
 # ---------------------------------------------------------------------------
 
 def write_run_csv(path, results):
+    """One row per trace row, bytes as csv.writer with _fmt would write."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RUN_COLUMNS)
+        fh.write(",".join(RUN_COLUMNS) + "\r\n")
         for res in results:
-            for row in res.trace.rows:
-                out = [res.trial]
-                for col in RUN_COLUMNS[1:]:
-                    out.append(_fmt(getattr(row, _ROW_FIELD.get(col, col))))
-                w.writerow(out)
+            trial = (res.trial,)
+            fh.writelines(_RUN_ROW % (trial + _row_values(row))
+                          for row in res.trace.rows)
     return path
 
 

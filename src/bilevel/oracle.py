@@ -221,8 +221,9 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
     def split(p: Point):
         return Point(p.u[..., :U], p.v), p.u[..., U:]
 
-    def pad_u(vec, like_s):
-        return np.concatenate([vec, np.zeros_like(like_s)], axis=-1)
+    def pad_u(vec):
+        return np.concatenate([vec, np.zeros(vec.shape[:-1] + (C,))],
+                              axis=-1)
 
     def eval_f(p):
         q, _ = split(p)
@@ -233,8 +234,8 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
         return base.eval_g(q)
 
     def grad_u_f(p):
-        q, s = split(p)
-        return pad_u(base.grad_u_f(q), s)
+        q, _ = split(p)
+        return pad_u(base.grad_u_f(q))
 
     def grad_v_f(p):
         q, _ = split(p)
@@ -249,8 +250,8 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
         return base.hvp_vv_g(q, vec)
 
     def jvp(p, vec):
-        q, s = split(p)
-        return pad_u(base.jvp_uv_g(q, vec), s)
+        q, _ = split(p)
+        return pad_u(base.jvp_uv_g(q, vec))
 
     def eval_h(p):
         q, s = split(p)

@@ -187,6 +187,8 @@ def make_synthetic_batch(sid: int, dim: int, seeds) -> ProblemInstance:
     axis); for ids 1-2 the problem is seed-free and only the initial
     points differ.
     """
+    if dim < 1:
+        raise ContractViolationError("dim must be >= 1")
     seeds = list(seeds)
     A = None
     if sid in (3, 4):

@@ -136,7 +136,7 @@ class PenaltyConfig:
                 f"unknown linear solver {self.approx_lin_solver!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     """One recorded u-iteration of a run."""
 
@@ -209,7 +209,13 @@ def sample_initial_point(oracle: ProblemOracle, box: BoxBounds,
 
 
 class _Recorder:
-    """Collects per-trial trace rows; uses the uncounted oracle."""
+    """Collects per-trial trace rows; uses the uncounted oracle.
+
+    Each recorded u-iteration fills one (9, B) slab of a float64 buffer
+    (schedule, costs, norms, distance) plus one tuple of the scalars the
+    batch shares (k, wall time, counters); trace rows are built only when
+    the traces are handed back.
+    """
 
     def __init__(self, oracle, metric, counters, batch, record_every, total):
         self.oracle = oracle
@@ -218,44 +224,49 @@ class _Recorder:
         self.batch = batch
         self.every = max(1, record_every)
         self.total = total
-        self.rows = [[] for _ in range(batch)]
+        due = total // self.every + (total % self.every != 0)
+        self.cols = np.empty((due, 9, batch))
+        self.shared = []
         self.t0 = time.perf_counter()
 
     def due(self, k):
         return (k + 1) % self.every == 0 or k == self.total - 1
 
     def record(self, k, pt, gu_sq, gv_sq, gamma, eps, lam):
-        if not self.due(k) or (self.rows[0] and self.rows[0][-1].k == k):
+        shared = self.shared
+        if not self.due(k) or (shared and shared[-1][0] == k):
             return
         o = self.oracle
-        f = np.broadcast_to(o.eval_f(pt), (self.batch,))
-        g = np.broadcast_to(o.eval_g(pt), (self.batch,))
-        gvg = o.grad_v_g(pt)
-        feas_sq = sqnorm(gvg)
+        # gamma, eps, lam, f, g, |grad_u|, |grad_v|, feas, distance
+        slab = self.cols[len(shared)]
+        slab[0] = gamma
+        slab[1] = eps
+        slab[2] = lam
+        slab[3] = o.eval_f(pt)
+        slab[4] = o.eval_g(pt)
+        slab[5] = gu_sq
+        slab[6] = gv_sq
+        feas_sq = sqnorm(o.grad_v_g(pt))
         if o.has_constraints:
             feas_sq = feas_sq + sqnorm(o.eval_h(pt))
-        feas = np.sqrt(np.broadcast_to(feas_sq, (self.batch,)))
-        dist = (np.broadcast_to(self.metric(pt), (self.batch,))
-                if self.metric else np.full(self.batch, np.nan))
-        wall = (time.perf_counter() - self.t0) / self.batch
-        snap = self.counters
-        gamma = np.broadcast_to(gamma, (self.batch,))
-        eps = np.broadcast_to(eps, (self.batch,))
-        lam = np.broadcast_to(lam, (self.batch,))
-        gun = np.sqrt(np.broadcast_to(gu_sq, (self.batch,)))
-        gvn = np.sqrt(np.broadcast_to(gv_sq, (self.batch,)))
-        for i in range(self.batch):
-            self.rows[i].append(TraceRow(
-                k=k, gamma=float(gamma[i]), eps=float(eps[i]),
-                lam=float(lam[i]), f=float(f[i]), g=float(g[i]),
-                grad_u_norm=float(gun[i]), grad_v_norm=float(gvn[i]),
-                feas_norm=float(feas[i]), distance=float(dist[i]),
-                wall_seconds=wall,
-                n_hvp=snap.n_hvp, n_jvp=snap.n_jvp,
-                peak_stored_vecs=snap.peak_stored_vecs))
+        slab[7] = feas_sq
+        np.sqrt(slab[5:8], out=slab[5:8])
+        slab[8] = self.metric(pt) if self.metric else np.nan
+        c = self.counters
+        shared.append((k, (time.perf_counter() - self.t0) / self.batch,
+                       c.n_hvp, c.n_jvp, c.peak_stored_vecs))
 
     def traces(self):
-        return [SolverTrace(r) for r in self.rows]
+        shared = self.shared
+        cols = self.cols[:len(shared)]
+        # one trial's values at a time keeps the temporary lists small
+        return [SolverTrace([
+            TraceRow(k, ga, ep, la, f, g, gun, gvn, feas, dist, wall,
+                     n_hvp, n_jvp, peak)
+            for (k, wall, n_hvp, n_jvp, peak),
+                (ga, ep, la, f, g, gun, gvn, feas, dist)
+            in zip(shared, cols[:, :, i].tolist())])
+            for i in range(self.batch)]
 
 
 def _abort(message, recorder):

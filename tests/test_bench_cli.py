@@ -3,12 +3,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilevel.bench import (RUN_COLUMNS, _run_chunk, load_run_setup,
-                           run_trials, summarize, write_run_csv)
+from bilevel.bench import (RUN_COLUMNS, TrialResult, _fmt, _run_chunk,
+                           load_run_setup, run_trials, summarize,
+                           write_run_csv)
 from bilevel.cli import main
 from bilevel.errors import ConfigError, NumericError
-from bilevel.solvers import traces_equal
+from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
+                             traces_equal)
 
 
 def write_config(path, text):
@@ -106,6 +110,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bogus"):
             load_run_setup(cfg)
         assert main(["run", "--config", cfg, "--quiet"]) == 2
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-3", "0"])
+    def test_bad_problem_value_exit_2(self, tmp_path, capsys, value,
+                                      trials):
+        # trials = 2 goes through the batched factory
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+            "dim = 6", f"dim = {value}").replace(
+            "trials = 2", f"trials = {trials}"))
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dim" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_float_problem_value_takes_an_int(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+            "name = example1\ndim = 6", "name = ridge\nreg_true = 3"))
+        assert load_run_setup(cfg).problem_params == {"reg_true": 3}
+        cfg = write_config(tmp_path / "b.cfg", BASE_CONFIG.replace(
+            "name = example1\ndim = 6", "name = ridge\nreg_true = x"))
+        with pytest.raises(ConfigError, match="reg_true"):
+            load_run_setup(cfg)
 
     def test_sweep_empty_values(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg",
@@ -385,3 +411,47 @@ class TestRunTrialsApi:
         assert tuple(rows[0]) == RUN_COLUMNS
         k_col = rows[0].index("k")
         assert [r[k_col] for r in rows[1:]] == ["4", "9"]
+
+
+def reference_run_csv(path, results):
+    """The csv.writer + _fmt run-CSV writer, kept as the byte reference."""
+    field = {"lambda": "lam"}
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(RUN_COLUMNS)
+        for res in results:
+            for row in res.trace.rows:
+                out = [res.trial]
+                for col in RUN_COLUMNS[1:]:
+                    out.append(_fmt(getattr(row, field.get(col, col))))
+                w.writerow(out)
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+               5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+               -1e308, 1.7976931348623157e308, 0.1, 1 / 3]
+EDGE_INTS = [0, 1, 2**31, 2**63 - 1, 2**63, 10**30]
+
+floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=True, allow_infinity=True))
+ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 10**40))
+
+
+@st.composite
+def trace_rows(draw):
+    return TraceRow(draw(ints), *(draw(floats) for _ in range(10)),
+                    draw(ints), draw(ints), draw(ints))
+
+
+@given(st.lists(st.tuples(ints, st.lists(trace_rows(), max_size=4)),
+                max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_run_csv_bytes_match_csv_writer(tmp_path_factory, trials):
+    results = [TrialResult(trial=t, trace=SolverTrace(rows),
+                           final_point=None, counters=OracleCounters(),
+                           wall_seconds=float("nan"))
+               for t, rows in trials]
+    d = tmp_path_factory.mktemp("csv")
+    write_run_csv(d / "got.csv", results)
+    reference_run_csv(d / "want.csv", results)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()

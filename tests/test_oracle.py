@@ -325,6 +325,18 @@ class TestSlackify:
         p = point([0.4, 0.8], -0.2)
         assert fd_check_oracle(o, p).max_error < 1e-4
 
+    def test_single_point_batched_gamma(self):
+        # a (B,) gamma on a single point gives (B, U + C) u-gradients,
+        # row i equal to the call with gamma[i] alone
+        o = slackify(make_constrained_toy().oracle)
+        p = point([0.4, 0.8], -0.2)
+        gamma = np.array([0.0, 1.0, 2.5, 1e3])
+        got = penalty_grad_u(o, p, PenaltyParams(gamma=gamma))
+        want = np.stack([penalty_grad_u(o, p, PenaltyParams(gamma=g))
+                         for g in gamma])
+        assert got.shape == (4, 2)
+        assert got.tobytes() == want.tobytes()
+
     def test_initial_slacks(self):
         base = make_constrained_toy().oracle
         p = point(-1.0, 0.0)     # h = 1 - u - v = 2 > 0: infeasible start

@@ -68,6 +68,14 @@ class TestSynthetics:
         with pytest.raises(ContractViolationError):
             make_synthetic(5, dim=4)
 
+    @pytest.mark.parametrize("sid", [1, 3])
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_nonpositive_dim_rejected(self, sid, dim):
+        with pytest.raises(ContractViolationError, match="dim"):
+            make_synthetic(sid, dim=dim)
+        with pytest.raises(ContractViolationError, match="dim"):
+            make_synthetic_batch(sid, dim, [1, 2])
+
     def test_batch_matches_single(self):
         seeds = [11, 12, 13]
         binst = make_synthetic_batch(3, 10, seeds)

@@ -1,13 +1,18 @@
+import time
+
 import numpy as np
 import pytest
 
+from bilevel import solvers
 from bilevel.core import BoxBounds, make_rng
 from bilevel.errors import (CapabilityError, ContractViolationError,
                             NumericError)
-from bilevel.oracle import Point, ProblemOracle, sqnorm, with_zero_f
-from bilevel.problems import make_quadratic, make_synthetic
-from bilevel.solvers import (OracleCounters, PenaltyConfig,
-                             approxgrad_hypergrad, attach_counters,
+from bilevel.oracle import (Point, ProblemOracle, slackify, sqnorm,
+                            with_zero_f)
+from bilevel.problems import (make_constrained_toy, make_quadratic,
+                              make_synthetic)
+from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
+                             TraceRow, approxgrad_hypergrad, attach_counters,
                              fmd_hypergrad, gd_alternating, outer_loop,
                              penalty_aug_solve, penalty_solve, rmd_hypergrad,
                              traces_equal)
@@ -402,3 +407,178 @@ def test_attach_counters_counts_every_surface():
     for key in ("n_f", "n_g", "n_grad_u_f", "n_grad_v_f", "n_grad_v_g",
                 "n_hvp", "n_jvp", "n_dense_hess", "n_dense_jac"):
         assert snap[key] == 1, key
+
+
+# ---------------------------------------------------------------------------
+# Columnar recorder against the row-by-row recorder it replaced
+# ---------------------------------------------------------------------------
+
+class RowRecorder:
+    """Reference: builds one TraceRow per trial at every recorded k."""
+
+    def __init__(self, oracle, metric, counters, batch, record_every, total):
+        self.oracle = oracle
+        self.metric = metric
+        self.counters = counters
+        self.batch = batch
+        self.every = max(1, record_every)
+        self.total = total
+        self.rows = [[] for _ in range(batch)]
+        self.t0 = time.perf_counter()
+
+    def due(self, k):
+        return (k + 1) % self.every == 0 or k == self.total - 1
+
+    def record(self, k, pt, gu_sq, gv_sq, gamma, eps, lam):
+        if not self.due(k) or (self.rows[0] and self.rows[0][-1].k == k):
+            return
+        o = self.oracle
+        f = np.broadcast_to(o.eval_f(pt), (self.batch,))
+        g = np.broadcast_to(o.eval_g(pt), (self.batch,))
+        gvg = o.grad_v_g(pt)
+        feas_sq = sqnorm(gvg)
+        if o.has_constraints:
+            feas_sq = feas_sq + sqnorm(o.eval_h(pt))
+        feas = np.sqrt(np.broadcast_to(feas_sq, (self.batch,)))
+        dist = (np.broadcast_to(self.metric(pt), (self.batch,))
+                if self.metric else np.full(self.batch, np.nan))
+        wall = (time.perf_counter() - self.t0) / self.batch
+        snap = self.counters
+        gamma = np.broadcast_to(gamma, (self.batch,))
+        eps = np.broadcast_to(eps, (self.batch,))
+        lam = np.broadcast_to(lam, (self.batch,))
+        gun = np.sqrt(np.broadcast_to(gu_sq, (self.batch,)))
+        gvn = np.sqrt(np.broadcast_to(gv_sq, (self.batch,)))
+        for i in range(self.batch):
+            self.rows[i].append(TraceRow(
+                k=k, gamma=float(gamma[i]), eps=float(eps[i]),
+                lam=float(lam[i]), f=float(f[i]), g=float(g[i]),
+                grad_u_norm=float(gun[i]), grad_v_norm=float(gvn[i]),
+                feas_norm=float(feas[i]), distance=float(dist[i]),
+                wall_seconds=wall,
+                n_hvp=snap.n_hvp, n_jvp=snap.n_jvp,
+                peak_stored_vecs=snap.peak_stored_vecs))
+
+    def traces(self):
+        return [SolverTrace(r) for r in self.rows]
+
+
+RECORDED_SOLVERS = {
+    "penalty": penalty_aug_solve,
+    "penalty_plain": penalty_solve,
+    "gd": gd_alternating,
+    "rmd": lambda o, cfg, p0, **kw: outer_loop(o, "rmd", cfg, p0, **kw),
+    "approxgrad": lambda o, cfg, p0, **kw: outer_loop(o, "approxgrad", cfg,
+                                                      p0, **kw),
+    "fmd": lambda o, cfg, p0, **kw: outer_loop(o, "fmd", cfg, p0, **kw),
+}
+
+
+def stacked_points(inst, seeds):
+    p0s = [inst.init_sampler(s) for s in seeds]
+    return Point(np.stack([p.u for p in p0s]), np.stack([p.v for p in p0s]))
+
+
+def row_reprs(trace):
+    """What the trace digests hash: repr of every field but the wall time."""
+    return [tuple(repr(getattr(row, name)) for name in row.__dataclass_fields__
+                  if name != "wall_seconds") for row in trace.rows]
+
+
+def assert_same_traces(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert traces_equal(a, b)
+        assert row_reprs(a) == row_reprs(b)
+        for row in a.rows:
+            assert type(row.k) is int and type(row.wall_seconds) is float
+            assert type(row.n_hvp) is int and type(row.f) is float
+
+
+def run_with_row_recorder(monkeypatch, fn):
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_Recorder", RowRecorder)
+        return fn()
+
+
+class TestColumnarRecorder:
+    # K = 7 and record_every = 3 make K - 1 a multiple of record_every;
+    # K = 9 makes the last k due on both counts
+    @pytest.mark.parametrize("K, every", [(7, 1), (7, 3), (7, 7), (9, 3)])
+    @pytest.mark.parametrize("solver", list(RECORDED_SOLVERS))
+    def test_matches_row_recorder(self, monkeypatch, solver, K, every):
+        inst = ex1(dim=4)
+        # fmd runs unbatched; every other solver gets a batch of three
+        p0 = (inst.init_sampler(3) if solver == "fmd"
+              else stacked_points(inst, (3, 4, 5)))
+        cfg = PenaltyConfig(K=K, T=2, box=inst.box, seed=0)
+
+        def run():
+            _, traces = RECORDED_SOLVERS[solver](
+                inst.oracle, cfg, p0, metric=inst.metric, record_every=every)
+            return [traces] if solver == "fmd" else traces
+
+        want = run_with_row_recorder(monkeypatch, run)
+        got = run()
+        assert_same_traces(got, want)
+        ks = [row.k for row in got[0].rows]
+        assert ks == sorted(set(k for k in range(K)
+                                if (k + 1) % every == 0 or k == K - 1))
+
+    @pytest.mark.parametrize("solver", ["penalty", "penalty_plain"])
+    def test_constrained_and_metric_free(self, monkeypatch, solver):
+        # slack-extended oracle (feasibility includes h) and no metric
+        # (distance NaN), on a single point
+        base = make_constrained_toy().oracle
+        o = slackify(base)
+        p0 = Point(np.array([0.3, 0.2]), np.array([-0.4]))
+        cfg = PenaltyConfig(K=8, T=3, rho0=1e-3, lambda0=0.0)
+
+        def run():
+            return [RECORDED_SOLVERS[solver](o, cfg, p0, record_every=3)[1]]
+
+        want = run_with_row_recorder(monkeypatch, run)
+        got = run()
+        assert_same_traces(got, want)
+        assert np.isnan(got[0].final.distance)
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd",
+                                        "rmd", "approxgrad"])
+    def test_partial_traces_on_abort(self, monkeypatch, solver, every):
+        # plain GD at step 10 diverges on the quadratic within 60 steps
+        inst = make_quadratic(0)
+        p0 = inst.init_sampler(0)
+        p0 = Point(np.stack([p0.u, 0.5 * p0.u]), np.stack([p0.v, 2 * p0.v]))
+        cfg = PenaltyConfig(K=200, T=2, stepper="plain-gd", rho0=10.0,
+                            sigma0=10.0)
+
+        def run():
+            with np.errstate(all="ignore"), \
+                    pytest.raises(NumericError) as err:
+                RECORDED_SOLVERS[solver](inst.oracle, cfg, p0,
+                                         metric=inst.metric,
+                                         record_every=every)
+            return err.value.traces
+
+        want = run_with_row_recorder(monkeypatch, run)
+        got = run()
+        assert len(got[0]) > 0
+        assert_same_traces(got, want)
+
+    def test_repeated_k_recorded_once(self):
+        # a second record call at the same k keeps the first row
+        inst = ex1(dim=3)
+        pt = stacked_points(inst, (1, 2))
+        traces = []
+        for recorder in (solvers._Recorder, RowRecorder):
+            rec = recorder(inst.oracle, inst.metric, OracleCounters(), 2,
+                           3, 7)
+            for k, scale in ((2, 1.0), (2, 2.0), (4, 1.0), (6, 1.0),
+                             (6, 3.0)):
+                rec.record(k, pt, np.full(2, scale), np.ones(2), 1.0,
+                           np.full(2, -scale), 0.0)
+            traces.append(rec.traces())
+        assert [row.k for row in traces[0][1].rows] == [2, 6]
+        assert [row.eps for row in traces[0][0].rows] == [-1.0, -1.0]
+        assert_same_traces(*traces)
