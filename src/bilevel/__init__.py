@@ -1,8 +1,7 @@
 """Inversion-free penalty solver and benchmark suite for bilevel problems."""
 
-from .core import (BoxBounds, RngSeed, StepperState, adam_step,
-                   gaussian_matrix, make_rng, make_stepper, project_box,
-                   sgd_step)
+from .core import (BoxBounds, StepperState, adam_step, gaussian_matrix,
+                   make_rng, make_stepper, project_box)
 from .errors import (CapabilityError, ConfigError, ContractViolationError,
                      ConvergenceError, NumericError, SingularHessianError)
 from .hypergrad import (KKTReport, exact_hypergrad, fd_hypergrad,

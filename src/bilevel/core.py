@@ -28,39 +28,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def as_vec(x) -> RealVec:
-    """Coerce to a float64 array, rejecting non-finite entries."""
-    out = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite entries in vector")
-    return out
-
-
-@dataclass
-class RngSeed:
-    """64-bit seed; identical seeds give bit-identical streams."""
-
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ContractViolationError("seed must fit in 64 unsigned bits")
-        self.seed = int(self.seed)
-
-
 def make_rng(*keys) -> np.random.Generator:
     """Deterministic generator from integer keys (splittable streams).
 
     Distinct key tuples give statistically independent streams; the same
     tuple always reproduces the same stream.
     """
-    flat = [k.seed if isinstance(k, RngSeed) else int(k) for k in keys]
+    flat = [int(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(flat))
 
 
 def derive_seed(*keys) -> int:
     """Stable 64-bit child seed from integer keys."""
-    flat = [k.seed if isinstance(k, RngSeed) else int(k) for k in keys]
+    flat = [int(k) for k in keys]
     return int(np.random.SeedSequence(flat).generate_state(1, np.uint64)[0])
 
 
@@ -151,12 +131,6 @@ def _check_step_args(params, grad, lr):
         raise NumericError("non-finite gradient passed to stepper")
 
 
-def sgd_step(params: RealVec, grad: RealVec, lr: float) -> RealVec:
-    """params - lr * grad."""
-    _check_step_args(params, grad, lr)
-    return params - lr * grad
-
-
 def adam_step(state: StepperState, params: RealVec, grad: RealVec,
               lr: float) -> RealVec:
     """One Adam update with bias correction; advances ``state`` in place.
@@ -197,17 +171,6 @@ def stepper_step(state: StepperState, params: RealVec, grad: RealVec,
     _check_step_args(params, grad, lr)
     state.step_count += 1
     return params - lr * grad
-
-
-@dataclass
-class Stepper:
-    """Convenience pairing of a state with its fixed learning rate."""
-
-    state: StepperState
-    lr: float
-
-    def step(self, params, grad):
-        return stepper_step(self.state, params, grad, self.lr)
 
 
 def uniform_in_box(rng: np.random.Generator, dim: int,

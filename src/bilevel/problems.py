@@ -27,8 +27,7 @@ class ProblemInstance:
 
     ``metric`` maps a Point to distance-from-solution (None if no solution
     is known). ``init_sampler`` maps a seed (or list of seeds for batched
-    instances) to an initial Point. ``batch_size`` > 1 marks an instance
-    whose oracle expects points with a leading trial axis.
+    instances) to an initial Point.
     """
 
     name: str
@@ -37,7 +36,6 @@ class ProblemInstance:
     init_sampler: Callable
     box: Optional[BoxBounds] = None
     expects_singular: bool = False
-    batch_size: int = 1
     info: dict = field(default_factory=dict)
 
 
@@ -210,7 +208,7 @@ def make_synthetic_batch(sid: int, dim: int, seeds) -> ProblemInstance:
     return ProblemInstance(
         name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A),
         init_sampler=sample, box=SYNTHETIC_BOX,
-        expects_singular=sid in (3, 4), batch_size=len(seeds), info={"A": A})
+        expects_singular=sid in (3, 4), info={"A": A})
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +219,8 @@ def make_quadratic(seed: int = 0, dim_u: int = 5,
                    dim_v: int = 5) -> ProblemInstance:
     """g = v'Hv/2 + u'Mv + c'v with H well-conditioned SPD;
     f = |u - a|^2/2 + |v - b|^2/2."""
+    if dim_u < 1 or dim_v < 1:
+        raise ContractViolationError("dim_u and dim_v must be >= 1")
     rng = make_rng(seed, 0x40AD)
     Q, _ = np.linalg.qr(rng.standard_normal((dim_v, dim_v)))
     H = Q @ np.diag(rng.uniform(1.0, 3.0, dim_v)) @ Q.T
@@ -443,6 +443,8 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     differentiated through) plus 0.05 |w|^2. noise_frac of the training
     labels are flipped; the flip mask is recorded in ``info``.
     """
+    if n_train < 1 or n_val < 1:
+        raise ContractViolationError("n_train and n_val must be >= 1")
     if not 0.0 <= noise_frac < 1.0:
         raise ContractViolationError("noise_frac must be in [0, 1)")
     split = make_blobs(seed, n_train, n_val)
@@ -548,8 +550,10 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
     upper objective is the negated validation CE (maximization written
     as minimization). Poison features live in the [-5, 5] box.
     """
-    if n_poison < 1:
-        raise ContractViolationError("n_poison must be >= 1")
+    if not n_train >= n_poison >= 1:
+        raise ContractViolationError("need n_train >= n_poison >= 1")
+    if n_val < 1:
+        raise ContractViolationError("n_val must be >= 1")
     split = make_blobs(seed, n_train, n_val)
     rng = make_rng(seed, 0x9015)
     pick = rng.choice(n_train, size=n_poison, replace=False)

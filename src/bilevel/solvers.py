@@ -9,6 +9,22 @@
   estimators (reverse-mode, forward-mode, iterative linear solve), driven
   by outer_loop for full runs.
 
+Every solver runs the same u-iteration loop, ``_drive``. It owns the
+p0 sampling, batching, oracle counters, the u-stepper and box projection,
+the recorder and the numeric-abort path. A method supplies two callbacks:
+
+- ``step(u, v) -> (du, v, gv_sq)``: the method's lower-level work and its
+  u-direction. gv_sq is the per-trial |grad_v|^2 of the method's own
+  v-steps, or None for the estimators; the driver then measures
+  |grad_v g|^2 with the uncounted oracle when a row is due.
+- ``schedule(u, v, tol_sq) -> (gamma, eps, lam)``: called after the
+  u-step with tol_sq = |du|^2 (+ gv_sq). The penalty methods advance their
+  gamma/eps/lambda/nu schedule here; the other solvers return NaN columns.
+
+The driver and the callbacks look up stepper_step, project_box, the
+penalty gradients, the estimators, attach_counters and _Recorder as module
+globals at call time, so a timing harness can wrap them in place.
+
 All solvers accept either a single point (u: (U,), v: (V,)) or a lockstep
 batch of independent trials (u: (B, U), v: (B, V)); per-trial penalty
 schedules are tracked as arrays, so one python-level loop serves every
@@ -20,12 +36,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import (BoxBounds, Stepper, make_rng, make_stepper, project_box,
-                   stepper_step, uniform_in_box)
+from .core import (BoxBounds, StepperState, make_rng, make_stepper,
+                   project_box, stepper_step, uniform_in_box)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
                      penalty_grad_v, sqnorm)
@@ -114,7 +130,6 @@ class PenaltyConfig:
     box: Optional[BoxBounds] = None
     seed: int = 0
     approx_reg: float = 0.0          # ridge on the ApproxGrad linear system
-    approx_lin_solver: str = "adam"  # adam | cg | dense
 
     def __post_init__(self):
         if self.K < 1 or self.T < 1:
@@ -131,9 +146,6 @@ class PenaltyConfig:
             raise ContractViolationError(f"unknown stepper {self.stepper!r}")
         if self.lambda0 < 0 or self.approx_reg < 0:
             raise ContractViolationError("lambda0, approx_reg must be >= 0")
-        if self.approx_lin_solver not in ("adam", "cg", "dense"):
-            raise ContractViolationError(
-                f"unknown linear solver {self.approx_lin_solver!r}")
 
 
 @dataclass(slots=True)
@@ -276,8 +288,71 @@ def _abort(message, recorder):
 
 
 # ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
+
+def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Optional[Point],
+           method, stored: int, metric, record_every: int,
+           counters: Optional[OracleCounters]):
+    """K u-iterations of one method; see the module docstring.
+
+    ``method(alg, v)`` builds the method's step and schedule callbacks
+    from the counted oracle and the batched initial v; ``stored`` is its
+    peak stored-vector count. Non-finite values abort with the trace
+    collected so far attached to the NumericError.
+    """
+    if p0 is None:
+        if cfg.box is None:
+            raise ContractViolationError("need p0 or a box to sample from")
+        p0 = sample_initial_point(oracle, cfg.box, cfg.seed)
+    u, v, squeeze = _batchify(p0)
+    oracle.check_point(Point(u, v))
+    counters = counters if counters is not None else OracleCounters()
+    alg = attach_counters(oracle, counters)
+    counters.record_stored(stored)
+    step, schedule = method(alg, v)
+    st_u = make_stepper(cfg.stepper, u.shape)
+    box = cfg.box
+    rec = _Recorder(oracle, metric, counters, u.shape[0], record_every, cfg.K)
+
+    for k in range(cfg.K):
+        try:
+            du, v, gv_sq = step(u, v)
+            u = stepper_step(st_u, u, du, cfg.sigma0)
+        except NumericError as exc:
+            _abort(f"{exc} (u-iteration {k})", rec)
+        if box is not None:
+            u = project_box(u, box)
+        gu_sq = sqnorm(du)
+        tol_sq = gu_sq if gv_sq is None else gu_sq + gv_sq
+        finite = np.isfinite(tol_sq)
+        if not finite.all():
+            _abort(f"non-finite gradient at u-iteration {k}, "
+                   f"trial(s) {np.flatnonzero(~finite).tolist()}", rec)
+        gamma, eps, lam = schedule(u, v, tol_sq)
+        if rec.due(k):
+            pt = Point(u, v)
+            if gv_sq is None:
+                gv_sq = sqnorm(oracle.grad_v_g(pt))
+            rec.record(k, pt, gu_sq, gv_sq, gamma, eps, lam)
+
+    return _unbatch(u, v, rec.traces(), squeeze)
+
+
+def _nan_schedule(batch):
+    """Schedule hook of the solvers without a schedule: NaN columns."""
+    nan = np.full(batch, np.nan)
+    return lambda u, v, tol_sq: (nan, nan, nan)
+
+
+# ---------------------------------------------------------------------------
 # Penalty solvers
 # ---------------------------------------------------------------------------
+
+# ceiling on the penalty weight; keeps the schedule and the v-step size
+# finite in float64 on runs whose tolerance test keeps being met
+GAMMA_CAP = 1e100
+
 
 def _schedule_weights(cfg, gamma, lam, nu, nu_h):
     """Penalty weights and per-trial v-step sizes of one schedule phase."""
@@ -289,79 +364,59 @@ def _schedule_weights(cfg, gamma, lam, nu, nu_h):
     return params, cfg.rho0 * (cfg.gamma0 / gamma)[:, None]
 
 
-def _penalty_engine(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
-                    aug: bool, metric=None, record_every: int = 1,
-                    counters: Optional[OracleCounters] = None):
-    u, v, squeeze = _batchify(p0)
-    oracle.check_point(Point(u, v))
-    B = u.shape[0]
-    counters = counters if counters is not None else OracleCounters()
-    alg = attach_counters(oracle, counters)
-    counters.record_stored(1)
+def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
+    """Step and schedule callbacks of penalty_solve / penalty_aug_solve."""
+    def method(alg, v):
+        B = v.shape[0]
+        st_v = make_stepper(cfg.stepper, v.shape)
+        box = cfg.box
+        gamma = np.full(B, cfg.gamma0)
+        eps = np.full(B, cfg.eps0)
+        if aug:
+            lam = np.full(B, cfg.lambda0)
+            nu = np.full((B, oracle.dim_v), cfg.nu0)
+            nu_h = (np.full((B, oracle.dim_c), cfg.nu0)
+                    if oracle.has_constraints else None)
+        else:
+            lam, nu, nu_h = 0.0, None, None
+        zeros = np.zeros(B)
+        phase = np.zeros(B, dtype=np.int64)
+        # rebuilt only when the schedule advances
+        params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
 
-    st_u = make_stepper(cfg.stepper, u.shape)
-    st_v = make_stepper(cfg.stepper, v.shape)
-    gamma = np.full(B, cfg.gamma0)
-    eps = np.full(B, cfg.eps0)
-    if aug:
-        lam = np.full(B, cfg.lambda0)
-        nu = np.full((B, oracle.dim_v), cfg.nu0)
-        nu_h = (np.full((B, oracle.dim_c), cfg.nu0)
-                if oracle.has_constraints else None)
-    else:
-        lam, nu, nu_h = 0.0, None, None
-    phase = np.zeros(B, dtype=np.int64)
-    box = cfg.box
-    rec = _Recorder(oracle, metric, counters, B, record_every, cfg.K)
-
-    # rebuilt only when the schedule advances
-    params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
-    for k in range(cfg.K):
-        try:
+        def step(u, v):
             for _ in range(cfg.T):
                 gv = penalty_grad_v(alg, Point(u, v), params)
                 v = stepper_step(st_v, v, gv, rho_k)
                 if box is not None:
                     v = project_box(v, box)
-            pt = Point(u, v)
-            gu = penalty_grad_u(alg, pt, params)
-            u = stepper_step(st_u, u, gu, cfg.sigma0)
-        except NumericError as exc:
-            _abort(f"{exc} (u-iteration {k})", rec)
-        if box is not None:
-            u = project_box(u, box)
+            return penalty_grad_u(alg, Point(u, v), params), v, sqnorm(gv)
 
-        gu_sq = sqnorm(gu)
-        gv_sq = sqnorm(gv)
-        tol_sq = gu_sq + gv_sq
-        if not np.isfinite(tol_sq).all():
-            bad = np.flatnonzero(~np.isfinite(tol_sq))
-            _abort(f"non-finite penalty gradient at u-iteration {k}, "
-                   f"trial(s) {bad.tolist()}", rec)
+        def schedule(u, v, tol_sq):
+            nonlocal gamma, eps, lam, nu, nu_h, phase, params, rho_k
+            phase += 1
+            advance = (tol_sq <= eps * eps) | (phase >= cfg.while_cap)
+            if advance.any():
+                pt_new = Point(u, v)
+                if aug:
+                    gvg = alg.grad_v_g(pt_new)
+                    nu = np.where(advance[:, None],
+                                  nu + gamma[:, None] * gvg, nu)
+                    if nu_h is not None:
+                        h = alg.eval_h(pt_new)
+                        nu_h = np.where(advance[:, None],
+                                        nu_h + gamma[:, None] * h, nu_h)
+                    lam = np.where(advance, lam * cfg.c_lambda, lam)
+                gamma = np.where(advance,
+                                 np.minimum(gamma * cfg.c_gamma, GAMMA_CAP),
+                                 gamma)
+                eps = np.where(advance, eps * cfg.c_eps, eps)
+                phase = np.where(advance, 0, phase)
+                params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
+            return gamma, eps, lam if aug else zeros
 
-        phase += 1
-        advance = (tol_sq <= eps * eps) | (phase >= cfg.while_cap)
-        if advance.any():
-            pt_new = Point(u, v)
-            if aug:
-                gvg = alg.grad_v_g(pt_new)
-                nu = np.where(advance[:, None], nu + gamma[:, None] * gvg, nu)
-                if nu_h is not None:
-                    h = alg.eval_h(pt_new)
-                    nu_h = np.where(advance[:, None],
-                                    nu_h + gamma[:, None] * h, nu_h)
-                lam = np.where(advance, lam * cfg.c_lambda, lam)
-            gamma = np.where(advance,
-                             np.minimum(gamma * cfg.c_gamma, GAMMA_CAP),
-                             gamma)
-            eps = np.where(advance, eps * cfg.c_eps, eps)
-            phase = np.where(advance, 0, phase)
-            params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
-
-        rec.record(k, Point(u, v), gu_sq, gv_sq, gamma, eps,
-                   lam if aug else np.zeros(B))
-
-    return _unbatch(u, v, rec.traces(), squeeze)
+        return step, schedule
+    return method
 
 
 def penalty_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
@@ -378,12 +433,8 @@ def penalty_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
     while_cap is not an error; non-finite gradients abort with the trace
     collected so far attached to the exception.
     """
-    if p0 is None:
-        if cfg.box is None:
-            raise ContractViolationError("need p0 or a box to sample from")
-        p0 = sample_initial_point(oracle, cfg.box, cfg.seed)
-    return _penalty_engine(oracle, cfg, p0, aug=False, metric=metric,
-                           record_every=record_every, counters=counters)
+    return _drive(oracle, cfg, p0, _penalty_method(oracle, cfg, aug=False),
+                  1, metric, record_every, counters)
 
 
 def penalty_aug_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
@@ -399,12 +450,8 @@ def penalty_aug_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
     lambda0 = nu0 = 0 the iterates coincide bit-for-bit with
     penalty_solve.
     """
-    if p0 is None:
-        if cfg.box is None:
-            raise ContractViolationError("need p0 or a box to sample from")
-        p0 = sample_initial_point(oracle, cfg.box, cfg.seed)
-    return _penalty_engine(oracle, cfg, p0, aug=True, metric=metric,
-                           record_every=record_every, counters=counters)
+    return _drive(oracle, cfg, p0, _penalty_method(oracle, cfg, aug=True),
+                  1, metric, record_every, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -420,41 +467,21 @@ def gd_alternating(oracle: ProblemOracle, cfg: PenaltyConfig,
     Uses no second-order oracle at all; converges only where the bilevel
     solution happens to be a stationary point of the naive dynamics.
     """
-    if p0 is None:
-        if cfg.box is None:
-            raise ContractViolationError("need p0 or a box to sample from")
-        p0 = sample_initial_point(oracle, cfg.box, cfg.seed)
-    u, v, squeeze = _batchify(p0)
-    oracle.check_point(Point(u, v))
-    B = u.shape[0]
-    counters = counters if counters is not None else OracleCounters()
-    alg = attach_counters(oracle, counters)
-    counters.record_stored(1)
-    st_u = make_stepper(cfg.stepper, u.shape)
-    st_v = make_stepper(cfg.stepper, v.shape)
-    box = cfg.box
-    rec = _Recorder(oracle, metric, counters, B, record_every, cfg.K)
-    nan = np.full(B, np.nan)
+    def method(alg, v):
+        st_v = make_stepper(cfg.stepper, v.shape)
+        box = cfg.box
 
-    for k in range(cfg.K):
-        try:
+        def step(u, v):
             for _ in range(cfg.T):
                 gv = alg.grad_v_g(Point(u, v))
                 v = stepper_step(st_v, v, gv, cfg.rho0)
                 if box is not None:
                     v = project_box(v, box)
-            gu = alg.grad_u_f(Point(u, v))
-            u = stepper_step(st_u, u, gu, cfg.sigma0)
-        except NumericError as exc:
-            _abort(f"{exc} (u-iteration {k})", rec)
-        if box is not None:
-            u = project_box(u, box)
-        gu_sq, gv_sq = sqnorm(gu), sqnorm(gv)
-        if not np.isfinite(gu_sq + gv_sq).all():
-            _abort(f"non-finite gradient at u-iteration {k}", rec)
-        rec.record(k, Point(u, v), gu_sq, gv_sq, nan, nan, nan)
+            return alg.grad_u_f(Point(u, v)), v, sqnorm(gv)
 
-    return _unbatch(u, v, rec.traces(), squeeze)
+        return step, _nan_schedule(v.shape[0])
+
+    return _drive(oracle, cfg, p0, method, 1, metric, record_every, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +573,18 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
                          reg_lambda: float = 0.0, *,
                          q0: Optional[np.ndarray] = None,
                          lin_solver: str = "adam",
-                         v_stepper: Optional[Stepper] = None,
-                         q_stepper: Optional[Stepper] = None,
+                         v_stepper: Optional[StepperState] = None,
+                         q_stepper: Optional[StepperState] = None,
                          counters: Optional[OracleCounters] = None):
     """Hypergradient via an approximate solve of H q = grad_v f.
 
-    T_v v-steps descend g (plain GD, or the provided stepper); then
-    T_lin iterations reduce |(H + reg I) q - grad_v f|^2 from q0
-    (default 0): per iteration r = (H + reg I) q - b, step along
-    (H + reg I) r, costing exactly two hvp calls. The returned
+    T_v v-steps descend g at step rho (plain GD, or the given stepper
+    state); then T_lin iterations reduce |(H + reg I) q - grad_v f|^2
+    from q0 (default 0): per iteration r = (H + reg I) q - b, step along
+    (H + reg I) r at rho, costing exactly two hvp calls. The returned
     hypergradient is grad_u f - jvp(q); v and q are returned for warm
-    starts. lin_solver "cg" runs conjugate gradient (one hvp per
-    iteration) and "dense" solves the regularized system directly
-    (single points only).
+    starts. lin_solver "dense" solves the regularized system directly
+    instead (single points only).
     """
     _require_unconstrained(oracle, "approxgrad_hypergrad")
     if T_v < 1 or T_lin < 1:
@@ -571,7 +597,8 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     v = np.asarray(v0, dtype=np.float64)
     for _ in range(T_v):
         gv = alg.grad_v_g(Point(u, v))
-        v = v_stepper.step(v, gv) if v_stepper else v - rho * gv
+        v = (v - rho * gv if v_stepper is None
+             else stepper_step(v_stepper, v, gv, rho))
     pt = Point(u, v)
     b = alg.grad_v_f(pt)
     q = (np.zeros_like(v) if q0 is None
@@ -581,22 +608,8 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
         for _ in range(T_lin):
             r = alg.hvp_vv_g(pt, q) + reg_lambda * q - b
             gq = alg.hvp_vv_g(pt, r) + reg_lambda * r
-            q = q_stepper.step(q, gq) if q_stepper else q - rho * gq
-    elif lin_solver == "cg":
-        r = b - (alg.hvp_vv_g(pt, q) + reg_lambda * q)
-        d = r.copy()
-        rs = np.sum(r * r, axis=-1, keepdims=True)
-        for _ in range(T_lin):
-            Hd = alg.hvp_vv_g(pt, d) + reg_lambda * d
-            denom = np.sum(d * Hd, axis=-1, keepdims=True)
-            alpha = np.where(denom != 0.0, rs / np.where(denom == 0, 1, denom),
-                             0.0)
-            q = q + alpha * d
-            r = r - alpha * Hd
-            rs_new = np.sum(r * r, axis=-1, keepdims=True)
-            beta = np.where(rs != 0.0, rs_new / np.where(rs == 0, 1, rs), 0.0)
-            d = r + beta * d
-            rs = rs_new
+            q = (q - rho * gq if q_stepper is None
+                 else stepper_step(q_stepper, q, gq, rho))
     elif lin_solver == "dense":
         oracle.require_dense("approxgrad dense solve")
         if np.ndim(u) != 1:
@@ -613,12 +626,6 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
 
 
 ESTIMATORS = ("rmd", "fmd", "approxgrad")
-
-T_STORED = {"rmd": lambda T: T + 1, "approxgrad": lambda T: 2}
-
-# ceiling on the penalty weight; keeps the schedule and the v-step size
-# finite in float64 on runs whose tolerance test keeps being met
-GAMMA_CAP = 1e100
 
 
 def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
@@ -639,51 +646,34 @@ def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
     _require_unconstrained(oracle, f"outer_loop({estimator})")
     if estimator == "fmd":
         oracle.require_dense("outer_loop(fmd)")
-    if p0 is None:
-        if cfg.box is None:
-            raise ContractViolationError("need p0 or a box to sample from")
-        p0 = sample_initial_point(oracle, cfg.box, cfg.seed)
-    u, v, squeeze = _batchify(p0)
-    if estimator == "fmd" and u.shape[0] != 1:
-        raise ContractViolationError("fmd runs unbatched")
-    oracle.check_point(Point(u, v))
-    B = u.shape[0]
-    counters = counters if counters is not None else OracleCounters()
-    alg = attach_counters(oracle, counters)
-    counters.record_stored(oracle.dim_u + 1 if estimator == "fmd"
-                           else T_STORED[estimator](cfg.T))
-    st_u = make_stepper(cfg.stepper, u.shape)
-    box = cfg.box
-    rec = _Recorder(oracle, metric, counters, B, record_every, cfg.K)
-    nan = np.full(B, np.nan)
-    q = np.zeros_like(v)
-    v_stepper = q_stepper = None
-    if estimator == "approxgrad" and cfg.stepper == "adam":
-        v_stepper = Stepper(make_stepper("adam", v.shape), cfg.rho0)
-        q_stepper = Stepper(make_stepper("adam", v.shape), cfg.rho0)
 
-    for k in range(cfg.K):
-        try:
-            if estimator == "rmd":
+    def method(alg, v):
+        if estimator == "rmd":
+            def step(u, v):
                 hg, v = rmd_hypergrad(alg, u, v, cfg.T, cfg.rho0)
-            elif estimator == "fmd":
-                hg1, v1 = fmd_hypergrad(alg, u[0], v[0], cfg.T, cfg.rho0)
-                hg, v = hg1[None, :], v1[None, :]
-            else:
+                return hg, v, None
+        elif estimator == "fmd":
+            if v.shape[0] != 1:
+                raise ContractViolationError("fmd runs unbatched")
+
+            def step(u, v):
+                hg, v = fmd_hypergrad(alg, u[0], v[0], cfg.T, cfg.rho0)
+                return hg[None, :], v[None, :], None
+        else:
+            q = np.zeros_like(v)
+            st_v = st_q = None
+            if cfg.stepper == "adam":
+                st_v = make_stepper("adam", v.shape)
+                st_q = make_stepper("adam", v.shape)
+
+            def step(u, v):
+                nonlocal q
                 hg, v, q = approxgrad_hypergrad(
                     alg, u, v, cfg.T, cfg.T, cfg.rho0, cfg.approx_reg,
-                    q0=q, v_stepper=v_stepper, q_stepper=q_stepper)
-            u = stepper_step(st_u, u, hg, cfg.sigma0)
-        except NumericError as exc:
-            _abort(f"{exc} (u-iteration {k})", rec)
-        if box is not None:
-            u = project_box(u, box)
-        hg_sq = sqnorm(hg)
-        if not np.isfinite(hg_sq).all():
-            _abort(f"non-finite {estimator} hypergradient at iteration {k}",
-                   rec)
-        if rec.due(k):
-            gv_sq = sqnorm(oracle.grad_v_g(Point(u, v)))
-            rec.record(k, Point(u, v), hg_sq, gv_sq, nan, nan, nan)
+                    q0=q, v_stepper=st_v, q_stepper=st_q)
+                return hg, v, None
+        return step, _nan_schedule(v.shape[0])
 
-    return _unbatch(u, v, rec.traces(), squeeze)
+    stored = {"rmd": cfg.T + 1, "fmd": oracle.dim_u + 1, "approxgrad": 2}
+    return _drive(oracle, cfg, p0, method, stored[estimator], metric,
+                  record_every, counters)

@@ -124,6 +124,27 @@ class TestConfigParsing:
         assert err.startswith("config error:") and "dim" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("problem, params", [
+        ("importance_toy", "n_train = -5"),
+        ("importance_toy", "n_val = 0"),
+        ("poison_toy", "n_train = 5"),        # below n_poison = 10
+        ("poison_toy", "n_val = 0"),
+        ("quadratic", "dim_u = 0"),
+    ])
+    def test_out_of_range_problem_size_exit_2(self, tmp_path, capsys,
+                                              problem, params):
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+            "name = example1\ndim = 6", f"name = {problem}\n{params}"))
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_approx_lin_solver_is_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+            "name = penalty", "name = approxgrad\napprox_lin_solver = cg"))
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        assert "unknown key 'approx_lin_solver'" in capsys.readouterr().err
+
     def test_float_problem_value_takes_an_int(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
             "name = example1\ndim = 6", "name = ridge\nreg_true = 3"))
@@ -339,6 +360,17 @@ class TestCmdCheck:
     def test_hypergrad_level_singular_is_expected_pass(self, capsys):
         assert main(["check", "example3", "hypergrad"]) == 0
         assert "singular" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("problem", ["example3", "example4"])
+    def test_lemma_level_singular_is_expected_pass(self, capsys, problem):
+        assert main(["check", problem, "lemma3"]) == 0
+        assert "singular by design" in capsys.readouterr().out
+
+    def test_lemma_level_stalled_solve_is_one_fail_line(self, capsys):
+        assert main(["check", "importance_toy", "lemma3"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: penalized v-minimization")
+        assert out.count("\n") == 1
 
     def test_lemma_on_constrained_is_config_error(self):
         assert main(["check", "constrained_toy", "lemma3"]) == 2

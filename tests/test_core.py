@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bilevel.core import (BoxBounds, RngSeed, adam_step, gaussian_matrix,
-                          make_rng, make_stepper, project_box, sgd_step,
-                          stepper_step)
+from bilevel.core import (BoxBounds, adam_step, gaussian_matrix, make_rng,
+                          make_stepper, project_box, stepper_step)
 from bilevel.errors import ContractViolationError, NumericError
 
 
@@ -201,20 +200,6 @@ class TestAdamBitIdentity:
             stepper_step(st_, np.zeros((2, 3)), grad, np.full((2, 1), 0.1))
 
 
-class TestSgd:
-    def test_arithmetic(self):
-        out = sgd_step(np.array([1.0, 1.0]), np.array([2.0, -2.0]), 0.5)
-        np.testing.assert_array_equal(out, [0.0, 2.0])
-
-    def test_zero_gradient(self):
-        p = np.array([0.1, -0.4])
-        np.testing.assert_array_equal(sgd_step(p, np.zeros(2), 0.3), p)
-
-    def test_scalar_case(self):
-        out = sgd_step(np.array([0.3]), np.array([-0.4]), 0.1)
-        np.testing.assert_allclose(out, [0.34], rtol=1e-15)
-
-
 class TestProjectBox:
     def test_clamp(self):
         out = project_box(np.array([6.0, -7.0, 0.0]), BoxBounds(-5, 5))
@@ -275,12 +260,6 @@ class TestRandomness:
     def test_bad_shape(self):
         with pytest.raises(ContractViolationError):
             gaussian_matrix(0, 3, seed=0)
-
-    def test_rng_seed_range(self):
-        RngSeed(0)
-        RngSeed(2**64 - 1)
-        with pytest.raises(ContractViolationError):
-            RngSeed(-1)
 
     def test_make_rng_streams(self):
         a = make_rng(1, 2).standard_normal(4)
