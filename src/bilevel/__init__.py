@@ -12,7 +12,7 @@ from .oracle import (FdCheckReport, PenaltyParams, Point, ProblemOracle,
 from .problems import (DatasetSplit, ProblemInstance, get_problem,
                        make_constrained_toy, make_hyperparam_ridge,
                        make_importance_toy, make_poison_toy, make_quadratic,
-                       make_synthetic, make_synthetic_batch)
+                       make_synthetic)
 from .solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                       approxgrad_hypergrad, fmd_hypergrad, gd_alternating,
                       outer_loop, penalty_aug_solve, penalty_solve,

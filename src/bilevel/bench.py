@@ -20,6 +20,12 @@ Config files are flat key=value text with [section] headers:
     axis = T
     values = 1, 5, 10
 
+The [problem] keys are the problem factory's keyword parameters, the
+[solver] keys the PenaltyConfig fields except box and seed (each trial
+supplies those), and [run] takes trials, record_every, seed and out.
+Every value, [sweep] values included, must parse to its default's type
+(an int may stand for a float) and is cast to that type.
+
 Trials are independent (streams derived from seed and trial index) and
 run in lockstep batches; BILEVEL_THREADS > 1 splits the batch across
 processes. CSV rows are buffered per trial and written in trial order, so
@@ -34,7 +40,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -65,11 +71,9 @@ _row_values = operator.attrgetter(*(
     {"lambda": "lam"}.get(col, col) for col in RUN_COLUMNS[1:]))
 _RUN_ROW = "%d,%d," + "%.17g," * 10 + "%d,%d,%d\r\n"
 
-_CFG_INT = {"K", "T", "while_cap", "seed"}
-_CFG_FLOAT = {"sigma0", "rho0", "gamma0", "eps0", "lambda0", "nu0",
-              "c_gamma", "c_eps", "c_lambda", "approx_reg"}
-_CFG_STR = {"stepper"}
-_CFG_KEYS = _CFG_INT | _CFG_FLOAT | _CFG_STR
+# [solver] keys and their defaults
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(PenaltyConfig)
+                    if f.name not in ("box", "seed")}
 
 
 def _fmt(x) -> str:
@@ -117,18 +121,25 @@ class TrialResult:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# accepted value types per [problem] default type; an int may stand
-# for a float
-_PARAM_TYPES = {int: int, float: (int, float)}
+def _typed(section, key, raw: str, default):
+    """Config value raw, cast to the type of its default.
 
-
-def _coerce(value: str):
+    raw reads as an int, else a float, else text; it must then have the
+    default's type, except that an int may stand for a float.
+    """
+    want = type(default)
+    value = raw
     for cast in (int, float):
         try:
-            return cast(value)
+            value = cast(raw)
+            break
         except ValueError:
             pass
-    return value
+    if not (isinstance(value, want)
+            or (want is float and isinstance(value, int))):
+        raise ConfigError(f"[{section}] bad value for {key!r}: {raw!r} "
+                          f"is not {want.__name__}")
+    return want(value)
 
 
 def _parse_solver_section(label, items) -> SolverEntry:
@@ -141,17 +152,9 @@ def _parse_solver_section(label, items) -> SolverEntry:
                           f"known: {SOLVER_NAMES}")
     cfg = {}
     for key, val in d.items():
-        if key not in _CFG_KEYS:
+        if key not in _SOLVER_DEFAULTS:
             raise ConfigError(f"[{label}] unknown key {key!r}")
-        try:
-            if key in _CFG_INT:
-                cfg[key] = int(val)
-            elif key in _CFG_FLOAT:
-                cfg[key] = float(val)
-            else:
-                cfg[key] = val
-        except ValueError as exc:
-            raise ConfigError(f"[{label}] bad value for {key!r}: {exc}")
+        cfg[key] = _typed(label, key, val, _SOLVER_DEFAULTS[key])
     return SolverEntry(label=label.split(".", 1)[-1], name=name, cfg=cfg)
 
 
@@ -177,14 +180,8 @@ def load_run_setup(path, overrides=None) -> RunSetup:
     if unknown:
         raise ConfigError(f"[problem] unknown key(s) {unknown} for "
                           f"{pname!r}; known: {sorted(known)}")
-    pparams = {}
-    for key, raw in prob.items():
-        value = _coerce(raw)
-        want = type(known[key])
-        if not isinstance(value, _PARAM_TYPES.get(want, want)):
-            raise ConfigError(f"[problem] bad value for {key!r}: {raw!r} "
-                              f"is not {want.__name__}")
-        pparams[key] = value
+    pparams = {key: _typed("problem", key, raw, known[key])
+               for key, raw in prob.items()}
 
     solvers = []
     for sec in cp.sections():
@@ -198,10 +195,8 @@ def load_run_setup(path, overrides=None) -> RunSetup:
         run = dict(cp["run"])
         for key, val in run.items():
             if key in ("trials", "record_every", "seed"):
-                try:
-                    setattr(setup, key, int(val))
-                except ValueError as exc:
-                    raise ConfigError(f"[run] bad value for {key!r}: {exc}")
+                setattr(setup, key,
+                        _typed("run", key, val, getattr(setup, key)))
             elif key == "out":
                 setup.out = val
             else:
@@ -217,11 +212,9 @@ def load_run_setup(path, overrides=None) -> RunSetup:
                               f"T/gamma0/lambda0/eps0, got {axis!r}")
         if not values or not values.strip():
             raise ConfigError("[sweep] values must be a non-empty list")
-        cast = int if axis == "T" else float
-        try:
-            setup.sweep_values = [cast(v) for v in values.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"[sweep] bad values: {exc}")
+        setup.sweep_values = [
+            _typed("sweep", axis, v.strip(), _SOLVER_DEFAULTS[axis])
+            for v in values.split(",")]
         setup.sweep_axis = axis
 
     for key, val in (overrides or {}).items():
@@ -233,7 +226,7 @@ def load_run_setup(path, overrides=None) -> RunSetup:
     if setup.record_every < 1:
         raise ConfigError("record_every must be >= 1")
     for entry in setup.solvers:
-        k_budget = entry.cfg.get("K", PenaltyConfig().K)
+        k_budget = entry.cfg.get("K", _SOLVER_DEFAULTS["K"])
         if setup.record_every > k_budget:
             raise ConfigError(
                 f"record_every {setup.record_every} exceeds K {k_budget} "
@@ -269,47 +262,38 @@ def _dispatch(solver, oracle, cfg, p0, metric, record_every, counters):
     return outer_loop(oracle, solver, cfg, p0, **kw)
 
 
-def _trial_seed(seed, trial):
-    return derive_seed(seed, trial)
-
-
 def _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,
                record_every):
+    """Run the trials in groups of (trial ids, factory, seed or seeds).
+
+    One lockstep group comes from the batch factory where it applies,
+    else there is one group per trial; each group runs as one batch.
+    """
     spec = get_problem(problem)
-    trial_seeds = [_trial_seed(seed, t) for t in trial_ids]
-    batchable = (spec.batch_factory is not None and len(trial_ids) > 1
-                 and solver != "fmd")
+    seeds = [derive_seed(seed, t) for t in trial_ids]
+    if (spec.batch_factory is not None and len(trial_ids) > 1
+            and solver != "fmd"):
+        groups = [(trial_ids, spec.batch_factory, seeds)]
+    else:
+        groups = [([t], spec.factory, s) for t, s in zip(trial_ids, seeds)]
     results = []
     try:
-        if batchable:
-            instance = spec.batch_factory(trial_seeds, **pparams)
-            p0 = instance.init_sampler(trial_seeds)
+        for ids, factory, gseed in groups:
+            instance = factory(gseed, **pparams)
+            p0 = instance.init_sampler(gseed)
             oracle, p0, metric = _prepare_instance(instance, solver, p0)
-            cfg = PenaltyConfig(box=instance.box, seed=seed, **cfgkw)
+            # a lone trial runs as a batch of one
+            p0 = Point(np.atleast_2d(p0.u), np.atleast_2d(p0.v))
+            cfg = PenaltyConfig(box=instance.box, **cfgkw)
             counters = OracleCounters()
             t0 = time.perf_counter()
             point, traces = _dispatch(solver, oracle, cfg, p0, metric,
                                       record_every, counters)
-            wall = (time.perf_counter() - t0) / len(trial_ids)
-            for i, t in enumerate(trial_ids):
-                results.append(TrialResult(
-                    trial=t, trace=traces[i],
-                    final_point=Point(point.u[i], point.v[i]),
-                    counters=counters, wall_seconds=wall))
-        else:
-            for t, tseed in zip(trial_ids, trial_seeds):
-                instance = spec.factory(tseed, **pparams)
-                p0 = instance.init_sampler(tseed)
-                oracle, p0, metric = _prepare_instance(instance, solver, p0)
-                cfg = PenaltyConfig(box=instance.box, seed=tseed, **cfgkw)
-                counters = OracleCounters()
-                t0 = time.perf_counter()
-                point, trace = _dispatch(solver, oracle, cfg, p0, metric,
-                                         record_every, counters)
-                wall = time.perf_counter() - t0
-                results.append(TrialResult(
-                    trial=t, trace=trace, final_point=point,
-                    counters=counters, wall_seconds=wall))
+            wall = (time.perf_counter() - t0) / len(ids)
+            results += [TrialResult(trial=t, trace=traces[i],
+                                    final_point=Point(point.u[i], point.v[i]),
+                                    counters=counters, wall_seconds=wall)
+                        for i, t in enumerate(ids)]
     except NumericError as exc:
         # the aborted call's traces belong to the first trials not done
         pending = trial_ids[len(results):]
@@ -326,7 +310,7 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     """Run `trials` independent trials of one solver on one problem.
 
     Returns a list of TrialResult in trial order. cfg is a dict of
-    PenaltyConfig fields (box and seed are supplied per trial).
+    PenaltyConfig fields (the problem supplies box; p0 is drawn per trial).
     """
     pparams = dict(pparams or {})
     cfgkw = dict(cfg or {})
@@ -559,12 +543,12 @@ def cmd_check(problem: str, level: str, seed: int = 0, quiet=False) -> int:
 def _check(problem: str, level: str, seed: int, say) -> int:
     instance = get_problem(problem).factory(seed)
     oracle = instance.oracle
+    p0 = instance.init_sampler(seed)
     ok = True
 
     if instance.expects_singular and level in ("hypergrad", "lemma3"):
         # both levels compare against the dense hypergradient, which a
         # singular lower-level Hessian leaves undefined
-        p0 = instance.init_sampler(seed)
         try:
             v = solve_lower_level(oracle, p0.u, p0.v, tol=1e-8)
             exact_hypergrad(oracle, Point(p0.u, v))
@@ -576,7 +560,6 @@ def _check(problem: str, level: str, seed: int, say) -> int:
         return 1
 
     if level == "oracle":
-        p0 = instance.init_sampler(seed)
         rng = make_rng(seed, 0xC4EC)
         p = Point(p0.u + 0.1 * rng.standard_normal(oracle.dim_u),
                   p0.v + 0.1 * rng.standard_normal(oracle.dim_v))
@@ -587,7 +570,6 @@ def _check(problem: str, level: str, seed: int, say) -> int:
             say(f"FAIL: max fd error {report.max_error:.3e} >= 1e-4")
 
     elif level == "hypergrad":
-        p0 = instance.init_sampler(seed)
         v_star = solve_lower_level(oracle, p0.u, p0.v, tol=1e-11)
         p = Point(p0.u, v_star)
         exact = exact_hypergrad(oracle, p)
@@ -618,7 +600,8 @@ def _check(problem: str, level: str, seed: int, say) -> int:
                                 oracle.dim_u)
             else:
                 u = rng.standard_normal(oracle.dim_u)
-            v0 = instance.init_sampler(seed).v
+            # the penalized minimizer lies near the lower-level solution
+            v0 = solve_lower_level(oracle, u, p0.v, tol=1e-10)
             err = verify_lemma3(oracle, u, gamma=10.0, inner_tol=1e-10,
                                 v0=v0)
             worst = max(worst, err)

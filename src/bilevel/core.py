@@ -171,8 +171,3 @@ def stepper_step(state: StepperState, params: RealVec, grad: RealVec,
     _check_step_args(params, grad, lr)
     state.step_count += 1
     return params - lr * grad
-
-
-def uniform_in_box(rng: np.random.Generator, dim: int,
-                   box: BoxBounds) -> RealVec:
-    return rng.uniform(box.lo, box.hi, size=dim)

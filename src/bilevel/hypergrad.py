@@ -88,8 +88,7 @@ def newton_root(residual, x0, tol, max_iter=100, what="newton_root",
         f"{what}: residual {np.linalg.norm(residual(x)):.3e} > tol {tol:.1e}")
 
 
-def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10,
-                      max_iter=100) -> np.ndarray:
+def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10) -> np.ndarray:
     """Minimize g over v to |grad_v g| <= tol by Newton.
 
     The Jacobian is the dense Hessian when the oracle has one, else
@@ -99,20 +98,20 @@ def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10,
     hess = ((lambda v: oracle.hess_vv_g(Point(u, v)))
             if oracle.has_dense else None)
     return newton_root(lambda v: oracle.grad_v_g(Point(u, v)), v0, tol,
-                       max_iter, what="lower-level solve", jacobian=hess)
+                       what="lower-level solve", jacobian=hess)
 
 
 def minimize_penalty_v(oracle: ProblemOracle, u, v0, params: PenaltyParams,
-                       tol=1e-10, max_iter=100) -> np.ndarray:
+                       tol=1e-10) -> np.ndarray:
     """Minimize the penalized objective over v to |grad_v| <= tol."""
     u = np.asarray(u, dtype=np.float64)
     return newton_root(
         lambda v: penalty_grad_v(oracle, Point(u, v), params), v0, tol,
-        max_iter, what="penalized v-minimization")
+        what="penalized v-minimization")
 
 
 def fd_hypergrad(oracle: ProblemOracle, u, v0, inner_tol: float = 1e-10,
-                 fd_eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
+                 fd_eps: float = 1e-5) -> np.ndarray:
     """Central-difference hypergradient through converged lower solves.
 
     Solves the lower level at u +- fd_eps e_i (warm-started from the
@@ -120,15 +119,13 @@ def fd_hypergrad(oracle: ProblemOracle, u, v0, inner_tol: float = 1e-10,
     implicit-differentiation path: uses only eval_f and lower solves.
     """
     u = np.asarray(u, dtype=np.float64)
-    v_star = solve_lower_level(oracle, u, v0, inner_tol, max_iter)
+    v_star = solve_lower_level(oracle, u, v0, inner_tol)
     out = np.empty_like(u)
     for i in range(u.size):
         step = np.zeros_like(u)
         step[i] = fd_eps
-        v_plus = solve_lower_level(oracle, u + step, v_star, inner_tol,
-                                   max_iter)
-        v_minus = solve_lower_level(oracle, u - step, v_star, inner_tol,
-                                    max_iter)
+        v_plus = solve_lower_level(oracle, u + step, v_star, inner_tol)
+        v_minus = solve_lower_level(oracle, u - step, v_star, inner_tol)
         f_plus = oracle.eval_f(Point(u + step, v_plus))
         f_minus = oracle.eval_f(Point(u - step, v_minus))
         out[i] = (f_plus - f_minus) / (2.0 * fd_eps)

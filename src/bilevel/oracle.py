@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RealVec, make_rng
+from .core import BoxBounds, RealVec, make_rng
 from .errors import CapabilityError, ContractViolationError, NumericError
 
 
@@ -28,6 +28,18 @@ class Point:
 
     u: np.ndarray
     v: np.ndarray
+
+
+def sample_in_box(dim_u: int, dim_v: int, box: BoxBounds, seed) -> Point:
+    """Initial point uniform in the box, u drawn before v from the seed's
+    0x1A17 stream. A list of seeds gives a stacked batch, one row each."""
+    if not isinstance(seed, (int, np.integer)):
+        pts = [sample_in_box(dim_u, dim_v, box, s) for s in seed]
+        return Point(np.stack([p.u for p in pts]),
+                     np.stack([p.v for p in pts]))
+    rng = make_rng(seed, 0x1A17)
+    return Point(rng.uniform(box.lo, box.hi, dim_u),
+                 rng.uniform(box.lo, box.hi, dim_v))
 
 
 def sqnorm(x, axis=-1):
@@ -282,13 +294,12 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
         jtvp_u_h=jtvp_u_h, jtvp_v_h=jtvp_v_h, hess_vv_g=hess, jac_uv_g=jac)
 
 
-def initial_slacks(oracle: ProblemOracle, p: Point,
-                   eps_slack: float = 1e-3) -> np.ndarray:
-    """s_i = sqrt(max(-h_i, eps_slack)): small initial equality violation."""
+def initial_slacks(oracle: ProblemOracle, p: Point) -> np.ndarray:
+    """s_i = sqrt(max(-h_i, 1e-3)): small initial equality violation."""
     if oracle.dim_c < 1:
         raise ContractViolationError("no constraints to initialize slacks for")
     h = oracle.eval_h(p)
-    return np.sqrt(np.maximum(-h, eps_slack))
+    return np.sqrt(np.maximum(-h, 1e-3))
 
 
 def rel_err(approx, exact) -> float:
@@ -323,17 +334,19 @@ def _fd_grad(fun, x, eps):
     return out
 
 
-def fd_check_oracle(oracle: ProblemOracle, p: Point, eps: float = 1e-5,
-                    seed: int = 0, n_dirs: int = 2) -> FdCheckReport:
+def fd_check_oracle(oracle: ProblemOracle, p: Point,
+                    eps: float = 1e-5) -> FdCheckReport:
     """Check analytic callbacks against central finite differences.
 
     Report-only: returns per-callback max relative error (denominator
-    max(1, ||exact||)), never raises on mismatch.
+    max(1, ||exact||)), never raises on mismatch. Second-order and
+    constraint products are probed along two random unit directions
+    from a fixed stream.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ContractViolationError("fd eps must lie in [1e-7, 1e-3]")
     oracle.check_point(p)
-    rng = make_rng(seed, 0xFD)
+    rng = make_rng(0, 0xFD)
     u, v = np.asarray(p.u, float), np.asarray(p.v, float)
     errors = {}
 
@@ -349,7 +362,7 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point, eps: float = 1e-5,
 
     hvp_err = 0.0
     jvp_err = 0.0
-    for _ in range(n_dirs):
+    for _ in range(2):
         q = rng.standard_normal(oracle.dim_v)
         q /= np.linalg.norm(q)
         fd_hvp = (oracle.grad_v_g(Point(u, v + eps * q))
@@ -370,7 +383,7 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point, eps: float = 1e-5,
     if oracle.has_constraints:
         ju_err = 0.0
         jv_err = 0.0
-        for _ in range(n_dirs):
+        for _ in range(2):
             mu = rng.standard_normal(oracle.dim_c)
             mu /= np.linalg.norm(mu)
             fd_u = _fd_grad(

@@ -1,22 +1,25 @@
 """Benchmark problem factories with analytic first/second-order callbacks.
 
-Every factory returns a :class:`ProblemInstance` whose oracle passes the
-finite-difference self-checks. Synthetic quadratics also come in a batched
-flavor (one stacked problem per trial seed) so a whole trial set can run
-in lockstep on a single core.
+Every factory takes the seed first and returns a :class:`ProblemInstance`
+whose oracle passes the finite-difference self-checks. The synthetic
+quadratics also take a list of seeds, which gives one stacked problem per
+seed, so a whole trial set can run in lockstep on a single core.
+
+``PROBLEMS`` registers each factory by name; a spec's ``defaults`` (the
+``[problem]`` keys of a run config) are the factory's keyword defaults.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BoxBounds, make_rng, gaussian_matrix, uniform_in_box
+from .core import BoxBounds, derive_seed, gaussian_matrix, make_rng
 from .errors import ContractViolationError
-from .oracle import Point, ProblemOracle, sqnorm
+from .oracle import Point, ProblemOracle, sample_in_box, sqnorm
 
 LOGISTIC_REG = 0.05  # ridge coefficient on lower-level classifier weights
 
@@ -26,8 +29,8 @@ class ProblemInstance:
     """An oracle plus the metadata the bench harness needs.
 
     ``metric`` maps a Point to distance-from-solution (None if no solution
-    is known). ``init_sampler`` maps a seed (or list of seeds for batched
-    instances) to an initial Point.
+    is known). ``init_sampler`` maps a seed (or a list of seeds, giving a
+    stacked batch) to an initial Point.
     """
 
     name: str
@@ -143,72 +146,36 @@ def _synthetic_metric(sid: int, A):
     return lambda p: np.sqrt(sqnorm(_mat_vec(P, p.u)) + sqnorm(p.v))
 
 
-def _synthetic_init(dim):
-    def sample(seed):
-        rng = make_rng(seed, 0x1A17)
-        return Point(uniform_in_box(rng, dim, SYNTHETIC_BOX),
-                     uniform_in_box(rng, dim, SYNTHETIC_BOX))
-    return sample
-
-
-def make_synthetic(sid: int, dim: int = 10, seed: int = 0) -> ProblemInstance:
+def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     """Examples 1-4: quadratic bilevel problems on the box |x_i| <= 5.
 
     ids 3-4 use a (dim/2) x dim Gaussian matrix A (rank-deficient A^T A)
     drawn from ``seed``; their solution sets are affine, so the metric
-    projects onto the row space of A.
+    projects onto the row space of A. A list of seeds gives the stacked
+    instance, one independent trial per seed run in lockstep: ids 3-4
+    stack one A per seed along the leading axis, and the dense callbacks,
+    which are single-point only, are left out.
     """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
+    stacked = not isinstance(seed, (int, np.integer))
     A = None
     if sid in (3, 4):
         if dim % 2:
             raise ContractViolationError("ids 3-4 need an even dim")
-        A = gaussian_matrix(dim // 2, dim, derive_a_seed(seed))
+        A = (np.stack([_synthetic_a(dim, s) for s in seed]) if stacked
+             else _synthetic_a(dim, seed))
     oracle = _synthetic_oracle(sid, dim, A)
-    sample = _synthetic_init(dim)
+    if stacked:
+        oracle.hess_vv_g = oracle.jac_uv_g = None
     return ProblemInstance(
         name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A),
-        init_sampler=sample, box=SYNTHETIC_BOX,
-        expects_singular=sid in (3, 4), info={"A": A})
+        init_sampler=lambda s: sample_in_box(dim, dim, SYNTHETIC_BOX, s),
+        box=SYNTHETIC_BOX, expects_singular=sid in (3, 4), info={"A": A})
 
 
-def derive_a_seed(seed: int) -> int:
-    from .core import derive_seed
-    return derive_seed(seed, 0xA)
-
-
-def make_synthetic_batch(sid: int, dim: int, seeds) -> ProblemInstance:
-    """Stacked instance: one independent trial per seed, run in lockstep.
-
-    For ids 3-4 each trial gets its own A (stacked along the leading
-    axis); for ids 1-2 the problem is seed-free and only the initial
-    points differ.
-    """
-    if dim < 1:
-        raise ContractViolationError("dim must be >= 1")
-    seeds = list(seeds)
-    A = None
-    if sid in (3, 4):
-        if dim % 2:
-            raise ContractViolationError("ids 3-4 need an even dim")
-        A = np.stack([gaussian_matrix(dim // 2, dim, derive_a_seed(s))
-                      for s in seeds])
-    oracle = _synthetic_oracle(sid, dim, A)
-    # dense capability is single-point only; drop it on batched instances
-    oracle.hess_vv_g = None
-    oracle.jac_uv_g = None
-    single = _synthetic_init(dim)
-
-    def sample(seed_list):
-        pts = [single(s) for s in seed_list]
-        return Point(np.stack([p.u for p in pts]),
-                     np.stack([p.v for p in pts]))
-
-    return ProblemInstance(
-        name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A),
-        init_sampler=sample, box=SYNTHETIC_BOX,
-        expects_singular=sid in (3, 4), info={"A": A})
+def _synthetic_a(dim: int, seed: int) -> np.ndarray:
+    return gaussian_matrix(dim // 2, dim, derive_seed(seed, 0xA))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +252,10 @@ def make_constrained_toy(seed: int = 0) -> ProblemInstance:
     def metric(p):
         return np.sqrt(sqnorm(p.u[..., :1] - 0.5) + sqnorm(p.v - 0.5))
 
-    def sample(seed_):
-        rng = make_rng(seed_, 0x1A17)
-        return Point(uniform_in_box(rng, 1, SYNTHETIC_BOX),
-                     uniform_in_box(rng, 1, SYNTHETIC_BOX))
-
-    return ProblemInstance(name="constrained_toy", oracle=oracle,
-                           metric=metric, init_sampler=sample,
-                           box=SYNTHETIC_BOX)
+    return ProblemInstance(
+        name="constrained_toy", oracle=oracle, metric=metric,
+        init_sampler=lambda s: sample_in_box(1, 1, SYNTHETIC_BOX, s),
+        box=SYNTHETIC_BOX)
 
 
 def constrained_toy_grid_optimum(step: float = 1e-3):
@@ -328,12 +291,12 @@ def logistic_losses(Xb, y, w):
     return np.logaddexp(0.0, -_margin(Xb, y, w))
 
 
-def fit_logistic(X, y, sample_weight=None, reg: float = LOGISTIC_REG,
-                 n_iter: int = 60) -> np.ndarray:
+def fit_logistic(X, y, sample_weight=None,
+                 reg: float = LOGISTIC_REG) -> np.ndarray:
     """Newton fit of l2-regularized logistic regression (labels +-1).
 
     Minimizes sum(w_i * l_i) / sum(w_i) + reg * |w|^2 (bias included in
-    the parameter vector and in the penalty).
+    the parameter vector and in the penalty), in at most 60 steps.
     """
     Xb = _augment(np.asarray(X, float))
     y = np.asarray(y, float)
@@ -342,7 +305,7 @@ def fit_logistic(X, y, sample_weight=None, reg: float = LOGISTIC_REG,
     wts = np.asarray(sample_weight, float) / np.sum(sample_weight)
     w = np.zeros(Xb.shape[1])
     eye = np.eye(Xb.shape[1])
-    for _ in range(n_iter):
+    for _ in range(60):
         z = _margin(Xb, y, w)
         a = -_sigmoid(-z) * y                      # dl/dw coefficient
         r = _sigmoid(z) * _sigmoid(-z)             # d2l/dz2
@@ -379,25 +342,6 @@ class DatasetSplit:
     def n_val(self):
         return len(self.y_val)
 
-    @property
-    def n_test(self):
-        return len(self.y_test)
-
-    def dump_csv(self, outdir, flipped=None):
-        """One CSV per split with header x1,x2,label[,flipped]."""
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for tag, X, y in (("train", self.X_train, self.y_train),
-                          ("val", self.X_val, self.y_val),
-                          ("test", self.X_test, self.y_test)):
-            cols = [X[:, 0], X[:, 1], (y > 0).astype(int)]
-            header = "x1,x2,label"
-            if tag == "train" and flipped is not None:
-                cols.append(flipped.astype(int))
-                header += ",flipped"
-            data = np.column_stack(cols)
-            np.savetxt(outdir / f"{tag}.csv", data, delimiter=",",
-                       header=header, comments="", fmt="%.17g")
 
 
 def make_blobs(seed: int, n_train: int, n_val: int, n_test: int = 2000,
@@ -672,11 +616,11 @@ def ridge_closed_form(X, y, log_reg):
     return np.linalg.solve(M, X.T @ y / n)
 
 
-def ridge_grid_optimum(X_tr, y_tr, X_val, y_val, grid=RIDGE_GRID) -> float:
-    """Solution oracle: validation-MSE-minimizing u over the grid, using
+def ridge_grid_optimum(X_tr, y_tr, X_val, y_val) -> float:
+    """Solution oracle: validation-MSE-minimizing u over RIDGE_GRID, using
     the closed-form ridge solution at every grid point."""
     best_u, best = 0.0, np.inf
-    for u in grid:
+    for u in RIDGE_GRID:
         w = ridge_closed_form(X_tr, y_tr, u)
         mse = np.mean((X_val @ w - y_val) ** 2)
         if mse < best:
@@ -764,40 +708,27 @@ class ProblemSpec:
     defaults: dict
 
 
+def _spec(factory, batch_factory=None) -> ProblemSpec:
+    """Spec whose defaults are the factory's keyword defaults after the
+    seed, so the [problem] keys follow the factory signature."""
+    params = list(inspect.signature(factory).parameters.values())[1:]
+    return ProblemSpec(factory, batch_factory,
+                       {p.name: p.default for p in params})
+
+
+def _example(sid: int) -> ProblemSpec:
+    def factory(seed, dim=10):
+        return make_synthetic(sid, dim, seed)
+    return _spec(factory, batch_factory=factory)
+
+
 PROBLEMS = {
-    "example1": ProblemSpec(
-        lambda seed, dim=10: make_synthetic(1, dim, seed),
-        lambda seeds, dim=10: make_synthetic_batch(1, dim, seeds),
-        {"dim": 10}),
-    "example2": ProblemSpec(
-        lambda seed, dim=10: make_synthetic(2, dim, seed),
-        lambda seeds, dim=10: make_synthetic_batch(2, dim, seeds),
-        {"dim": 10}),
-    "example3": ProblemSpec(
-        lambda seed, dim=10: make_synthetic(3, dim, seed),
-        lambda seeds, dim=10: make_synthetic_batch(3, dim, seeds),
-        {"dim": 10}),
-    "example4": ProblemSpec(
-        lambda seed, dim=10: make_synthetic(4, dim, seed),
-        lambda seeds, dim=10: make_synthetic_batch(4, dim, seeds),
-        {"dim": 10}),
-    "quadratic": ProblemSpec(
-        lambda seed, dim_u=5, dim_v=5: make_quadratic(seed, dim_u, dim_v),
-        None, {"dim_u": 5, "dim_v": 5}),
-    "constrained_toy": ProblemSpec(
-        lambda seed: make_constrained_toy(seed), None, {}),
-    "ridge": ProblemSpec(
-        lambda seed, n=80, d=6, reg_true=2.0:
-            make_hyperparam_ridge(seed, n, d, reg_true),
-        None, {"n": 80, "d": 6, "reg_true": 2.0}),
-    "importance_toy": ProblemSpec(
-        lambda seed, n_train=200, n_val=50, noise_frac=0.25:
-            make_importance_toy(seed, n_train, n_val, noise_frac),
-        None, {"n_train": 200, "n_val": 50, "noise_frac": 0.25}),
-    "poison_toy": ProblemSpec(
-        lambda seed, n_train=100, n_val=100, n_poison=10:
-            make_poison_toy(seed, n_train, n_val, n_poison),
-        None, {"n_train": 100, "n_val": 100, "n_poison": 10}),
+    **{f"example{sid}": _example(sid) for sid in range(1, 5)},
+    "quadratic": _spec(make_quadratic),
+    "constrained_toy": _spec(make_constrained_toy),
+    "ridge": _spec(make_hyperparam_ridge),
+    "importance_toy": _spec(make_importance_toy),
+    "poison_toy": _spec(make_poison_toy),
 }
 
 

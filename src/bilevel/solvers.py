@@ -40,11 +40,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BoxBounds, StepperState, make_rng, make_stepper,
-                   project_box, stepper_step, uniform_in_box)
+from .core import (BoxBounds, StepperState, make_stepper, project_box,
+                   stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
-                     penalty_grad_v, sqnorm)
+                     penalty_grad_v, sample_in_box, sqnorm)
 
 
 @dataclass
@@ -127,6 +127,8 @@ class PenaltyConfig:
     # outrun what float64 can represent in the v-gradient balance).
     while_cap: int = 10**6
     stepper: str = "adam"
+    # box and seed belong to the problem and trial, not to a config file;
+    # seed only draws p0 for a solver called without one
     box: Optional[BoxBounds] = None
     seed: int = 0
     approx_reg: float = 0.0          # ridge on the ApproxGrad linear system
@@ -183,15 +185,13 @@ class SolverTrace:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def traces_equal(a: SolverTrace, b: SolverTrace,
-                 ignore_wall: bool = True) -> bool:
-    """Bitwise equality of two traces, timing columns excluded by default."""
+def traces_equal(a: SolverTrace, b: SolverTrace) -> bool:
+    """Bitwise equality of two traces, timing columns excluded."""
     if len(a) != len(b):
         return False
-    skip = {"wall_seconds"} if ignore_wall else set()
     for ra, rb in zip(a.rows, b.rows):
         for name in ra.__dataclass_fields__:
-            if name in skip:
+            if name == "wall_seconds":
                 continue
             va, vb = getattr(ra, name), getattr(rb, name)
             if va != vb and not (np.isnan(va) and np.isnan(vb)):
@@ -211,13 +211,6 @@ def _unbatch(u, v, traces, squeeze):
     if squeeze:
         return Point(u[0], v[0]), traces[0]
     return Point(u, v), traces
-
-
-def sample_initial_point(oracle: ProblemOracle, box: BoxBounds,
-                         seed) -> Point:
-    rng = make_rng(seed, 0x1A17)
-    return Point(uniform_in_box(rng, oracle.dim_u, box),
-                 uniform_in_box(rng, oracle.dim_v, box))
 
 
 class _Recorder:
@@ -304,7 +297,7 @@ def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Optional[Point],
     if p0 is None:
         if cfg.box is None:
             raise ContractViolationError("need p0 or a box to sample from")
-        p0 = sample_initial_point(oracle, cfg.box, cfg.seed)
+        p0 = sample_in_box(oracle.dim_u, oracle.dim_v, cfg.box, cfg.seed)
     u, v, squeeze = _batchify(p0)
     oracle.check_point(Point(u, v))
     counters = counters if counters is not None else OracleCounters()

@@ -1,16 +1,18 @@
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilevel import hypergrad
 from bilevel.bench import (RUN_COLUMNS, TrialResult, _fmt, _run_chunk,
                            load_run_setup, run_trials, summarize,
                            write_run_csv)
 from bilevel.cli import main
-from bilevel.errors import ConfigError, NumericError
+from bilevel.errors import ConfigError, ConvergenceError, NumericError
 from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
                              traces_equal)
 
@@ -153,6 +155,30 @@ class TestConfigParsing:
             "name = example1\ndim = 6", "name = ridge\nreg_true = x"))
         with pytest.raises(ConfigError, match="reg_true"):
             load_run_setup(cfg)
+
+    @pytest.mark.parametrize("line", ["seed = 3", "gamma0 = 3", "K = 2.5",
+                                      "stepper = 3", "sigma0 = abc"])
+    def test_solver_value_has_its_default_type(self, tmp_path, capsys,
+                                               line):
+        # seed is no [solver] key: each trial supplies its own
+        key = line.split()[0]
+        cfg = write_config(tmp_path / "a.cfg", "[problem]\nname = example1\n"
+                           f"\n[solver]\nname = penalty\n{line}\n")
+        if line == "gamma0 = 3":
+            value = load_run_setup(cfg).solvers[0].cfg[key]
+            assert type(value) is float and value == 3.0
+        else:
+            assert main(["run", "--config", cfg, "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and repr(key) in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).parents[1] / "scripts" / "configs").glob("*.ini")),
+        ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        setup = load_run_setup(path)
+        assert setup.solvers
 
     def test_sweep_empty_values(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg",
@@ -366,8 +392,16 @@ class TestCmdCheck:
         assert main(["check", problem, "lemma3"]) == 0
         assert "singular by design" in capsys.readouterr().out
 
-    def test_lemma_level_stalled_solve_is_one_fail_line(self, capsys):
-        assert main(["check", "importance_toy", "lemma3"]) == 1
+    def test_lemma_level_importance_toy(self):
+        assert main(["check", "importance_toy", "lemma3"]) == 0
+
+    def test_lemma_level_stalled_solve_is_one_fail_line(self, capsys,
+                                                        monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ConvergenceError(
+                "penalized v-minimization: stalled at residual 9.196e-01")
+        monkeypatch.setattr(hypergrad, "minimize_penalty_v", stalled)
+        assert main(["check", "example1", "lemma3"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL: penalized v-minimization")
         assert out.count("\n") == 1

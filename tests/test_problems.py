@@ -8,9 +8,26 @@ from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               fit_logistic, importance_values, make_blobs,
                               make_constrained_toy, make_hyperparam_ridge,
                               make_importance_toy, make_poison_toy,
-                              make_synthetic, make_synthetic_batch,
-                              ridge_closed_form, logistic_losses, _augment)
+                              make_synthetic, ridge_closed_form,
+                              logistic_losses, _augment)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
+
+
+def test_registry_defaults_are_the_config_keys():
+    # read from the factory signatures; an edit there changes the
+    # [problem] keys a run config accepts
+    assert {name: spec.defaults for name, spec in PROBLEMS.items()} == {
+        "example1": {"dim": 10}, "example2": {"dim": 10},
+        "example3": {"dim": 10}, "example4": {"dim": 10},
+        "quadratic": {"dim_u": 5, "dim_v": 5},
+        "constrained_toy": {},
+        "ridge": {"n": 80, "d": 6, "reg_true": 2.0},
+        "importance_toy": {"n_train": 200, "n_val": 50, "noise_frac": 0.25},
+        "poison_toy": {"n_train": 100, "n_val": 100, "n_poison": 10},
+    }
+    for spec in PROBLEMS.values():
+        for value in spec.defaults.values():
+            assert type(value) in (int, float)
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -74,14 +91,16 @@ class TestSynthetics:
         with pytest.raises(ContractViolationError, match="dim"):
             make_synthetic(sid, dim=dim)
         with pytest.raises(ContractViolationError, match="dim"):
-            make_synthetic_batch(sid, dim, [1, 2])
+            make_synthetic(sid, dim, [1, 2])
 
-    def test_batch_matches_single(self):
+    @pytest.mark.parametrize("sid", [1, 2, 3, 4])
+    def test_batch_matches_single(self, sid):
         seeds = [11, 12, 13]
-        binst = make_synthetic_batch(3, 10, seeds)
+        binst = make_synthetic(sid, 10, seeds)
+        assert not binst.oracle.has_dense
         p = binst.init_sampler(seeds)
         for i, s in enumerate(seeds):
-            sinst = make_synthetic(3, dim=10, seed=s)
+            sinst = make_synthetic(sid, dim=10, seed=s)
             ps = sinst.init_sampler(s)
             np.testing.assert_array_equal(p.u[i], ps.u)
             pt = Point(p.u, p.v)
@@ -95,7 +114,7 @@ class TestSynthetics:
                                        rtol=1e-12, atol=1e-12)
 
     def test_batch_init_is_per_seed(self):
-        binst = make_synthetic_batch(1, 10, [1, 2])
+        binst = make_synthetic(1, 10, [1, 2])
         p = binst.init_sampler([1, 2])
         assert not np.array_equal(p.u[0], p.u[1])
 
@@ -235,15 +254,3 @@ class TestLogisticHelpers:
         split = make_blobs(0, 100, 50)
         assert abs(split.y_train.sum()) <= 1
         assert split.n_train == 100 and split.n_val == 50
-
-
-def test_dataset_dump_csv(tmp_path):
-    inst = make_importance_toy(1, n_train=20, n_val=10)
-    split = inst.info["split"]
-    split.dump_csv(tmp_path, flipped=inst.info["flip_mask"])
-    train = (tmp_path / "train.csv").read_text().splitlines()
-    assert train[0] == "x1,x2,label,flipped"
-    assert len(train) == 21
-    val = (tmp_path / "val.csv").read_text().splitlines()
-    assert val[0] == "x1,x2,label"
-    assert (tmp_path / "test.csv").exists()
