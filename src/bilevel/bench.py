@@ -27,9 +27,11 @@ Every value, [sweep] values included, must parse to its default's type
 (an int may stand for a float) and is cast to that type.
 
 Trials are independent (streams derived from seed and trial index) and
-run in lockstep batches; BILEVEL_THREADS > 1 splits the batch across
-processes. CSV rows are buffered per trial and written in trial order, so
-output is deterministic (timing columns aside) regardless of scheduling.
+run in lockstep batches where the problem has a batch factory;
+BILEVEL_THREADS > 1 splits the trials across processes, at most one per
+trial and per CPU. CSV rows are buffered per trial and written in trial
+order, so output is deterministic (timing columns aside) regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -305,6 +307,20 @@ def _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,
     return results
 
 
+def worker_count(trials: int) -> int:
+    """Processes for `trials` trials: BILEVEL_THREADS (unset or empty
+    means 1), capped at the trial count and the CPU count."""
+    raw = os.environ.get("BILEVEL_THREADS") or "1"
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = 0
+    if requested < 1:
+        raise ConfigError(f"BILEVEL_THREADS must be an integer >= 1, "
+                          f"got {raw!r}")
+    return min(requested, trials, os.cpu_count() or 1)
+
+
 def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
                seed=0, record_every=1):
     """Run `trials` independent trials of one solver on one problem.
@@ -316,8 +332,7 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     cfgkw = dict(cfg or {})
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver {solver!r}")
-    workers = int(os.environ.get("BILEVEL_THREADS", "1") or "1")
-    workers = max(1, min(workers, trials))
+    workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:
         return _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,

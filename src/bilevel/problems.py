@@ -2,8 +2,9 @@
 
 Every factory takes the seed first and returns a :class:`ProblemInstance`
 whose oracle passes the finite-difference self-checks. The synthetic
-quadratics also take a list of seeds, which gives one stacked problem per
-seed, so a whole trial set can run in lockstep on a single core.
+quadratics and the constrained toy also take a list of seeds, which gives
+one stacked problem per seed, so a whole trial set can run in lockstep on
+a single core.
 
 ``PROBLEMS`` registers each factory by name; a spec's ``defaults`` (the
 ``[problem]`` keys of a run config) are the factory's keyword defaults.
@@ -232,7 +233,9 @@ def make_constrained_toy(seed: int = 0) -> ProblemInstance:
     """f = u^2 + v^2, g = (v-u)^2, subject to 1 - u - v <= 0.
 
     On the lower-level solution v = u the constraint binds at u = 0.5;
-    the optimum is (0.5, 0.5) with f = 0.5.
+    the optimum is (0.5, 0.5) with f = 0.5. The seed only draws initial
+    points, and every callback broadcasts over a leading batch axis, so
+    a list of seeds gives the stacked instance.
     """
     oracle = ProblemOracle(
         name="constrained_toy", dim_u=1, dim_v=1, dim_c=1,
@@ -281,6 +284,16 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _ce_slope(z):
+    """d/dz of the cross-entropy log(1 + exp(-z))."""
+    return -_sigmoid(-z)
+
+
+def _ce_curvature(z):
+    """d2/dz2 of the cross-entropy log(1 + exp(-z))."""
+    return _sigmoid(z) * _sigmoid(-z)
+
+
 def _margin(Xb, y, w):
     """z_i = y_i * (w . x_i) for w possibly batched: (..., N)."""
     return y * np.einsum("nd,...d->...n", Xb, w)
@@ -307,8 +320,8 @@ def fit_logistic(X, y, sample_weight=None,
     eye = np.eye(Xb.shape[1])
     for _ in range(60):
         z = _margin(Xb, y, w)
-        a = -_sigmoid(-z) * y                      # dl/dw coefficient
-        r = _sigmoid(z) * _sigmoid(-z)             # d2l/dz2
+        a = _ce_slope(z) * y                       # dl/dw coefficient
+        r = _ce_curvature(z)                       # d2l/dz2
         grad = Xb.T @ (wts * a) + 2.0 * reg * w
         hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * reg * eye
         step = np.linalg.solve(hess, grad)
@@ -370,8 +383,7 @@ def _val_upper(Xb_val, y_val, sign=1.0):
         return sign * np.mean(logistic_losses(Xb_val, y_val, p.v), axis=-1)
 
     def grad_v_f(p):
-        z = _margin(Xb_val, y_val, p.v)
-        a = -_sigmoid(-z) * y_val
+        a = _ce_slope(_margin(Xb_val, y_val, p.v)) * y_val
         return sign * np.einsum("...n,nd->...d", a, Xb_val) / n_val
 
     return eval_f, grad_v_f
@@ -413,53 +425,58 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     reg = LOGISTIC_REG
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val)
 
+    # each callback builds only the terms it returns: the importances W
+    # and their sum S, their derivative dW, the slope a or the curvature r
     def weights(u):
-        W = 0.5 * (np.tanh(u) + 1.0)
-        dW = 0.5 / np.cosh(u) ** 2
-        return W, dW, np.sum(W, axis=-1)
+        W = importance_values(u)
+        return W, np.sum(W, axis=-1)
 
-    def terms(p):
-        W, dW, S = weights(p.u)
-        z = _margin(Xb, y, p.v)
-        a = -_sigmoid(-z) * y
-        r = _sigmoid(z) * _sigmoid(-z)
-        return W, dW, S, z, a, r
+    def d_weights(u):
+        return 0.5 / np.cosh(u) ** 2
+
+    def slope(p):
+        return _ce_slope(_margin(Xb, y, p.v)) * y
+
+    def curvature(p):
+        return _ce_curvature(_margin(Xb, y, p.v))
 
     def eval_g(p):
-        W, _, S = weights(p.u)
+        W, S = weights(p.u)
         l = logistic_losses(Xb, y, p.v)
         return np.sum(W * l, axis=-1) / S + reg * sqnorm(p.v)
-
-    def grad_v_g(p):
-        W, _, S, _, a, _ = terms(p)
-        return (np.einsum("...n,nd->...d", W * a, Xb) / S[..., None]
-                + 2.0 * reg * p.v)
-
-    def hvp(p, q):
-        W, _, S, _, _, r = terms(p)
-        t = np.einsum("nd,...d->...n", Xb, q)
-        return (np.einsum("...n,nd->...d", W * r * t, Xb) / S[..., None]
-                + 2.0 * reg * q)
 
     def mean_grad(W, S, a):
         return np.einsum("...n,nd->...d", W * a, Xb) / S[..., None]
 
+    def grad_v_g(p):
+        W, S = weights(p.u)
+        return mean_grad(W, S, slope(p)) + 2.0 * reg * p.v
+
+    def hvp(p, q):
+        W, S = weights(p.u)
+        t = np.einsum("nd,...d->...n", Xb, q)
+        return (np.einsum("...n,nd->...d", W * curvature(p) * t, Xb)
+                / S[..., None] + 2.0 * reg * q)
+
     def jvp(p, q):
         # row i of the mixed matrix: (dW_i/du_i)(grad l_i - m)/S
-        W, dW, S, _, a, _ = terms(p)
+        W, S = weights(p.u)
+        a = slope(p)
         m = mean_grad(W, S, a)
         xq = np.einsum("nd,...d->...n", Xb, q)
         mq = np.sum(m * q, axis=-1)
-        return dW * (a * xq - mq[..., None]) / S[..., None]
+        return d_weights(p.u) * (a * xq - mq[..., None]) / S[..., None]
 
     def hess(p):
-        W, _, S, _, _, r = terms(p)
-        return (Xb * (W * r)[:, None]).T @ Xb / S + 2.0 * reg * np.eye(3)
+        W, S = weights(p.u)
+        return ((Xb * (W * curvature(p))[:, None]).T @ Xb / S
+                + 2.0 * reg * np.eye(3))
 
     def jac(p):
-        W, dW, S, _, a, _ = terms(p)
+        W, S = weights(p.u)
+        a = slope(p)
         m = mean_grad(W, S, a)
-        return (dW / S)[:, None] * (a[:, None] * Xb - m[None, :])
+        return (d_weights(p.u) / S)[:, None] * (a[:, None] * Xb - m[None, :])
 
     oracle = ProblemOracle(
         name="importance_toy", dim_u=n_train, dim_v=3, dim_c=0,
@@ -525,21 +542,18 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         return ((np.sum(lc, axis=-1) + np.sum(lp, axis=-1)) / n_total
                 + reg * sqnorm(p.v))
 
-    def _coeffs(z):
-        return -_sigmoid(-z), _sigmoid(z) * _sigmoid(-z)
-
     def grad_v_g(p):
         Xbp = poison_block(p)
-        sc, _ = _coeffs(_margin(Xb_clean, y_clean, p.v))
-        sp, _ = _coeffs(poison_margin(Xbp, p.v))
+        sc = _ce_slope(_margin(Xb_clean, y_clean, p.v))
+        sp = _ce_slope(poison_margin(Xbp, p.v))
         out = np.einsum("...n,nd->...d", sc * y_clean, Xb_clean)
         out = out + np.einsum("...n,...nd->...d", sp * y_poison, Xbp)
         return out / n_total + 2.0 * reg * p.v
 
     def hvp(p, q):
         Xbp = poison_block(p)
-        _, rc = _coeffs(_margin(Xb_clean, y_clean, p.v))
-        _, rp = _coeffs(poison_margin(Xbp, p.v))
+        rc = _ce_curvature(_margin(Xb_clean, y_clean, p.v))
+        rp = _ce_curvature(poison_margin(Xbp, p.v))
         tc = np.einsum("nd,...d->...n", Xb_clean, q)
         tp = np.einsum("...nd,...d->...n", Xbp, q)
         out = np.einsum("...n,nd->...d", rc * tc, Xb_clean)
@@ -550,17 +564,17 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         # d(grad_w l_j)/dx_j = r_j w_f xb_j^T + a_j E; rows (j,b) dot q
         Xbp = poison_block(p)
         z = poison_margin(Xbp, p.v)
-        a, r = _coeffs(z)
-        a = a * y_poison
+        a = _ce_slope(z) * y_poison
         xq = np.einsum("...nd,...d->...n", Xbp, q)
         wf = p.v[..., None, :2]
-        out = (r * xq)[..., None] * wf + a[..., None] * q[..., None, :2]
+        out = ((_ce_curvature(z) * xq)[..., None] * wf
+               + a[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 
     def hess(p):
         Xbp = poison_block(p)
-        _, rc = _coeffs(_margin(Xb_clean, y_clean, p.v))
-        _, rp = _coeffs(poison_margin(Xbp, p.v))
+        rc = _ce_curvature(_margin(Xb_clean, y_clean, p.v))
+        rp = _ce_curvature(poison_margin(Xbp, p.v))
         H = (Xb_clean * rc[:, None]).T @ Xb_clean
         H = H + (Xbp * rp[:, None]).T @ Xbp
         return H / n_total + 2.0 * reg * np.eye(3)
@@ -569,8 +583,8 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         # block (j, b, c) = r_j w_b x_jc + a_j [b == c]
         Xbp = poison_block(p)
         z = poison_margin(Xbp, p.v)
-        a, r = _coeffs(z)
-        a = a * y_poison
+        a = _ce_slope(z) * y_poison
+        r = _ce_curvature(z)
         blocks = (r[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
         eye = np.zeros((2, 3))
         eye[0, 0] = eye[1, 1] = 1.0
@@ -725,7 +739,8 @@ def _example(sid: int) -> ProblemSpec:
 PROBLEMS = {
     **{f"example{sid}": _example(sid) for sid in range(1, 5)},
     "quadratic": _spec(make_quadratic),
-    "constrained_toy": _spec(make_constrained_toy),
+    "constrained_toy": _spec(make_constrained_toy,
+                             batch_factory=make_constrained_toy),
     "ridge": _spec(make_hyperparam_ridge),
     "importance_toy": _spec(make_importance_toy),
     "poison_toy": _spec(make_poison_toy),

@@ -138,6 +138,11 @@ class PenaltyConfig:
             raise ContractViolationError("K and T must be >= 1")
         if not (self.gamma0 > 0 and self.eps0 > 0):
             raise ContractViolationError("gamma0 and eps0 must be positive")
+        for key in ("sigma0", "rho0"):
+            # `not > 0` also rejects NaN
+            if not getattr(self, key) > 0:
+                raise ContractViolationError(
+                    f"{key} must be positive, got {getattr(self, key)!r}")
         if self.c_gamma < 1.0:
             raise ContractViolationError("c_gamma must be >= 1")
         if not (0.0 < self.c_eps <= 1.0 and 0.0 < self.c_lambda <= 1.0):

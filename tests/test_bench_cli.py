@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bilevel import hypergrad
 from bilevel.bench import (RUN_COLUMNS, TrialResult, _fmt, _run_chunk,
                            load_run_setup, run_trials, summarize,
-                           write_run_csv)
+                           worker_count, write_run_csv)
 from bilevel.cli import main
 from bilevel.errors import ConfigError, ConvergenceError, NumericError
 from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
@@ -172,6 +172,19 @@ class TestConfigParsing:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and repr(key) in err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["sigma0 = 0", "rho0 = -1",
+                                      "sigma0 = nan"])
+    def test_step_size_must_be_positive(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        text = "\n".join(line if row.startswith(f"{key} =") else row
+                         for row in BASE_CONFIG.splitlines())
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be positive")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("path", sorted(
         (Path(__file__).parents[1] / "scripts" / "configs").glob("*.ini")),
@@ -432,22 +445,58 @@ class TestRunTrialsApi:
             np.testing.assert_array_equal(a.final_point.u, b.final_point.u)
             assert a.trace.final.distance == b.trace.final.distance
 
-    @pytest.mark.parametrize("solver", ["penalty", "rmd", "approxgrad",
-                                        "gd"])
-    @pytest.mark.parametrize("problem", ["example1", "example2", "example3",
-                                         "example4"])
-    def test_batched_equals_serial(self, problem, solver):
+    @pytest.mark.parametrize("env, trials, cpus, want", [
+        (None, 5, 4, 1), ("", 5, 4, 1), ("2", 5, 4, 2), ("8", 3, 4, 3),
+        ("8", 10, 4, 4), ("8", 10, None, 1)])
+    def test_worker_count_caps(self, monkeypatch, env, trials, cpus, want):
+        if env is None:
+            monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BILEVEL_THREADS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count(trials) == want
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", "0", "-3"])
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys,
+                                     env):
+        monkeypatch.setenv("BILEVEL_THREADS", env)
+        with pytest.raises(ConfigError, match="BILEVEL_THREADS"):
+            worker_count(4)
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG)
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: BILEVEL_THREADS")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("problem, solver, extra", [
+        *[pytest.param(problem, solver, {}, id=f"{problem}-{solver}")
+          for problem in ("example1", "example2", "example3", "example4")
+          for solver in ("approxgrad", "gd", "penalty", "rmd")],
+        # nonzero multipliers, and a schedule that advances within K
+        # (per trial under plain-gd, at while_cap under adam), so the
+        # constraint's nu_h is updated
+        *[pytest.param("constrained_toy", solver,
+                       dict(stepper=stepper, sigma0=0.05, rho0=0.1,
+                            eps0=2.0, while_cap=6, lambda0=1.0, nu0=0.5),
+                       id=f"constrained_toy-{solver}-{stepper}")
+          for solver in ("penalty", "penalty_plain")
+          for stepper in ("adam", "plain-gd")],
+    ])
+    def test_batched_equals_serial(self, problem, solver, extra):
         # trial i of a lockstep batch reproduces trial i run alone, bit
-        # for bit, through the batched and the single-point factories
+        # for bit, through the batched and the single-point factories;
+        # counters are not compared, since a batch shares one
         cfg = dict(K=30, T=5, sigma0=1e-3, rho0=1e-4, gamma0=1.0, eps0=1.0,
                    lambda0=10.0)
+        cfg.update(extra)
         batched = _run_chunk(problem, {}, solver, cfg, 5, [0, 1, 2], 1)
         for i in range(3):
             alone = _run_chunk(problem, {}, solver, cfg, 5, [i], 1)[0]
             assert len(alone.trace) == 30
             assert traces_equal(batched[i].trace, alone.trace)
-            np.testing.assert_array_equal(batched[i].final_point.u,
-                                          alone.final_point.u)
+            got, want = batched[i].final_point, alone.final_point
+            assert got.u.tobytes() == want.u.tobytes()
+            assert got.v.tobytes() == want.v.tobytes()
 
     def test_constrained_pipeline_adds_slacks(self):
         res = run_trials("constrained_toy", "penalty", cfg=dict(K=20, T=2),

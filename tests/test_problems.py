@@ -230,6 +230,149 @@ class TestPoisonToy:
         assert set(np.unique(inst.info["y_poison"])) <= {-1.0, 1.0}
 
 
+def _sig(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def importance_formulas(inst):
+    """importance_toy's v-gradient and second-order callbacks written out,
+    every term computed in one pass, in the library's operation order."""
+    split = inst.info["split"]
+    Xb, y, reg = _augment(split.X_train), split.y_train, inst.info["reg"]
+
+    def terms(p):
+        W = 0.5 * (np.tanh(p.u) + 1.0)
+        dW = 0.5 / np.cosh(p.u) ** 2
+        z = y * np.einsum("nd,...d->...n", Xb, p.v)
+        a = -_sig(-z) * y
+        r = _sig(z) * _sig(-z)
+        return W, dW, np.sum(W, axis=-1), a, r
+
+    def mean_grad(W, S, a):
+        return np.einsum("...n,nd->...d", W * a, Xb) / S[..., None]
+
+    def grad_v_g(p):
+        W, _, S, a, _ = terms(p)
+        return mean_grad(W, S, a) + 2.0 * reg * p.v
+
+    def hvp(p, q):
+        W, _, S, _, r = terms(p)
+        t = np.einsum("nd,...d->...n", Xb, q)
+        return (np.einsum("...n,nd->...d", W * r * t, Xb) / S[..., None]
+                + 2.0 * reg * q)
+
+    def jvp(p, q):
+        W, dW, S, a, _ = terms(p)
+        mq = np.sum(mean_grad(W, S, a) * q, axis=-1)
+        xq = np.einsum("nd,...d->...n", Xb, q)
+        return dW * (a * xq - mq[..., None]) / S[..., None]
+
+    def hess(p):
+        W, _, S, _, r = terms(p)
+        return (Xb * (W * r)[:, None]).T @ Xb / S + 2.0 * reg * np.eye(3)
+
+    def jac(p):
+        W, dW, S, a, _ = terms(p)
+        m = mean_grad(W, S, a)
+        return (dW / S)[:, None] * (a[:, None] * Xb - m[None, :])
+
+    return grad_v_g, hvp, jvp, hess, jac
+
+
+def poison_formulas(inst):
+    """poison_toy's v-gradient and second-order callbacks written out,
+    both logistic coefficients from one pass, in the library's order."""
+    split, y_p = inst.info["split"], inst.info["y_poison"]
+    n_poison, reg = inst.info["n_poison"], inst.info["reg"]
+    Xb_c, y_c = _augment(split.X_train), split.y_train
+    n_total = split.n_train + n_poison
+
+    def block(p):
+        return _augment(p.u.reshape(p.u.shape[:-1] + (n_poison, 2)))
+
+    def coeffs(p):
+        # (a, r) on the clean set, then on the poison block
+        Xbp = block(p)
+        zc = y_c * np.einsum("nd,...d->...n", Xb_c, p.v)
+        zp = y_p * np.einsum("...nd,...d->...n", Xbp, p.v)
+        return (Xbp, -_sig(-zc), _sig(zc) * _sig(-zc),
+                -_sig(-zp), _sig(zp) * _sig(-zp))
+
+    def grad_v_g(p):
+        Xbp, ac, _, ap, _ = coeffs(p)
+        out = np.einsum("...n,nd->...d", ac * y_c, Xb_c)
+        out = out + np.einsum("...n,...nd->...d", ap * y_p, Xbp)
+        return out / n_total + 2.0 * reg * p.v
+
+    def hvp(p, q):
+        Xbp, _, rc, _, rp = coeffs(p)
+        tc = np.einsum("nd,...d->...n", Xb_c, q)
+        tp = np.einsum("...nd,...d->...n", Xbp, q)
+        out = np.einsum("...n,nd->...d", rc * tc, Xb_c)
+        out = out + np.einsum("...n,...nd->...d", rp * tp, Xbp)
+        return out / n_total + 2.0 * reg * q
+
+    def jvp(p, q):
+        Xbp, _, _, ap, rp = coeffs(p)
+        xq = np.einsum("...nd,...d->...n", Xbp, q)
+        out = ((rp * xq)[..., None] * p.v[..., None, :2]
+               + (ap * y_p)[..., None] * q[..., None, :2])
+        return out.reshape(p.u.shape) / n_total
+
+    def hess(p):
+        Xbp, _, rc, _, rp = coeffs(p)
+        H = (Xb_c * rc[:, None]).T @ Xb_c + (Xbp * rp[:, None]).T @ Xbp
+        return H / n_total + 2.0 * reg * np.eye(3)
+
+    def jac(p):
+        Xbp, _, _, ap, rp = coeffs(p)
+        blocks = (rp[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
+        eye = np.zeros((2, 3))
+        eye[0, 0] = eye[1, 1] = 1.0
+        blocks = blocks + (ap * y_p)[:, None, None] * eye[None]
+        return blocks.reshape(2 * n_poison, 3) / n_total
+
+    return grad_v_g, hvp, jvp, hess, jac
+
+
+TOY_FORMULAS = {
+    "importance_toy": (lambda s: make_importance_toy(s, n_train=30, n_val=10),
+                       importance_formulas),
+    "poison_toy": (lambda s: make_poison_toy(s, n_train=20, n_val=10,
+                                             n_poison=4),
+                   poison_formulas),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_FORMULAS))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_toy_callbacks_equal_formulas_bitwise(name, seed):
+    make, formulas = TOY_FORMULAS[name]
+    inst = make(seed)
+    o = inst.oracle
+    grad_v_g, hvp, jvp, hess, jac = formulas(inst)
+    rng = make_rng(seed, 0x7E57)
+
+    def draw(*batch):
+        return (rng.uniform(-3.0, 3.0, batch + (o.dim_u,)),
+                rng.standard_normal(batch + (o.dim_v,)))
+
+    for _ in range(3):
+        p = Point(*draw())
+        q = rng.standard_normal(o.dim_v)
+        assert o.grad_v_g(p).tobytes() == grad_v_g(p).tobytes()
+        assert o.hvp_vv_g(p, q).tobytes() == hvp(p, q).tobytes()
+        assert o.jvp_uv_g(p, q).tobytes() == jvp(p, q).tobytes()
+        assert o.hess_vv_g(p).tobytes() == hess(p).tobytes()
+        assert o.jac_uv_g(p).tobytes() == jac(p).tobytes()
+    # the first-order and matrix-free callbacks broadcast over a batch
+    p = Point(*draw(4))
+    q = rng.standard_normal((4, o.dim_v))
+    assert o.grad_v_g(p).tobytes() == grad_v_g(p).tobytes()
+    assert o.hvp_vv_g(p, q).tobytes() == hvp(p, q).tobytes()
+    assert o.jvp_uv_g(p, q).tobytes() == jvp(p, q).tobytes()
+
+
 class TestLogisticHelpers:
     def test_fit_separable(self):
         X = np.array([[2.0, 0.0], [-2.0, 0.0], [2.5, 1.0], [-2.5, -1.0]])
