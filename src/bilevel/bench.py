@@ -24,7 +24,9 @@ The [problem] keys are the problem factory's keyword parameters, the
 [solver] keys the PenaltyConfig fields except box and seed (each trial
 supplies those), and [run] takes trials, record_every, seed and out.
 Every value, [sweep] values included, must parse to its default's type
-(an int may stand for a float) and is cast to that type.
+(an int may stand for a float) and is cast to that type; a float must
+be finite. A [solver] section may set only the keys its solver reads
+(SOLVER_KEYS), and the [sweep] axis must be read by every solver section.
 
 Trials are independent (streams derived from seed and trial index) and
 run in lockstep batches where the problem has a batch factory;
@@ -61,8 +63,6 @@ from .solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                       outer_loop, penalty_aug_solve, penalty_solve,
                       rmd_hypergrad)
 
-SOLVER_NAMES = ("penalty", "penalty_plain", "gd", "rmd", "fmd", "approxgrad")
-
 RUN_COLUMNS = ("trial", "k", "wall_seconds", "gamma", "eps", "lambda",
                "f", "g", "grad_u_norm", "grad_v_norm", "feas_norm",
                "distance", "n_hvp", "n_jvp", "peak_stored_vecs")
@@ -76,6 +76,19 @@ _RUN_ROW = "%d,%d," + "%.17g," * 10 + "%d,%d,%d\r\n"
 # [solver] keys and their defaults
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(PenaltyConfig)
                     if f.name not in ("box", "seed")}
+
+# the [solver] keys each solver reads; a config may set no other
+_PENALTY_KEYS = frozenset(_SOLVER_DEFAULTS) - {"approx_reg"}
+_OUTER_KEYS = frozenset(("K", "T", "sigma0", "rho0", "stepper"))
+SOLVER_KEYS = {
+    "penalty": _PENALTY_KEYS,
+    "penalty_plain": _PENALTY_KEYS - {"lambda0", "nu0", "c_lambda"},
+    "gd": _OUTER_KEYS,
+    "rmd": _OUTER_KEYS,
+    "fmd": _OUTER_KEYS,
+    "approxgrad": _OUTER_KEYS | {"approx_reg"},
+}
+SOLVER_NAMES = tuple(SOLVER_KEYS)
 
 
 def _fmt(x) -> str:
@@ -157,6 +170,10 @@ def _parse_solver_section(label, items) -> SolverEntry:
         if key not in _SOLVER_DEFAULTS:
             raise ConfigError(f"[{label}] unknown key {key!r}")
         cfg[key] = _typed(label, key, val, _SOLVER_DEFAULTS[key])
+    unread = sorted(set(cfg) - SOLVER_KEYS[name])
+    if unread:
+        raise ConfigError(f"[{label}] solver {name!r} does not read "
+                          f"key(s) {unread}")
     return SolverEntry(label=label.split(".", 1)[-1], name=name, cfg=cfg)
 
 
@@ -214,6 +231,10 @@ def load_run_setup(path, overrides=None) -> RunSetup:
                               f"T/gamma0/lambda0/eps0, got {axis!r}")
         if not values or not values.strip():
             raise ConfigError("[sweep] values must be a non-empty list")
+        for entry in solvers:
+            if axis not in SOLVER_KEYS[entry.name]:
+                raise ConfigError(f"[sweep] axis {axis!r} is not read by "
+                                  f"solver {entry.name!r} ([{entry.label}])")
         setup.sweep_values = [
             _typed("sweep", axis, v.strip(), _SOLVER_DEFAULTS[axis])
             for v in values.split(",")]
@@ -233,6 +254,12 @@ def load_run_setup(path, overrides=None) -> RunSetup:
             raise ConfigError(
                 f"record_every {setup.record_every} exceeds K {k_budget} "
                 f"for solver {entry.label!r}")
+        # every config a run will build, checked before any trial runs
+        for value in setup.sweep_values or [None]:
+            cfg = dict(entry.cfg)
+            if value is not None:
+                cfg[setup.sweep_axis] = value
+            PenaltyConfig(**cfg)
     return setup
 
 

@@ -56,6 +56,12 @@ class ProblemOracle:
     ``hvp_vv_g(p, q)`` applies the lower-level Hessian to q; it must be
     linear in q and symmetric as a bilinear form. ``jvp_uv_g(p, q)``
     applies the U-by-V mixed second-derivative matrix to q.
+
+    Callbacks are pure functions of their argument values: equal bytes in
+    give equal bytes out, whatever was called before, and an output is
+    the caller's to keep or alter. A problem may therefore share per-point
+    terms between its callbacks; importance_toy, poison_toy and example4
+    do, through a memo keyed by value (``problems._memo``).
     """
 
     name: str

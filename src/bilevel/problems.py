@@ -51,6 +51,29 @@ def _mat_t_vec(A, y):
     return np.einsum("...ij,...i->...j", A, y)
 
 
+def _memo(fn):
+    """One-slot memo of ``fn(*arrays)`` for a term two callbacks share.
+
+    The key is each argument's shape, dtype and bytes, so equal values hit
+    whatever array holds them, and a point changed in place misses. The
+    result (an array or a tuple of them) is stored read-only: a hit hands
+    out the very arrays of the miss, which no caller may alter.
+    """
+    key = out = None
+
+    def memo(*arrays):
+        nonlocal key, out
+        k = [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+        if k != key:
+            res = fn(*arrays)
+            for x in res if isinstance(res, tuple) else (res,):
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
+            key, out = k, res
+        return out
+    return memo
+
+
 # ---------------------------------------------------------------------------
 # Synthetic quadratic examples
 # ---------------------------------------------------------------------------
@@ -116,17 +139,17 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
             jac_uv_g=lambda p: 2.0 * A.T @ A)
 
     if sid == 4:
-        # f = |v|^2 - (u-v)^T A^T A (u-v), g = (u-v)^T A^T A (u-v)
-        def ATAd(p):
-            return _mat_t_vec(A, _mat_vec(A, p.u - p.v))
+        # f = |v|^2 - (u-v)^T A^T A (u-v), g = (u-v)^T A^T A (u-v);
+        # the gradients share A^T A (u - v), computed once per point
+        ATAd = _memo(lambda u, v: _mat_t_vec(A, _mat_vec(A, u - v)))
 
         return ProblemOracle(
             name="example4", dim_u=dim, dim_v=dim, dim_c=0,
             eval_f=lambda p: sqnorm(p.v) - sqnorm(_mat_vec(A, p.u - p.v)),
             eval_g=lambda p: sqnorm(_mat_vec(A, p.u - p.v)),
-            grad_u_f=lambda p: -2.0 * ATAd(p),
-            grad_v_f=lambda p: 2.0 * p.v + 2.0 * ATAd(p),
-            grad_v_g=lambda p: -2.0 * ATAd(p),
+            grad_u_f=lambda p: -2.0 * ATAd(p.u, p.v),
+            grad_v_f=lambda p: 2.0 * p.v + 2.0 * ATAd(p.u, p.v),
+            grad_v_g=lambda p: -2.0 * ATAd(p.u, p.v),
             hvp_vv_g=lambda p, q: 2.0 * _mat_t_vec(A, _mat_vec(A, q)),
             jvp_uv_g=lambda p, q: -2.0 * _mat_t_vec(A, _mat_vec(A, q)),
             hess_vv_g=lambda p: 2.0 * A.T @ A,
@@ -289,14 +312,23 @@ def _ce_slope(z):
     return -_sigmoid(-z)
 
 
-def _ce_curvature(z):
-    """d2/dz2 of the cross-entropy log(1 + exp(-z))."""
-    return _sigmoid(z) * _sigmoid(-z)
-
-
 def _margin(Xb, y, w):
     """z_i = y_i * (w . x_i) for w possibly batched: (..., N)."""
     return y * np.einsum("nd,...d->...n", Xb, w)
+
+
+def _margin_terms(z):
+    """(z, sigma(-z)), the form in which a margin is shared: the
+    cross-entropy slope is -sigma(-z), as _ce_slope computes it, and the
+    curvature is _curvature of the pair."""
+    return z, _sigmoid(-z)
+
+
+def _curvature(terms):
+    """d2/dz2 of the cross-entropy log(1 + exp(-z)), sigma(z) sigma(-z),
+    from a (z, sigma(-z)) pair."""
+    z, s = terms
+    return _sigmoid(z) * s
 
 
 def logistic_losses(Xb, y, w):
@@ -319,9 +351,9 @@ def fit_logistic(X, y, sample_weight=None,
     w = np.zeros(Xb.shape[1])
     eye = np.eye(Xb.shape[1])
     for _ in range(60):
-        z = _margin(Xb, y, w)
-        a = _ce_slope(z) * y                       # dl/dw coefficient
-        r = _ce_curvature(z)                       # d2l/dz2
+        terms = _margin_terms(_margin(Xb, y, w))
+        a = -terms[1] * y                          # dl/dw coefficient
+        r = _curvature(terms)                      # d2l/dz2
         grad = Xb.T @ (wts * a) + 2.0 * reg * w
         hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * reg * eye
         step = np.linalg.solve(hess, grad)
@@ -425,57 +457,58 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     reg = LOGISTIC_REG
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val)
 
-    # each callback builds only the terms it returns: the importances W
-    # and their sum S, their derivative dW, the slope a or the curvature r
+    # terms the callbacks share at one point, each computed once per
+    # value: the importances W and their sum S on u, the margin terms on
+    # v, the weighted mean gradient m on (u, v)
+    @_memo
     def weights(u):
         W = importance_values(u)
         return W, np.sum(W, axis=-1)
 
+    margin = _memo(lambda v: _margin_terms(_margin(Xb, y, v)))
+
     def d_weights(u):
         return 0.5 / np.cosh(u) ** 2
 
-    def slope(p):
-        return _ce_slope(_margin(Xb, y, p.v)) * y
+    def slope(v):
+        return -margin(v)[1] * y
 
-    def curvature(p):
-        return _ce_curvature(_margin(Xb, y, p.v))
+    @_memo
+    def mean_grad(u, v):
+        W, S = weights(u)
+        return np.einsum("...n,nd->...d", W * slope(v), Xb) / S[..., None]
 
     def eval_g(p):
         W, S = weights(p.u)
-        l = logistic_losses(Xb, y, p.v)
+        l = np.logaddexp(0.0, -margin(p.v)[0])
         return np.sum(W * l, axis=-1) / S + reg * sqnorm(p.v)
 
-    def mean_grad(W, S, a):
-        return np.einsum("...n,nd->...d", W * a, Xb) / S[..., None]
-
     def grad_v_g(p):
-        W, S = weights(p.u)
-        return mean_grad(W, S, slope(p)) + 2.0 * reg * p.v
+        return mean_grad(p.u, p.v) + 2.0 * reg * p.v
 
     def hvp(p, q):
         W, S = weights(p.u)
         t = np.einsum("nd,...d->...n", Xb, q)
-        return (np.einsum("...n,nd->...d", W * curvature(p) * t, Xb)
-                / S[..., None] + 2.0 * reg * q)
+        return (np.einsum("...n,nd->...d", W * _curvature(margin(p.v)) * t,
+                          Xb) / S[..., None] + 2.0 * reg * q)
 
     def jvp(p, q):
         # row i of the mixed matrix: (dW_i/du_i)(grad l_i - m)/S
-        W, S = weights(p.u)
-        a = slope(p)
-        m = mean_grad(W, S, a)
+        S = weights(p.u)[1]
+        a = slope(p.v)
         xq = np.einsum("nd,...d->...n", Xb, q)
-        mq = np.sum(m * q, axis=-1)
+        mq = np.sum(mean_grad(p.u, p.v) * q, axis=-1)
         return d_weights(p.u) * (a * xq - mq[..., None]) / S[..., None]
 
     def hess(p):
         W, S = weights(p.u)
-        return ((Xb * (W * curvature(p))[:, None]).T @ Xb / S
+        return ((Xb * (W * _curvature(margin(p.v)))[:, None]).T @ Xb / S
                 + 2.0 * reg * np.eye(3))
 
     def jac(p):
-        W, S = weights(p.u)
-        a = slope(p)
-        m = mean_grad(W, S, a)
+        S = weights(p.u)[1]
+        a = slope(p.v)
+        m = mean_grad(p.u, p.v)
         return (d_weights(p.u) / S)[:, None] * (a[:, None] * Xb - m[None, :])
 
     oracle = ProblemOracle(
@@ -528,32 +561,37 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
     reg = LOGISTIC_REG
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val, sign=-1.0)
 
-    def poison_block(p):
-        X = p.u.reshape(p.u.shape[:-1] + (n_poison, 2))
+    # terms the callbacks share at one point, each computed once per
+    # value: the augmented poison block on u, the clean margin terms on
+    # v, the poison margin terms on (u, v)
+    @_memo
+    def poison_block(u):
+        X = u.reshape(u.shape[:-1] + (n_poison, 2))
         return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
 
-    def poison_margin(Xbp, w):
-        return y_poison * np.einsum("...nd,...d->...n", Xbp, w)
+    clean_margin = _memo(
+        lambda v: _margin_terms(_margin(Xb_clean, y_clean, v)))
+    poison_margin = _memo(lambda u, v: _margin_terms(
+        y_poison * np.einsum("...nd,...d->...n", poison_block(u), v)))
 
     def eval_g(p):
-        Xbp = poison_block(p)
-        lc = logistic_losses(Xb_clean, y_clean, p.v)
-        lp = np.logaddexp(0.0, -poison_margin(Xbp, p.v))
+        lc = np.logaddexp(0.0, -clean_margin(p.v)[0])
+        lp = np.logaddexp(0.0, -poison_margin(p.u, p.v)[0])
         return ((np.sum(lc, axis=-1) + np.sum(lp, axis=-1)) / n_total
                 + reg * sqnorm(p.v))
 
     def grad_v_g(p):
-        Xbp = poison_block(p)
-        sc = _ce_slope(_margin(Xb_clean, y_clean, p.v))
-        sp = _ce_slope(poison_margin(Xbp, p.v))
+        Xbp = poison_block(p.u)
+        sc = -clean_margin(p.v)[1]
+        sp = -poison_margin(p.u, p.v)[1]
         out = np.einsum("...n,nd->...d", sc * y_clean, Xb_clean)
         out = out + np.einsum("...n,...nd->...d", sp * y_poison, Xbp)
         return out / n_total + 2.0 * reg * p.v
 
     def hvp(p, q):
-        Xbp = poison_block(p)
-        rc = _ce_curvature(_margin(Xb_clean, y_clean, p.v))
-        rp = _ce_curvature(poison_margin(Xbp, p.v))
+        Xbp = poison_block(p.u)
+        rc = _curvature(clean_margin(p.v))
+        rp = _curvature(poison_margin(p.u, p.v))
         tc = np.einsum("nd,...d->...n", Xb_clean, q)
         tp = np.einsum("...nd,...d->...n", Xbp, q)
         out = np.einsum("...n,nd->...d", rc * tc, Xb_clean)
@@ -562,29 +600,29 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
 
     def jvp(p, q):
         # d(grad_w l_j)/dx_j = r_j w_f xb_j^T + a_j E; rows (j,b) dot q
-        Xbp = poison_block(p)
-        z = poison_margin(Xbp, p.v)
-        a = _ce_slope(z) * y_poison
+        Xbp = poison_block(p.u)
+        terms = poison_margin(p.u, p.v)
+        a = -terms[1] * y_poison
         xq = np.einsum("...nd,...d->...n", Xbp, q)
         wf = p.v[..., None, :2]
-        out = ((_ce_curvature(z) * xq)[..., None] * wf
+        out = ((_curvature(terms) * xq)[..., None] * wf
                + a[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 
     def hess(p):
-        Xbp = poison_block(p)
-        rc = _ce_curvature(_margin(Xb_clean, y_clean, p.v))
-        rp = _ce_curvature(poison_margin(Xbp, p.v))
+        Xbp = poison_block(p.u)
+        rc = _curvature(clean_margin(p.v))
+        rp = _curvature(poison_margin(p.u, p.v))
         H = (Xb_clean * rc[:, None]).T @ Xb_clean
         H = H + (Xbp * rp[:, None]).T @ Xbp
         return H / n_total + 2.0 * reg * np.eye(3)
 
     def jac(p):
         # block (j, b, c) = r_j w_b x_jc + a_j [b == c]
-        Xbp = poison_block(p)
-        z = poison_margin(Xbp, p.v)
-        a = _ce_slope(z) * y_poison
-        r = _ce_curvature(z)
+        Xbp = poison_block(p.u)
+        terms = poison_margin(p.u, p.v)
+        a = -terms[1] * y_poison
+        r = _curvature(terms)
         blocks = (r[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
         eye = np.zeros((2, 3))
         eye[0, 0] = eye[1, 1] = 1.0

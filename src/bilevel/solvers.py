@@ -34,6 +34,7 @@ evaluations made to fill the trace are excluded.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -107,6 +108,11 @@ def attach_counters(oracle: ProblemOracle,
     return replace(oracle, **kw)
 
 
+# the float fields of PenaltyConfig, each of which must be finite
+FLOAT_KEYS = ("sigma0", "rho0", "gamma0", "eps0", "lambda0", "nu0",
+              "c_gamma", "c_eps", "c_lambda", "approx_reg")
+
+
 @dataclass
 class PenaltyConfig:
     """Solver hyperparameters; defaults follow the synthetic protocol."""
@@ -136,13 +142,15 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.K < 1 or self.T < 1:
             raise ContractViolationError("K and T must be >= 1")
-        if not (self.gamma0 > 0 and self.eps0 > 0):
-            raise ContractViolationError("gamma0 and eps0 must be positive")
-        for key in ("sigma0", "rho0"):
+        for key in ("sigma0", "rho0", "gamma0", "eps0"):
             # `not > 0` also rejects NaN
             if not getattr(self, key) > 0:
                 raise ContractViolationError(
                     f"{key} must be positive, got {getattr(self, key)!r}")
+        for key in FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ContractViolationError(
+                    f"{key} must be finite, got {getattr(self, key)!r}")
         if self.c_gamma < 1.0:
             raise ContractViolationError("c_gamma must be >= 1")
         if not (0.0 < self.c_eps <= 1.0 and 0.0 < self.c_lambda <= 1.0):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevel import hypergrad
-from bilevel.bench import (RUN_COLUMNS, TrialResult, _fmt, _run_chunk,
+from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, TrialResult, _fmt,
+                           _run_chunk,
                            load_run_setup, run_trials, summarize,
                            worker_count, write_run_csv)
 from bilevel.cli import main
@@ -185,6 +186,90 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must be positive")
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("solver, line", [
+        ("penalty", "approx_reg = 0.1"),
+        ("penalty_plain", "lambda0 = 1.0"),
+        ("penalty_plain", "nu0 = 0.5"),
+        ("penalty_plain", "c_lambda = 0.5"),
+        ("gd", "gamma0 = 2.0"),
+        ("rmd", "while_cap = 5"),
+        ("fmd", "eps0 = 0.5"),
+        ("approxgrad", "c_gamma = 1.2"),
+    ])
+    def test_key_the_solver_does_not_read_exit_2(self, tmp_path, capsys,
+                                                 solver, line):
+        key = line.split()[0]
+        cfg = write_config(tmp_path / "a.cfg", "[problem]\nname = example1\n"
+                           f"\n[solver]\nname = {solver}\nK = 5\n{line}\n")
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(key) in err and repr(solver) in err
+
+    @pytest.mark.parametrize("axis", ["gamma0", "lambda0", "eps0"])
+    def test_sweep_axis_a_solver_does_not_read_exit_2(self, tmp_path,
+                                                       capsys, axis):
+        cfg = write_config(tmp_path / "a.cfg", COMPARE_CONFIG
+                           + f"\n[sweep]\naxis = {axis}\nvalues = 1, 2\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(axis) in err and "'gd'" in err
+        assert not list(tmp_path.glob("s*.csv"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["sigma0", "rho0", "gamma0", "eps0",
+                                     "lambda0", "nu0", "c_gamma", "c_eps",
+                                     "c_lambda", "approx_reg"])
+    def test_non_finite_solver_value_exit_2(self, tmp_path, capsys, key,
+                                            value):
+        solver = "approxgrad" if key == "approx_reg" else "penalty"
+        cfg = write_config(tmp_path / "a.cfg", "[problem]\nname = example1\n"
+                           f"\n[solver]\nname = {solver}\nK = 20\nT = 2\n"
+                           f"{key} = {value}\n\n[run]\ntrials = 2\n")
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err and not out.exists()
+
+    def test_non_finite_sweep_value_exit_2_before_any_run(self, tmp_path,
+                                                          capsys):
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG
+                           + "\n[sweep]\naxis = gamma0\nvalues = 1, nan\n")
+        assert main(["sweep", "--config", cfg, "--out",
+                     str(tmp_path / "s.csv"), "--quiet"]) == 2
+        assert "gamma0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("s*.csv"))
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_KEYS))
+    def test_every_read_key_moves_the_run(self, solver):
+        # each key a solver accepts changes its trace, counters or final
+        # point when moved off the base value; while_cap = 1 makes the
+        # penalty schedule advance on every u-iteration
+        moved = dict(K=5, T=3, sigma0=2e-3, rho0=2e-4, gamma0=2.0, eps0=2.0,
+                     lambda0=5.0, nu0=0.5, c_gamma=1.5, c_eps=0.5,
+                     c_lambda=0.5, while_cap=2, stepper="plain-gd",
+                     approx_reg=0.5)
+        keys = SOLVER_KEYS[solver]
+        base = {k: v for k, v in dict(K=4, T=2, while_cap=1).items()
+                if k in keys}
+
+        def run(cfg):
+            [res] = run_trials("example1", solver, pparams={"dim": 4},
+                               cfg=cfg, record_every=1)
+            return res
+
+        ref = run(base)
+        for key in sorted(keys):
+            res = run(dict(base, **{key: moved[key]}))
+            assert not (traces_equal(res.trace, ref.trace)
+                        and res.counters == ref.counters
+                        and res.final_point.u.tobytes()
+                        == ref.final_point.u.tobytes()), key
 
     @pytest.mark.parametrize("path", sorted(
         (Path(__file__).parents[1] / "scripts" / "configs").glob("*.ini")),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError
@@ -9,7 +11,7 @@ from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               make_constrained_toy, make_hyperparam_ridge,
                               make_importance_toy, make_poison_toy,
                               make_synthetic, ridge_closed_form,
-                              logistic_losses, _augment)
+                              logistic_losses, _augment, _memo)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
 
 
@@ -397,3 +399,107 @@ class TestLogisticHelpers:
         split = make_blobs(0, 100, 50)
         assert abs(split.y_train.sum()) <= 1
         assert split.n_train == 100 and split.n_val == 50
+
+
+
+# small instances of the problems whose callbacks share per-point terms
+MEMO_PROBLEMS = {
+    "importance_toy": lambda: make_importance_toy(4, n_train=30, n_val=10),
+    "poison_toy": lambda: make_poison_toy(4, n_train=20, n_val=10,
+                                          n_poison=4),
+    "example4": lambda: make_synthetic(4, dim=6, seed=4),
+}
+BATCH_CALLBACKS = ("eval_f", "eval_g", "grad_u_f", "grad_v_f", "grad_v_g",
+                   "hvp_vv_g", "jvp_uv_g")
+DENSE_CALLBACKS = ("hess_vv_g", "jac_uv_g")
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
+def test_shared_terms_match_a_fresh_instance_bitwise(name):
+    # one long-lived instance against a fresh one per call: repeated and
+    # alternating points, in-place changes to p.v, and a (1, V) batch
+    # holding the bytes of a single point
+    make = MEMO_PROBLEMS[name]
+    o = make().oracle
+    rng = make_rng(11, 0x3E30)
+
+    def draw():
+        return Point(rng.uniform(-3.0, 3.0, o.dim_u),
+                     rng.standard_normal(o.dim_v))
+
+    p, prev = draw(), draw()
+    for _ in range(150):
+        move = rng.integers(5)          # 4: call again at the same point
+        if move == 0:
+            p, prev = draw(), p
+        elif move == 1:
+            p, prev = prev, p
+        elif move == 2:
+            p.v[..., rng.integers(o.dim_v)] += rng.standard_normal()
+        elif move == 3:
+            p = (Point(p.u[None], p.v[None]) if p.u.ndim == 1
+                 else Point(p.u[0], p.v[0]))
+        names = BATCH_CALLBACKS + (DENSE_CALLBACKS if p.u.ndim == 1 else ())
+        cb = names[rng.integers(len(names))]
+        args = (p,)
+        if cb in ("hvp_vv_g", "jvp_uv_g"):
+            args = (p, rng.standard_normal(p.v.shape))
+        got = np.asarray(getattr(o, cb)(*args))
+        want = np.asarray(getattr(make().oracle, cb)(*args))
+        assert got.shape == want.shape, cb
+        assert got.tobytes() == want.tobytes(), cb
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
+def test_callback_outputs_do_not_alias_shared_terms(name):
+    # a caller may write into what a callback returns; the next call at
+    # the same point must not see it
+    o = MEMO_PROBLEMS[name]().oracle
+    rng = make_rng(5, 0xA11A)
+    p = Point(rng.uniform(-3.0, 3.0, o.dim_u), rng.standard_normal(o.dim_v))
+    q = rng.standard_normal(o.dim_v)
+    for cb, args in (("grad_u_f", (p,)), ("grad_v_f", (p,)),
+                     ("grad_v_g", (p,)), ("hvp_vv_g", (p, q)),
+                     ("jvp_uv_g", (p, q)), ("hess_vv_g", (p,)),
+                     ("jac_uv_g", (p,))):
+        first = getattr(o, cb)(*args)
+        want = first.tobytes()
+        first[...] = np.nan
+        assert getattr(o, cb)(*args).tobytes() == want, cb
+
+
+def test_memo_keys_on_value_and_stores_read_only():
+    calls = []
+
+    def terms(u, v):
+        calls.append(1)
+        return u + v, u * v
+
+    memo = _memo(terms)
+    u, v = np.arange(3.0), np.ones(3)
+    first = memo(u, v)
+    assert memo(u.copy(), v.copy()) is first and len(calls) == 1
+    for x in first:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[...] = 0.0
+    v[0] = 2.0                          # changed in place: a miss
+    assert memo(u, v)[0][0] == 2.0 and len(calls) == 2
+    memo(u[None], v[None])              # same bytes, new shape: a miss
+    memo(u.astype(np.float32), v)       # new dtype: a miss
+    assert len(calls) == 4
+    memo(u, v)                          # one slot: the old key is gone
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), scale=st.floats(0.1, 3.0))
+def test_fd_check_at_random_points(name, seed, scale):
+    inst = PROBLEMS[name].factory(seed)
+    o = inst.oracle
+    rng = make_rng(seed, 0xFD)
+    p = Point(rng.uniform(-scale, scale, o.dim_u),
+              rng.uniform(-scale, scale, o.dim_v))
+    rep = fd_check_oracle(o, p)
+    assert rep.max_error < 1e-4, str(rep)
