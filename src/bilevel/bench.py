@@ -352,13 +352,17 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
                seed=0, record_every=1):
     """Run `trials` independent trials of one solver on one problem.
 
-    Returns a list of TrialResult in trial order. cfg is a dict of
-    PenaltyConfig fields (the problem supplies box; p0 is drawn per trial).
+    Returns a list of TrialResult in trial order. cfg is a dict of the
+    PenaltyConfig fields the solver reads (SOLVER_KEYS[solver]; the
+    problem supplies box, and p0 is drawn per trial).
     """
     pparams = dict(pparams or {})
     cfgkw = dict(cfg or {})
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver {solver!r}")
+    unread = sorted(set(cfgkw) - SOLVER_KEYS[solver])
+    if unread:
+        raise ConfigError(f"solver {solver!r} does not read key(s) {unread}")
     workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:

@@ -161,6 +161,24 @@ def penalty_value(oracle: ProblemOracle, p: Point,
     return f + 0.5 * np.asarray(params.gamma) * pen
 
 
+def _add(acc, x):
+    """acc + x for an array acc made here, written into acc when x has
+    its shape and dtype (the sum then has them too); bitwise equal to
+    acc + x either way."""
+    if x.shape == acc.shape and x.dtype == acc.dtype:
+        acc += x
+        return acc
+    return acc + x
+
+
+def _weighted_h(oracle, p, params):
+    """gamma h + nu_h, the vector the constraint Jacobian is applied to."""
+    mu = params.gamma_col * oracle.eval_h(p)
+    if params.nu_h is not None:
+        mu = _add(mu, params.nu_h)
+    return mu
+
+
 def penalty_grad_v(oracle: ProblemOracle, p: Point,
                    params: PenaltyParams) -> np.ndarray:
     """v-gradient of the penalized objective.
@@ -174,16 +192,12 @@ def penalty_grad_v(oracle: ProblemOracle, p: Point,
     gvg = oracle.grad_v_g(p)
     w = params.gamma_col * gvg
     if params.nu is not None:
-        w = w + params.nu
+        w = _add(w, params.nu)
     out = gvf + oracle.hvp_vv_g(p, w)
     if params.lam_col is not None:
-        out = out + params.lam_col * gvg
+        out = _add(out, params.lam_col * gvg)
     if oracle.has_constraints:
-        h = oracle.eval_h(p)
-        mu = params.gamma_col * h
-        if params.nu_h is not None:
-            mu = mu + params.nu_h
-        out = out + oracle.jtvp_v_h(p, mu)
+        out = _add(out, oracle.jtvp_v_h(p, _weighted_h(oracle, p, params)))
     return out
 
 
@@ -194,14 +208,10 @@ def penalty_grad_u(oracle: ProblemOracle, p: Point,
     gvg = oracle.grad_v_g(p)
     w = params.gamma_col * gvg
     if params.nu is not None:
-        w = w + params.nu
+        w = _add(w, params.nu)
     out = guf + oracle.jvp_uv_g(p, w)
     if oracle.has_constraints:
-        h = oracle.eval_h(p)
-        mu = params.gamma_col * h
-        if params.nu_h is not None:
-            mu = mu + params.nu_h
-        out = out + oracle.jtvp_u_h(p, mu)
+        out = _add(out, oracle.jtvp_u_h(p, _weighted_h(oracle, p, params)))
     return out
 
 

@@ -52,25 +52,37 @@ def _mat_t_vec(A, y):
 
 
 def _memo(fn):
-    """One-slot memo of ``fn(*arrays)`` for a term two callbacks share.
+    """One-slot memo of ``fn(a)`` or ``fn(a, b)`` for a term two callbacks
+    share.
 
-    The key is each argument's shape, dtype and bytes, so equal values hit
-    whatever array holds them, and a point changed in place misses. The
-    result (an array or a tuple of them) is stored read-only: a hit hands
-    out the very arrays of the miss, which no caller may alter.
+    The key is each argument's shape, dtype and bytes, in one flat tuple,
+    so equal values hit whatever array holds them, and a point changed in
+    place misses. The result (an array or a tuple of them) is stored
+    read-only: a hit hands out the very arrays of the miss, which no
+    caller may alter.
     """
     key = out = None
 
-    def memo(*arrays):
+    def store(k, res):
         nonlocal key, out
-        k = [(a.shape, a.dtype, a.tobytes()) for a in arrays]
-        if k != key:
-            res = fn(*arrays)
-            for x in res if isinstance(res, tuple) else (res,):
-                if isinstance(x, np.ndarray):
-                    x.flags.writeable = False
-            key, out = k, res
-        return out
+        for x in res if isinstance(res, tuple) else (res,):
+            if isinstance(x, np.ndarray):
+                x.setflags(write=False)
+        key, out = k, res
+        return res
+
+    arity = fn.__code__.co_argcount
+    if arity == 1:
+        def memo(a):
+            k = (a.shape, a.dtype, a.tobytes())
+            return out if k == key else store(k, fn(a))
+    elif arity == 2:
+        def memo(a, b):
+            k = (a.shape, a.dtype, a.tobytes(), b.shape, b.dtype, b.tobytes())
+            return out if k == key else store(k, fn(a, b))
+    else:
+        raise ContractViolationError(f"_memo takes 1 or 2 arguments, "
+                                     f"not {arity}")
     return memo
 
 

@@ -23,7 +23,9 @@ the recorder and the numeric-abort path. A method supplies two callbacks:
 
 The driver and the callbacks look up stepper_step, project_box, the
 penalty gradients, the estimators, attach_counters and _Recorder as module
-globals at call time, so a timing harness can wrap them in place.
+globals at call time, so a timing harness can wrap them in place. The box
+clamps each stepper output in place (``out=``), since a step always
+returns a fresh array.
 
 All solvers accept either a single point (u: (U,), v: (V,)) or a lockstep
 batch of independent trials (u: (B, U), v: (B, V)); per-trial penalty
@@ -328,7 +330,7 @@ def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Optional[Point],
         except NumericError as exc:
             _abort(f"{exc} (u-iteration {k})", rec)
         if box is not None:
-            u = project_box(u, box)
+            u = project_box(u, box, out=u)
         gu_sq = sqnorm(du)
         tol_sq = gu_sq if gv_sq is None else gu_sq + gv_sq
         finite = np.isfinite(tol_sq)
@@ -366,8 +368,11 @@ def _schedule_weights(cfg, gamma, lam, nu, nu_h):
     # v-step size shrinks with the penalty weight so the step on the
     # gamma-scaled stationarity term stays constant; without this the
     # v iterate limit-cycles at amplitude rho0 and the u-gradient
-    # inherits gamma * rho0 noise.
-    return params, cfg.rho0 * (cfg.gamma0 / gamma)[:, None]
+    # inherits gamma * rho0 noise. Read-only, so the v-stepper checks it
+    # once per phase rather than on every step.
+    rho_k = cfg.rho0 * (cfg.gamma0 / gamma)[:, None]
+    rho_k.setflags(write=False)
+    return params, rho_k
 
 
 def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
@@ -395,7 +400,7 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
                 gv = penalty_grad_v(alg, Point(u, v), params)
                 v = stepper_step(st_v, v, gv, rho_k)
                 if box is not None:
-                    v = project_box(v, box)
+                    v = project_box(v, box, out=v)
             return penalty_grad_u(alg, Point(u, v), params), v, sqnorm(gv)
 
         def schedule(u, v, tol_sq):
@@ -482,7 +487,7 @@ def gd_alternating(oracle: ProblemOracle, cfg: PenaltyConfig,
                 gv = alg.grad_v_g(Point(u, v))
                 v = stepper_step(st_v, v, gv, cfg.rho0)
                 if box is not None:
-                    v = project_box(v, box)
+                    v = project_box(v, box, out=v)
             return alg.grad_u_f(Point(u, v)), v, sqnorm(gv)
 
         return step, _nan_schedule(v.shape[0])

@@ -570,10 +570,12 @@ class TestRunTrialsApi:
     def test_batched_equals_serial(self, problem, solver, extra):
         # trial i of a lockstep batch reproduces trial i run alone, bit
         # for bit, through the batched and the single-point factories;
-        # counters are not compared, since a batch shares one
+        # counters are not compared, since a batch shares one. Each
+        # solver gets the keys it reads, at one value per key
         cfg = dict(K=30, T=5, sigma0=1e-3, rho0=1e-4, gamma0=1.0, eps0=1.0,
                    lambda0=10.0)
         cfg.update(extra)
+        cfg = {k: v for k, v in cfg.items() if k in SOLVER_KEYS[solver]}
         batched = _run_chunk(problem, {}, solver, cfg, 5, [0, 1, 2], 1)
         for i in range(3):
             alone = _run_chunk(problem, {}, solver, cfg, 5, [i], 1)[0]
@@ -582,6 +584,16 @@ class TestRunTrialsApi:
             got, want = batched[i].final_point, alone.final_point
             assert got.u.tobytes() == want.u.tobytes()
             assert got.v.tobytes() == want.v.tobytes()
+
+    @pytest.mark.parametrize("solver, key", [
+        ("gd", "gamma0"), ("rmd", "lambda0"), ("approxgrad", "eps0"),
+        ("penalty_plain", "nu0"), ("penalty", "approx_reg"),
+        ("gd", "box"), ("penalty", "seed")])
+    def test_unread_key_rejected(self, solver, key):
+        with pytest.raises(ConfigError) as err:
+            run_trials("example1", solver, pparams={"dim": 4},
+                       cfg={"K": 2, key: 1.0})
+        assert repr(solver) in str(err.value) and repr(key) in str(err.value)
 
     def test_constrained_pipeline_adds_slacks(self):
         res = run_trials("constrained_toy", "penalty", cfg=dict(K=20, T=2),

@@ -200,6 +200,104 @@ class TestAdamBitIdentity:
             stepper_step(st_, np.zeros((2, 3)), grad, np.full((2, 1), 0.1))
 
 
+def frozen(x):
+    x = np.array(x, dtype=np.float64)
+    x.setflags(write=False)
+    return x
+
+
+class TestRateRule:
+    # a rate is checked on first use; a stepper skips the check only for
+    # the very object it last accepted, when that object cannot change
+
+    @pytest.mark.parametrize("kind", ["adam", "plain-gd"])
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan,
+                                    frozen([[0.1], [-0.1]]),
+                                    frozen([[np.nan], [0.1]])],
+                             ids=["zero", "negative", "nan", "neg-frozen",
+                                  "nan-frozen"])
+    def test_bad_rate_rejected_on_first_use(self, kind, lr):
+        st_ = make_stepper(kind, (2, 2))
+        with pytest.raises(ContractViolationError, match="lr"):
+            stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)), lr)
+        assert st_.step_count == 0
+
+    @pytest.mark.parametrize("kind", ["adam", "plain-gd"])
+    @pytest.mark.parametrize("good, bad", [
+        (0.1, -0.1), (frozen([[0.1], [0.2]]), frozen([[0.1], [-0.2]]))],
+        ids=["float", "frozen"])
+    def test_new_rate_object_checked_again(self, kind, good, bad):
+        st_ = make_stepper(kind, (2, 2))
+        p = stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)), good)
+        p = stepper_step(st_, p, np.ones((2, 2)), good)
+        with pytest.raises(ContractViolationError, match="lr"):
+            stepper_step(st_, p, np.ones((2, 2)), bad)
+
+    @pytest.mark.parametrize("kind", ["adam", "plain-gd"])
+    def test_writable_rate_checked_on_every_call(self, kind):
+        st_ = make_stepper(kind, (2, 2))
+        lr = np.full((2, 1), 0.1)
+        p = stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)), lr)
+        lr[1] = -0.1
+        with pytest.raises(ContractViolationError, match="lr"):
+            stepper_step(st_, p, np.ones((2, 2)), lr)
+        lr[1] = np.nan
+        with pytest.raises(ContractViolationError, match="lr"):
+            stepper_step(st_, p, np.ones((2, 2)), lr)
+
+    def test_read_only_view_of_writable_rate_checked_on_every_call(self):
+        # the view cannot be written, but its base can
+        st_ = make_stepper("adam", (2, 2))
+        base = np.full((2, 1), 0.1)
+        lr = base[...]
+        lr.setflags(write=False)
+        p = stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)), lr)
+        base[0] = -0.1
+        with pytest.raises(ContractViolationError, match="lr"):
+            stepper_step(st_, p, np.ones((2, 2)), lr)
+
+    def test_rate_must_broadcast_to_params(self):
+        st_ = make_stepper("adam", (2, 2))
+        with pytest.raises(ContractViolationError, match="broadcast"):
+            stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)),
+                         np.full((3, 1), 0.1))
+
+    def test_schedule_rate_is_read_only(self):
+        from bilevel.solvers import PenaltyConfig, _schedule_weights
+        _, rho_k = _schedule_weights(PenaltyConfig(), np.array([1.0, 2.0]),
+                                     0.0, None, None)
+        assert rho_k.shape == (2, 1) and not rho_k.flags.writeable
+        with pytest.raises(ValueError):
+            rho_k[0] = -1.0
+        with pytest.raises(ValueError):
+            rho_k *= -1.0
+        np.testing.assert_array_equal(rho_k, [[1e-4], [5e-5]])
+
+    def test_checks_kept_with_an_accepted_rate(self):
+        # shape and gradient finiteness are checked on every step
+        st_ = make_stepper("adam", (2, 2))
+        lr = frozen([[0.1], [0.1]])
+        p = stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)), lr)
+        with pytest.raises(NumericError):
+            stepper_step(st_, p, np.array([[1.0, np.inf], [1.0, 1.0]]), lr)
+        with pytest.raises(ContractViolationError):
+            stepper_step(st_, p, np.ones((2, 3)), lr)
+        with pytest.raises(ContractViolationError):
+            stepper_step(st_, np.zeros((2, 3)), np.ones((2, 3)), lr)
+
+    def test_outputs_survive_later_steps(self):
+        # the scratch is reused, the returned points are not
+        st_ = make_stepper("adam", (3, 2))
+        p = np.zeros((3, 2))
+        outs = []
+        for g in (1.0, -2.0, 3.0):
+            p = stepper_step(st_, p, np.full((3, 2), g), 0.1)
+            outs.append((p, p.tobytes()))
+        for out, before in outs:
+            assert out.tobytes() == before
+        assert not np.shares_memory(outs[0][0], outs[1][0])
+
+
 class TestProjectBox:
     def test_clamp(self):
         out = project_box(np.array([6.0, -7.0, 0.0]), BoxBounds(-5, 5))
@@ -236,6 +334,15 @@ class TestProjectBox:
             got = project_box(arr, box)
             want = np.clip(arr, box.lo, box.hi)
             assert got.tobytes() == want.tobytes()
+
+    def test_out_clamps_in_place(self):
+        x = np.array([[6.0, -7.0], [0.5, -0.0]])
+        want = np.clip(x, -5.0, 5.0)
+        kept = x.copy()
+        fresh = project_box(x, BoxBounds(-5, 5))
+        assert fresh is not x and x.tobytes() == kept.tobytes()
+        assert project_box(x, BoxBounds(-5, 5), out=x) is x
+        assert x.tobytes() == want.tobytes() == fresh.tobytes()
 
     def test_invalid_box(self):
         with pytest.raises(ContractViolationError):

@@ -325,6 +325,17 @@ class TestSlackify:
         p = point([0.4, 0.8], -0.2)
         assert fd_check_oracle(o, p).max_error < 1e-4
 
+    @given(st.integers(0, 2**16), st.floats(0.1, 3.0), st.floats(0.05, 3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_fd_check_at_random_points(self, seed, scale, s):
+        # random (u, v) on the constrained toy with a positive slack s
+        o = slackify(make_constrained_toy(seed).oracle)
+        rng = make_rng(seed, 0x51AC)
+        p = point([rng.uniform(-scale, scale), s],
+                  rng.uniform(-scale, scale))
+        rep = fd_check_oracle(o, p)
+        assert rep.max_error < 1e-4, str(rep)
+
     def test_single_point_batched_gamma(self):
         # a (B,) gamma on a single point gives (B, U + C) u-gradients,
         # row i equal to the call with gamma[i] alone

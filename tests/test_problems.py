@@ -492,6 +492,24 @@ def test_memo_keys_on_value_and_stores_read_only():
     assert len(calls) == 5
 
 
+def test_memo_single_argument_and_arity():
+    calls = []
+
+    def half(v):
+        calls.append(1)
+        return 0.5 * v
+
+    memo = _memo(half)
+    v = np.arange(4.0)
+    first = memo(v)
+    assert memo(v.copy()) is first and len(calls) == 1
+    assert not first.flags.writeable
+    memo(v.reshape(2, 2))               # same bytes, new shape: a miss
+    assert len(calls) == 2
+    with pytest.raises(ContractViolationError):
+        _memo(lambda a, b, c: a)
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**16), scale=st.floats(0.1, 3.0))

@@ -594,3 +594,120 @@ def test_abort_names_k_and_trials(solver):
     assert "u-iteration 0" in str(err.value)
     assert "trial(s) [1]" in str(err.value)
     assert [len(trace) for trace in err.value.traces] == [0, 0]
+
+
+@pytest.mark.parametrize("solver", ["penalty", "gd"])
+def test_infinite_inner_gradient_aborts_under_plain_gd_with_box(solver):
+    # one +inf v-gradient at the second of three v-steps of u-iteration 3:
+    # plain GD turns v infinite and the box clamps it back to the bound,
+    # so only the stepper's own finiteness check can catch it
+    inst = ex1(dim=3)
+    state = {"rows": 0, "armed": None}
+
+    def metric(p):
+        state["rows"] += 1
+        if state["rows"] == 3:
+            state["armed"] = 2      # the 2nd grad_v_g call after row k=2
+        return inst.metric(p)
+
+    def grad_v_g(p):
+        out = inst.oracle.grad_v_g(p)
+        if state["armed"] is not None:
+            state["armed"] -= 1
+            if state["armed"] == 0:
+                out = np.full_like(out, np.inf)
+                state["armed"] = None
+        return out
+
+    from dataclasses import replace
+    o = replace(inst.oracle, grad_v_g=grad_v_g)
+    cfg = PenaltyConfig(K=10, T=3, stepper="plain-gd", box=inst.box)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+        RECORDED_SOLVERS[solver](o, cfg, stacked_points(inst, (1, 2)),
+                                 metric=metric)
+    assert "non-finite gradient passed to stepper" in str(err.value)
+    assert "(u-iteration 3)" in str(err.value)
+    assert [[row.k for row in trace.rows] for trace in err.value.traces] \
+        == [[0, 1, 2]] * 2
+
+
+def textbook_stepper_step(state, params, grad, lr):
+    """The allocating stepper: the textbook update, each temporary a new
+    array, the rate and the gradient checked on every step."""
+    if params.shape != grad.shape:
+        raise ContractViolationError("shape")
+    if not np.all(np.asarray(lr) > 0):
+        raise ContractViolationError("lr must be positive")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient passed to stepper")
+    state.step_count += 1
+    if state.kind == "plain-gd":
+        return params - lr * grad
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    m = b1 * state.m + (1.0 - b1) * grad
+    s = b2 * state.s + ((1.0 - b2) * grad) * grad
+    state.m[...] = m
+    state.s[...] = s
+    mhat = m / (1.0 - b1**t)
+    shat = s / (1.0 - b2**t)
+    return params - (lr * mhat) / (np.sqrt(shat) + state.eps_hat)
+
+
+def textbook_project_box(params, box, out=None):
+    return np.clip(params, box.lo, box.hi)
+
+
+def textbook_penalty_grad_v(oracle, p, params):
+    gvf = oracle.grad_v_f(p)
+    gvg = oracle.grad_v_g(p)
+    w = params.gamma_col * gvg
+    if params.nu is not None:
+        w = w + params.nu
+    out = gvf + oracle.hvp_vv_g(p, w)
+    if params.lam_col is not None:
+        out = out + params.lam_col * gvg
+    if oracle.has_constraints:
+        mu = params.gamma_col * oracle.eval_h(p)
+        if params.nu_h is not None:
+            mu = mu + params.nu_h
+        out = out + oracle.jtvp_v_h(p, mu)
+    return out
+
+
+@pytest.mark.parametrize("sid", [1, 4])
+@pytest.mark.parametrize("boxed", [True, False], ids=["box", "nobox"])
+@pytest.mark.parametrize("stepper", ["adam", "plain-gd"])
+@pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd", "rmd",
+                                    "approxgrad"])
+def test_lean_path_matches_textbook_formulas(monkeypatch, solver, stepper,
+                                             boxed, sid):
+    # the scratch stepper, the in-place box and the in-place penalty
+    # assembly against allocating versions of the same formulas; the box
+    # is tight enough to clamp, and while_cap = 4 advances the penalty
+    # schedule, so the v-stepper meets several rate objects
+    inst = make_synthetic(sid, dim=4, seed=2)
+    box = BoxBounds(-1.0, 1.0) if boxed else None
+    cfg = PenaltyConfig(K=60, T=3, stepper=stepper, box=box, while_cap=4,
+                        nu0=0.5)
+    p0 = stacked_points(inst, (3, 4, 5))
+
+    def run():
+        counters = OracleCounters()
+        point, traces = RECORDED_SOLVERS[solver](
+            inst.oracle, cfg, p0, metric=inst.metric, record_every=1,
+            counters=counters)
+        return point, traces, counters
+
+    lean = run()
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "stepper_step", textbook_stepper_step)
+        m.setattr(solvers, "project_box", textbook_project_box)
+        m.setattr(solvers, "penalty_grad_v", textbook_penalty_grad_v)
+        ref = run()
+    assert lean[2] == ref[2]
+    for got, want in zip(lean[1], ref[1]):
+        assert traces_equal(got, want)
+    assert np.isfinite(lean[0].u).all() and np.isfinite(lean[0].v).all()
+    assert lean[0].u.tobytes() == ref[0].u.tobytes()
+    assert lean[0].v.tobytes() == ref[0].v.tobytes()
