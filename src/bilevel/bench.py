@@ -661,8 +661,10 @@ def _check(problem: str, level: str, seed: int, say) -> int:
         results = run_trials(problem, "penalty", pparams={}, cfg=cfgkw,
                              trials=1, seed=seed, record_every=10**9)
         final = results[0].final_point
-        run_oracle = (slackify(oracle) if oracle.has_constraints else oracle)
-        report = kkt_residual(run_oracle, final)
+        # the instance trial 0 solved, not the one built from `seed`
+        solved = get_problem(problem).factory(derive_seed(seed, 0)).oracle
+        report = kkt_residual(
+            slackify(solved) if solved.has_constraints else solved, final)
         say(f"check {problem} kkt: feasibility={report.feasibility:.3e} "
             f"stationarity={report.stationarity:.3e} rank={report.rank}")
         if instance.expects_singular:

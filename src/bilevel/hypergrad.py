@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (ContractViolationError, ConvergenceError,
                      SingularHessianError)
-from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
-                     penalty_grad_v, rel_err)
+from .oracle import (PenaltyParams, Point, ProblemOracle, central_diff,
+                     penalty_grad_u, penalty_grad_v, rel_err)
 
 COND_CAP = 1e12
 
@@ -43,16 +43,6 @@ def exact_hypergrad(oracle: ProblemOracle, p: Point) -> np.ndarray:
     return oracle.grad_u_f(p) - oracle.jac_uv_g(p) @ q
 
 
-def _fd_jacobian(residual, x, eps=1e-6):
-    n = x.size
-    J = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros_like(x)
-        step[j] = eps
-        J[:, j] = (residual(x + step) - residual(x - step)) / (2.0 * eps)
-    return J
-
-
 def newton_root(residual, x0, tol, max_iter=100, what="newton_root",
                 jacobian=None):
     """Damped Newton on a smooth residual.
@@ -67,7 +57,8 @@ def newton_root(residual, x0, tol, max_iter=100, what="newton_root",
         rn = np.linalg.norm(r)
         if rn <= tol:
             return x
-        J = _fd_jacobian(residual, x) if jacobian is None else jacobian(x)
+        J = (central_diff(residual, x, 1e-6).T if jacobian is None
+             else jacobian(x))
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -120,16 +111,11 @@ def fd_hypergrad(oracle: ProblemOracle, u, v0, inner_tol: float = 1e-10,
     """
     u = np.asarray(u, dtype=np.float64)
     v_star = solve_lower_level(oracle, u, v0, inner_tol)
-    out = np.empty_like(u)
-    for i in range(u.size):
-        step = np.zeros_like(u)
-        step[i] = fd_eps
-        v_plus = solve_lower_level(oracle, u + step, v_star, inner_tol)
-        v_minus = solve_lower_level(oracle, u - step, v_star, inner_tol)
-        f_plus = oracle.eval_f(Point(u + step, v_plus))
-        f_minus = oracle.eval_f(Point(u - step, v_minus))
-        out[i] = (f_plus - f_minus) / (2.0 * fd_eps)
-    return out
+
+    def f_at(x):
+        return oracle.eval_f(
+            Point(x, solve_lower_level(oracle, x, v_star, inner_tol)))
+    return central_diff(f_at, u, fd_eps)
 
 
 def verify_lemma3(oracle: ProblemOracle, u, gamma: float,

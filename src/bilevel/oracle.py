@@ -239,75 +239,55 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
 
     The returned oracle has upper dimension U + C; the appended
     coordinates are the slacks s, optimized jointly with u. Costs ignore
-    s; the constraint Jacobian-transpose gains the diagonal 2s block.
+    s: each callback is the base one on the u-prefix (``on_base``), a
+    u-gradient padded with zero slack coordinates, except that ``eval_h``
+    adds s^2, ``jtvp_u_h`` gains the diagonal 2s block and the dense
+    ``jac_uv_g`` gains zero slack rows.
     """
     if oracle.dim_c < 1:
         raise ContractViolationError("slackify needs at least one constraint")
     U, C = oracle.dim_u, oracle.dim_c
     base = oracle
 
-    def split(p: Point):
-        return Point(p.u[..., :U], p.v), p.u[..., U:]
+    def on_base(fn, pad=False):
+        """fn at (u[..., :U], v); pad appends C zero slack coordinates."""
+        def lifted(p, *args):
+            out = fn(Point(p.u[..., :U], p.v), *args)
+            if pad:
+                out = np.concatenate(
+                    [out, np.zeros(out.shape[:-1] + (C,))], axis=-1)
+            return out
+        return lifted
 
-    def pad_u(vec):
-        return np.concatenate([vec, np.zeros(vec.shape[:-1] + (C,))],
-                              axis=-1)
-
-    def eval_f(p):
-        q, _ = split(p)
-        return base.eval_f(q)
-
-    def eval_g(p):
-        q, _ = split(p)
-        return base.eval_g(q)
-
-    def grad_u_f(p):
-        q, _ = split(p)
-        return pad_u(base.grad_u_f(q))
-
-    def grad_v_f(p):
-        q, _ = split(p)
-        return base.grad_v_f(q)
-
-    def grad_v_g(p):
-        q, _ = split(p)
-        return base.grad_v_g(q)
-
-    def hvp(p, vec):
-        q, _ = split(p)
-        return base.hvp_vv_g(q, vec)
-
-    def jvp(p, vec):
-        q, _ = split(p)
-        return pad_u(base.jvp_uv_g(q, vec))
+    base_h = on_base(base.eval_h)
+    base_jtvp_u_h = on_base(base.jtvp_u_h)
 
     def eval_h(p):
-        q, s = split(p)
-        return base.eval_h(q) + s * s
+        s = p.u[..., U:]
+        return base_h(p) + s * s
 
     def jtvp_u_h(p, mu):
-        q, s = split(p)
-        return np.concatenate([base.jtvp_u_h(q, mu), 2.0 * s * mu], axis=-1)
+        return np.concatenate([base_jtvp_u_h(p, mu), 2.0 * p.u[..., U:] * mu],
+                              axis=-1)
 
-    def jtvp_v_h(p, mu):
-        q, _ = split(p)
-        return base.jtvp_v_h(q, mu)
-
-    hess = None
-    jac = None
+    hess = jac = None
     if base.has_dense:
-        hess = lambda p: base.hess_vv_g(split(p)[0])
+        hess = on_base(base.hess_vv_g)
+        base_jac = on_base(base.jac_uv_g)
 
         def jac(p):
-            q, _ = split(p)
-            return np.concatenate(
-                [base.jac_uv_g(q), np.zeros((C, base.dim_v))], axis=0)
+            return np.concatenate([base_jac(p), np.zeros((C, base.dim_v))],
+                                  axis=0)
 
     return ProblemOracle(
         name=base.name + "+slack", dim_u=U + C, dim_v=base.dim_v, dim_c=C,
-        eval_f=eval_f, eval_g=eval_g, grad_u_f=grad_u_f, grad_v_f=grad_v_f,
-        grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp, eval_h=eval_h,
-        jtvp_u_h=jtvp_u_h, jtvp_v_h=jtvp_v_h, hess_vv_g=hess, jac_uv_g=jac)
+        eval_f=on_base(base.eval_f), eval_g=on_base(base.eval_g),
+        grad_u_f=on_base(base.grad_u_f, pad=True),
+        grad_v_f=on_base(base.grad_v_f), grad_v_g=on_base(base.grad_v_g),
+        hvp_vv_g=on_base(base.hvp_vv_g),
+        jvp_uv_g=on_base(base.jvp_uv_g, pad=True), eval_h=eval_h,
+        jtvp_u_h=jtvp_u_h, jtvp_v_h=on_base(base.jtvp_v_h), hess_vv_g=hess,
+        jac_uv_g=jac)
 
 
 def initial_slacks(oracle: ProblemOracle, p: Point) -> np.ndarray:
@@ -341,13 +321,16 @@ class FdCheckReport:
         return f"FdCheckReport({rows})"
 
 
-def _fd_grad(fun, x, eps):
-    out = np.empty_like(x)
+def central_diff(fun, x, eps):
+    """Central differences of fun at x, one row per coordinate:
+    row i is (fun(x + eps e_i) - fun(x - eps e_i)) / (2 eps). For a scalar
+    fun this is the gradient; for fun(x) = A @ x it is A.T."""
+    rows = []
     for i in range(x.size):
         step = np.zeros_like(x)
         step[i] = eps
-        out[i] = (fun(x + step) - fun(x - step)) / (2.0 * eps)
-    return out
+        rows.append((fun(x + step) - fun(x - step)) / (2.0 * eps))
+    return np.array(rows)
 
 
 def fd_check_oracle(oracle: ProblemOracle, p: Point,
@@ -356,8 +339,10 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point,
 
     Report-only: returns per-callback max relative error (denominator
     max(1, ||exact||)), never raises on mismatch. Second-order and
-    constraint products are probed along two random unit directions
-    from a fixed stream.
+    constraint products are probed along two random unit directions from
+    a fixed stream: hvp_vv_g by differences of grad_v_g along the
+    direction, jvp_uv_g by the mixed-derivative matrix (``central_diff``
+    of grad_v_g over u, built once) times the direction.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ContractViolationError("fd eps must lie in [1e-7, 1e-3]")
@@ -367,15 +352,16 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point,
     errors = {}
 
     errors["grad_u_f"] = rel_err(
-        _fd_grad(lambda x: oracle.eval_f(Point(x, v)), u, eps),
+        central_diff(lambda x: oracle.eval_f(Point(x, v)), u, eps),
         oracle.grad_u_f(p))
     errors["grad_v_f"] = rel_err(
-        _fd_grad(lambda x: oracle.eval_f(Point(u, x)), v, eps),
+        central_diff(lambda x: oracle.eval_f(Point(u, x)), v, eps),
         oracle.grad_v_f(p))
     errors["grad_v_g"] = rel_err(
-        _fd_grad(lambda x: oracle.eval_g(Point(u, x)), v, eps),
+        central_diff(lambda x: oracle.eval_g(Point(u, x)), v, eps),
         oracle.grad_v_g(p))
 
+    mixed = central_diff(lambda x: oracle.grad_v_g(Point(x, v)), u, eps)
     hvp_err = 0.0
     jvp_err = 0.0
     for _ in range(2):
@@ -384,15 +370,7 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point,
         fd_hvp = (oracle.grad_v_g(Point(u, v + eps * q))
                   - oracle.grad_v_g(Point(u, v - eps * q))) / (2.0 * eps)
         hvp_err = max(hvp_err, rel_err(fd_hvp, oracle.hvp_vv_g(p, q)))
-        # row i of the mixed matrix times q, via differences along u_i
-        fd_jvp = np.empty(oracle.dim_u)
-        for i in range(oracle.dim_u):
-            step = np.zeros_like(u)
-            step[i] = eps
-            fd_jvp[i] = np.dot(
-                oracle.grad_v_g(Point(u + step, v))
-                - oracle.grad_v_g(Point(u - step, v)), q) / (2.0 * eps)
-        jvp_err = max(jvp_err, rel_err(fd_jvp, oracle.jvp_uv_g(p, q)))
+        jvp_err = max(jvp_err, rel_err(mixed @ q, oracle.jvp_uv_g(p, q)))
     errors["hvp_vv_g"] = hvp_err
     errors["jvp_uv_g"] = jvp_err
 
@@ -402,10 +380,10 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point,
         for _ in range(2):
             mu = rng.standard_normal(oracle.dim_c)
             mu /= np.linalg.norm(mu)
-            fd_u = _fd_grad(
+            fd_u = central_diff(
                 lambda x: np.dot(oracle.eval_h(Point(x, v)), mu), u, eps)
             ju_err = max(ju_err, rel_err(fd_u, oracle.jtvp_u_h(p, mu)))
-            fd_v = _fd_grad(
+            fd_v = central_diff(
                 lambda x: np.dot(oracle.eval_h(Point(u, x)), mu), v, eps)
             jv_err = max(jv_err, rel_err(fd_v, oracle.jtvp_v_h(p, mu)))
         errors["jtvp_u_h"] = ju_err

@@ -705,6 +705,8 @@ def make_hyperparam_ridge(seed: int = 0, n: int = 80, d: int = 6,
     """
     if not n >= d >= 1:
         raise ContractViolationError("need n >= d >= 1")
+    if not 0.0 <= reg_true < np.inf:
+        raise ContractViolationError("reg_true must be finite and >= 0")
     rng = make_rng(seed, 0x61D)
     w0 = rng.standard_normal(d)
     X = rng.standard_normal((n, d))

@@ -505,6 +505,34 @@ def _require_unconstrained(oracle, who):
             f"{who} handles unconstrained problems only (h must be absent)")
 
 
+ESTIMATORS = ("rmd", "fmd", "approxgrad")
+
+
+def stored_vecs(estimator: str, T: int, dim_u: int) -> int:
+    """Peak stored V-vectors of an estimator (see OracleCounters)."""
+    return {"rmd": T + 1, "fmd": dim_u + 1, "approxgrad": 2}[estimator]
+
+
+def _check_estimator(oracle, who, rho, **horizons):
+    """The estimators' common input rules: no constraints, every horizon
+    >= 1 and rho > 0 (`not > 0` also rejects NaN)."""
+    _require_unconstrained(oracle, who)
+    for name, n in horizons.items():
+        if n < 1:
+            raise ContractViolationError(f"{name} must be >= 1")
+    if not rho > 0:
+        raise ContractViolationError("rho must be positive")
+
+
+def _counted(oracle, counters, estimator, T):
+    """The oracle an estimator calls: with counters, a counting view, and
+    the estimator's stored vectors recorded."""
+    if counters is None:
+        return oracle
+    counters.record_stored(stored_vecs(estimator, T, oracle.dim_u))
+    return attach_counters(oracle, counters)
+
+
 def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
                   T: int, rho: float,
                   counters: Optional[OracleCounters] = None):
@@ -516,14 +544,8 @@ def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     Returns (p, v_T). Stores T+1 trajectory vectors and uses exactly T
     hvp and T jvp calls.
     """
-    _require_unconstrained(oracle, "rmd_hypergrad")
-    if T < 1:
-        raise ContractViolationError("T must be >= 1")
-    if not rho > 0:
-        raise ContractViolationError("rho must be positive")
-    alg = attach_counters(oracle, counters) if counters is not None else oracle
-    if counters is not None:
-        counters.record_stored(T + 1)
+    _check_estimator(oracle, "rmd_hypergrad", rho, T=T)
+    alg = _counted(oracle, counters, "rmd", T)
     v = np.asarray(v0, dtype=np.float64)
     traj = np.empty((T + 1,) + v.shape)
     traj[0] = v
@@ -553,16 +575,12 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     gated to U * V <= 1e6; single (unbatched) points only.
     """
     oracle.require_dense("fmd_hypergrad")
-    _require_unconstrained(oracle, "fmd_hypergrad")
-    if T < 1:
-        raise ContractViolationError("T must be >= 1")
+    _check_estimator(oracle, "fmd_hypergrad", rho, T=T)
     if np.ndim(u) != 1:
         raise ContractViolationError("fmd_hypergrad is single-point only")
     if oracle.dim_u * oracle.dim_v > 10**6:
         raise CapabilityError("dense sensitivity would exceed 1e6 entries")
-    alg = attach_counters(oracle, counters) if counters is not None else oracle
-    if counters is not None:
-        counters.record_stored(oracle.dim_u + 1)
+    alg = _counted(oracle, counters, "fmd", T)
     v = np.asarray(v0, dtype=np.float64)
     P = np.zeros((oracle.dim_u, oracle.dim_v))
     eye = np.eye(oracle.dim_v)
@@ -589,38 +607,38 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
                          counters: Optional[OracleCounters] = None):
     """Hypergradient via an approximate solve of H q = grad_v f.
 
-    T_v v-steps descend g at step rho (plain GD, or the given stepper
-    state); then T_lin iterations reduce |(H + reg I) q - grad_v f|^2
-    from q0 (default 0): per iteration r = (H + reg I) q - b, step along
-    (H + reg I) r at rho, costing exactly two hvp calls. The returned
-    hypergradient is grad_u f - jvp(q); v and q are returned for warm
-    starts. lin_solver "dense" solves the regularized system directly
-    instead (single points only).
+    T_v v-steps descend g at step rho > 0 through v_stepper; then T_lin
+    iterations reduce |(H + reg I) q - grad_v f|^2 from q0 (default 0)
+    through q_stepper: per iteration r = (H + reg I) q - b, step along
+    (H + reg I) r at rho, costing exactly two hvp calls. A stepper not
+    given is a fresh plain-gd one, whose step is x - rho * grad. The
+    returned hypergradient is grad_u f - jvp(q); v and q are returned for
+    warm starts. lin_solver "dense" solves the regularized system
+    directly instead (single points only).
     """
-    _require_unconstrained(oracle, "approxgrad_hypergrad")
-    if T_v < 1 or T_lin < 1:
-        raise ContractViolationError("T_v and T_lin must be >= 1")
+    _check_estimator(oracle, "approxgrad_hypergrad", rho, T_v=T_v,
+                     T_lin=T_lin)
     if reg_lambda < 0:
         raise ContractViolationError("reg_lambda must be >= 0")
-    alg = attach_counters(oracle, counters) if counters is not None else oracle
-    if counters is not None:
-        counters.record_stored(2)
+    alg = _counted(oracle, counters, "approxgrad", T_v)
     v = np.asarray(v0, dtype=np.float64)
+    if v_stepper is None:
+        v_stepper = make_stepper("plain-gd", v.shape)
     for _ in range(T_v):
         gv = alg.grad_v_g(Point(u, v))
-        v = (v - rho * gv if v_stepper is None
-             else stepper_step(v_stepper, v, gv, rho))
+        v = stepper_step(v_stepper, v, gv, rho)
     pt = Point(u, v)
     b = alg.grad_v_f(pt)
     q = (np.zeros_like(v) if q0 is None
          else np.asarray(q0, dtype=np.float64))
 
     if lin_solver == "adam":
+        if q_stepper is None:
+            q_stepper = make_stepper("plain-gd", q.shape)
         for _ in range(T_lin):
             r = alg.hvp_vv_g(pt, q) + reg_lambda * q - b
             gq = alg.hvp_vv_g(pt, r) + reg_lambda * r
-            q = (q - rho * gq if q_stepper is None
-                 else stepper_step(q_stepper, q, gq, rho))
+            q = stepper_step(q_stepper, q, gq, rho)
     elif lin_solver == "dense":
         oracle.require_dense("approxgrad dense solve")
         if np.ndim(u) != 1:
@@ -634,9 +652,6 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     if not np.isfinite(hg).all():
         raise NumericError("non-finite approximate hypergradient")
     return hg, v, q
-
-
-ESTIMATORS = ("rmd", "fmd", "approxgrad")
 
 
 def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
@@ -672,10 +687,8 @@ def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
                 return hg[None, :], v[None, :], None
         else:
             q = np.zeros_like(v)
-            st_v = st_q = None
-            if cfg.stepper == "adam":
-                st_v = make_stepper("adam", v.shape)
-                st_q = make_stepper("adam", v.shape)
+            st_v = make_stepper(cfg.stepper, v.shape)
+            st_q = make_stepper(cfg.stepper, v.shape)
 
             def step(u, v):
                 nonlocal q
@@ -685,6 +698,6 @@ def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
                 return hg, v, None
         return step, _nan_schedule(v.shape[0])
 
-    stored = {"rmd": cfg.T + 1, "fmd": oracle.dim_u + 1, "approxgrad": 2}
-    return _drive(oracle, cfg, p0, method, stored[estimator], metric,
+    return _drive(oracle, cfg, p0, method,
+                  stored_vecs(estimator, cfg.T, oracle.dim_u), metric,
                   record_every, counters)

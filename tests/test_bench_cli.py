@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilevel import hypergrad
+from bilevel import bench, hypergrad
 from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, TrialResult, _fmt,
                            _run_chunk,
                            load_run_setup, run_trials, summarize,
                            worker_count, write_run_csv)
 from bilevel.cli import main
+from bilevel.core import derive_seed
 from bilevel.errors import ConfigError, ConvergenceError, NumericError
+from bilevel.problems import get_problem
 from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
                              traces_equal)
 
@@ -667,3 +669,34 @@ def test_run_csv_bytes_match_csv_writer(tmp_path_factory, trials):
     write_run_csv(d / "got.csv", results)
     reference_run_csv(d / "want.csv", results)
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_ridge_reg_true_out_of_range_exit_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+        "name = example1\ndim = 6", f"name = ridge\nreg_true = {value}"))
+    assert main(["run", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "reg_true" in err
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "ridge"])
+def test_kkt_check_scores_the_solved_instance(monkeypatch, problem):
+    # the run solves trial 0's instance, built from derive_seed(seed, 0)
+    seen = []
+    real = bench.kkt_residual
+
+    def spy(oracle, p, *args, **kwargs):
+        seen.append((oracle, p))
+        return real(oracle, p, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "kkt_residual", spy)
+    monkeypatch.setattr(bench, "_KKT_RUN", {problem: dict(K=5, T=2)})
+    bench.cmd_check(problem, "kkt", seed=3, quiet=True)
+    (oracle, p), = seen
+    factory = get_problem(problem).factory
+    solved = factory(derive_seed(3, 0)).oracle
+    assert oracle.grad_v_f(p).tobytes() == solved.grad_v_f(p).tobytes()
+    assert oracle.grad_v_f(p).tobytes() != factory(3).oracle.grad_v_f(
+        p).tobytes()

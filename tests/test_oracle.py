@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError, NumericError
 from bilevel.oracle import (PenaltyParams, Point, ProblemOracle,
-                            fd_check_oracle, initial_slacks, penalty_grad_u,
+                            central_diff, fd_check_oracle, initial_slacks,
+                            penalty_grad_u,
                             penalty_grad_v, penalty_value,
                             penalty_value_full, slackify, with_zero_f)
 from bilevel.problems import (PROBLEMS, make_constrained_toy, make_quadratic,
@@ -400,3 +401,85 @@ def test_non_finite_cost_names_callback():
     with pytest.raises(NumericError, match="eval_f"):
         penalty_value(bad, Point(np.zeros(2), np.zeros(2)),
                       PenaltyParams(gamma=1.0))
+
+
+class TestCentralDiff:
+    def test_linear_map_gives_transpose(self):
+        # row i differences along x_i, so x -> A @ x gives A.T
+        A = make_rng(3, 1).standard_normal((3, 5))
+        x = make_rng(3, 2).standard_normal(5)
+        got = central_diff(lambda y: A @ y, x, 1e-5)
+        assert got.shape == (5, 3)
+        np.testing.assert_allclose(got, A.T, rtol=0, atol=1e-9)
+
+    def test_scalar_function_gives_gradient(self):
+        x = np.array([0.5, -1.0, 2.0])
+        got = central_diff(lambda y: float(y @ y), x, 1e-6)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, 2.0 * x, rtol=0, atol=1e-9)
+
+    def test_fd_check_detects_corrupted_jvp(self):
+        from dataclasses import replace
+        o = make_quadratic(1).oracle
+        bad = replace(o, jvp_uv_g=lambda p, q: 2.0 * o.jvp_uv_g(p, q))
+        rng = make_rng(1, 4)
+        p = Point(rng.standard_normal(5), rng.standard_normal(5))
+        assert fd_check_oracle(o, p).errors["jvp_uv_g"] < 1e-6
+        assert fd_check_oracle(bad, p).errors["jvp_uv_g"] > 0.4
+
+
+# slackify callbacks that ignore the slacks: (name, extra-argument size
+# ("v", "c" or None), whether the output gains zero slack coordinates)
+SLACK_FREE = [("eval_f", None, False), ("eval_g", None, False),
+              ("grad_u_f", None, True), ("grad_v_f", None, False),
+              ("grad_v_g", None, False), ("hvp_vv_g", "v", False),
+              ("jvp_uv_g", "v", True), ("jtvp_v_h", "c", False)]
+
+
+class TestSlackLift:
+    base = make_constrained_toy().oracle
+    lifted = slackify(base)
+
+    def points(self, batch):
+        rng = make_rng(11, batch or 0)
+        shape = () if batch is None else (batch,)
+        u = rng.uniform(-3, 3, shape + (1,))
+        s = rng.uniform(0.1, 2, shape + (1,))
+        v = rng.uniform(-3, 3, shape + (1,))
+        arg = {"v": rng.standard_normal(shape + (1,)),
+               "c": rng.standard_normal(shape + (1,))}
+        return Point(np.concatenate([u, s], axis=-1), v), Point(u, v), s, arg
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("name, extra, pad", SLACK_FREE)
+    def test_slack_free_callbacks_are_the_base(self, batch, name, extra,
+                                               pad):
+        p, q, _, arg = self.points(batch)
+        args = () if extra is None else (arg[extra],)
+        got = getattr(self.lifted, name)(p, *args)
+        want = getattr(self.base, name)(q, *args)
+        if pad:
+            assert got.shape == want.shape[:-1] + (2,)
+            assert not got[..., 1:].any()
+            got = got[..., :1]
+        assert got.shape == np.shape(want)
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_constraint_callbacks(self, batch):
+        p, q, s, arg = self.points(batch)
+        mu = arg["c"]
+        assert (self.lifted.eval_h(p).tobytes()
+                == (self.base.eval_h(q) + s * s).tobytes())
+        got = self.lifted.jtvp_u_h(p, mu)
+        assert got[..., :1].tobytes() == self.base.jtvp_u_h(q, mu).tobytes()
+        assert got[..., 1:].tobytes() == (2.0 * s * mu).tobytes()
+
+    def test_dense_pair(self):
+        p, q, _, _ = self.points(None)
+        assert (self.lifted.hess_vv_g(p).tobytes()
+                == self.base.hess_vv_g(q).tobytes())
+        jac = self.lifted.jac_uv_g(p)
+        assert jac.shape == (2, 1)
+        assert jac[:1].tobytes() == self.base.jac_uv_g(q).tobytes()
+        assert not jac[1:].any()

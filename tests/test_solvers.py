@@ -711,3 +711,38 @@ def test_lean_path_matches_textbook_formulas(monkeypatch, solver, stepper,
     assert np.isfinite(lean[0].u).all() and np.isfinite(lean[0].v).all()
     assert lean[0].u.tobytes() == ref[0].u.tobytes()
     assert lean[0].v.tobytes() == ref[0].v.tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("estimator", ["rmd", "fmd", "approxgrad"])
+def test_estimators_reject_bad_rho(estimator, rho):
+    o = make_synthetic(1, dim=2).oracle
+    call = {"rmd": lambda: rmd_hypergrad(o, np.zeros(2), np.ones(2), 3, rho),
+            "fmd": lambda: fmd_hypergrad(o, np.zeros(2), np.ones(2), 3, rho),
+            "approxgrad": lambda: approxgrad_hypergrad(
+                o, np.zeros(2), np.ones(2), 3, 3, rho)}[estimator]
+    with pytest.raises(ContractViolationError, match="rho must be positive"):
+        call()
+
+
+def test_approxgrad_default_steppers_are_plain_gd():
+    # no stepper given: every v- and q-step is x - rho * grad, bitwise
+    o = make_synthetic(2, dim=4).oracle
+    rng = make_rng(8, 1)
+    u, v0 = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4))
+    q0 = rng.standard_normal((3, 4))
+    rho, reg = 0.05, 1e-3
+    v = v0
+    for _ in range(3):
+        v = v - rho * o.grad_v_g(Point(u, v))
+    pt = Point(u, v)
+    b = o.grad_v_f(pt)
+    q = q0
+    for _ in range(4):
+        r = o.hvp_vv_g(pt, q) + reg * q - b
+        q = q - rho * (o.hvp_vv_g(pt, r) + reg * r)
+    hg = o.grad_u_f(pt) - o.jvp_uv_g(pt, q)
+    got = approxgrad_hypergrad(o, u, v0, 3, 4, rho, reg, q0=q0)
+    for a, w in zip(got, (hg, v, q)):
+        assert a.tobytes() == w.tobytes()
+
