@@ -21,6 +21,10 @@ to the parameters) on its first use; a stepper skips that check only
 when it is handed the very rate object it last accepted and that object
 cannot change: a Python int or float, or a read-only array that owns its
 data. Any other rate, a writable array say, is checked on every step.
+A rate may be any shape that broadcasts to the parameters, but one of
+their full shape makes the rate multiply a same-shape ufunc call, which
+at desk scale costs about half a (B, 1)-by-(B, V) broadcast one; the
+penalty solvers build each schedule phase's v-rate that way.
 """
 
 from __future__ import annotations

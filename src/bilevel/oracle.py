@@ -108,19 +108,25 @@ class PenaltyParams:
     gamma > 0 is the penalty weight, lam >= 0 the lower-cost regularizer
     (applies to the v-gradient only), nu the multiplier for the
     stationarity constraint, nu_h the multiplier for h when present.
-    gamma/lam may be scalars or per-batch arrays. The weights are read
-    into column views (``gamma_col``, ``lam_col``) at construction; build
-    a new instance to change them.
+    gamma/lam may be scalars or per-batch arrays. The weights are read at
+    construction into the factors of the terms they scale: ``gamma_v``
+    and ``lam_v`` for the v-shaped grad_v_g, ``gamma_col`` (a column) for
+    h. Given ``v_shape``, v's full (B, V) shape, gamma_v and lam_v are
+    arrays of that shape: at desk scale a same-shape multiply costs about
+    half a (B, 1)-by-(B, V) broadcast one, for the same bits. Build a new
+    instance to change the weights.
     """
 
     gamma: float | np.ndarray
     lam: float | np.ndarray = 0.0
     nu: Optional[np.ndarray] = None
     nu_h: Optional[np.ndarray] = None
+    v_shape: Optional[tuple] = None
     gamma_col: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma_v: np.ndarray = field(init=False, repr=False, compare=False)
     # None when lam is the scalar 0.0: the lam term is then left out
-    lam_col: Optional[np.ndarray] = field(init=False, repr=False,
-                                          compare=False)
+    lam_v: Optional[np.ndarray] = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if np.any(np.asarray(self.gamma) < 0):
@@ -128,14 +134,21 @@ class PenaltyParams:
         if np.any(np.asarray(self.lam) < 0):
             raise ContractViolationError("lam must be >= 0")
         self.gamma_col = _col(self.gamma)
+        self.gamma_v = spread(self.gamma_col, self.v_shape)
         lam = self.lam
-        self.lam_col = (None if np.ndim(lam) == 0 and lam == 0.0
-                        else _col(lam))
+        self.lam_v = (None if np.ndim(lam) == 0 and lam == 0.0
+                      else spread(_col(lam), self.v_shape))
 
 
 def _col(x):
     """Append a broadcast axis so a scalar/batch weight scales vectors."""
     return np.asarray(x, dtype=np.float64)[..., None]
+
+
+def spread(x, shape=None):
+    """x broadcast to ``shape`` as a new array that owns its data; x
+    itself when shape is None."""
+    return x if shape is None else np.broadcast_to(x, shape).copy()
 
 
 def penalty_value(oracle: ProblemOracle, p: Point,
@@ -190,12 +203,12 @@ def penalty_grad_v(oracle: ProblemOracle, p: Point,
     """
     gvf = oracle.grad_v_f(p)
     gvg = oracle.grad_v_g(p)
-    w = params.gamma_col * gvg
+    w = params.gamma_v * gvg
     if params.nu is not None:
         w = _add(w, params.nu)
     out = gvf + oracle.hvp_vv_g(p, w)
-    if params.lam_col is not None:
-        out = _add(out, params.lam_col * gvg)
+    if params.lam_v is not None:
+        out = _add(out, params.lam_v * gvg)
     if oracle.has_constraints:
         out = _add(out, oracle.jtvp_v_h(p, _weighted_h(oracle, p, params)))
     return out
@@ -206,7 +219,7 @@ def penalty_grad_u(oracle: ProblemOracle, p: Point,
     """u-gradient of the penalized objective (no lam term)."""
     guf = oracle.grad_u_f(p)
     gvg = oracle.grad_v_g(p)
-    w = params.gamma_col * gvg
+    w = params.gamma_v * gvg
     if params.nu is not None:
         w = _add(w, params.nu)
     out = guf + oracle.jvp_uv_g(p, w)
@@ -229,7 +242,7 @@ def penalty_value_full(oracle: ProblemOracle, p: Point,
         out = out + np.sum(oracle.grad_v_g(p) * params.nu, axis=-1)
     if params.nu_h is not None and oracle.has_constraints:
         out = out + np.sum(oracle.eval_h(p) * params.nu_h, axis=-1)
-    if params.lam_col is not None:
+    if params.lam_v is not None:
         out = out + np.asarray(params.lam) * oracle.eval_g(p)
     return out
 

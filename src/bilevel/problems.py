@@ -20,9 +20,20 @@ import numpy as np
 
 from .core import BoxBounds, derive_seed, gaussian_matrix, make_rng
 from .errors import ContractViolationError
-from .oracle import Point, ProblemOracle, sample_in_box, sqnorm
+from .oracle import Point, ProblemOracle, sample_in_box, spread, sqnorm
 
 LOGISTIC_REG = 0.05  # ridge coefficient on lower-level classifier weights
+
+# numpy's C einsum core: np.einsum(..., optimize=False) hands its operands
+# to it unchanged, so the results are the same bytes, without about 1.5 µs
+# of Python dispatch per call
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum as _einsum
+    except ImportError:
+        _einsum = np.einsum
 
 
 @dataclass
@@ -44,11 +55,11 @@ class ProblemInstance:
 
 
 def _mat_vec(A, x):
-    return np.einsum("...ij,...j->...i", A, x)
+    return _einsum("...ij,...j->...i", A, x)
 
 
 def _mat_t_vec(A, y):
-    return np.einsum("...ij,...i->...j", A, y)
+    return _einsum("...ij,...i->...j", A, y)
 
 
 def _memo(fn):
@@ -234,20 +245,20 @@ def make_quadratic(seed: int = 0, dim_u: int = 5,
     b = rng.standard_normal(dim_v)
 
     def gvg(p):
-        return (np.einsum("ij,...j->...i", H, p.v)
-                + np.einsum("ij,...i->...j", M, p.u) + c)
+        return (_einsum("ij,...j->...i", H, p.v)
+                + _einsum("ij,...i->...j", M, p.u) + c)
 
     oracle = ProblemOracle(
         name="quadratic", dim_u=dim_u, dim_v=dim_v, dim_c=0,
         eval_f=lambda p: 0.5 * sqnorm(p.u - a) + 0.5 * sqnorm(p.v - b),
-        eval_g=lambda p: (0.5 * np.sum(p.v * np.einsum("ij,...j->...i", H, p.v), -1)
-                          + np.sum(p.u * np.einsum("ij,...j->...i", M, p.v), -1)
+        eval_g=lambda p: (0.5 * np.sum(p.v * _einsum("ij,...j->...i", H, p.v), -1)
+                          + np.sum(p.u * _einsum("ij,...j->...i", M, p.v), -1)
                           + np.sum(c * p.v, -1)),
         grad_u_f=lambda p: p.u - a,
         grad_v_f=lambda p: p.v - b,
         grad_v_g=gvg,
-        hvp_vv_g=lambda p, q: np.einsum("ij,...j->...i", H, q),
-        jvp_uv_g=lambda p, q: np.einsum("ij,...j->...i", M, q),
+        hvp_vv_g=lambda p, q: _einsum("ij,...j->...i", H, q),
+        jvp_uv_g=lambda p, q: _einsum("ij,...j->...i", M, q),
         hess_vv_g=lambda p: H,
         jac_uv_g=lambda p: M)
 
@@ -319,33 +330,42 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _ce_slope(z):
-    """d/dz of the cross-entropy log(1 + exp(-z))."""
-    return -_sigmoid(-z)
+# The logistic terms are written on signed data: NXy, the rows -(y_i x_i)
+# of a data block, turns every margin z_i = y_i (w . x_i) into its
+# negation -z = NXy w in one contraction, and every slope contraction
+# sum_i -sigma(-z_i) y_i x_i into sigma(-z) NXy. With labels exactly +-1
+# these are the same bits as the y-scaled forms, since IEEE rounding is
+# symmetric in sign; the one signed-zero case, a margin exactly 0, meets
+# sigma and logaddexp, which map +-0 to the same value.
+
+def _signed(Xb, y):
+    """NXy = -(y_i x_i), one row per example; Xb may carry batch axes."""
+    return -(y[:, None] * Xb)
 
 
-def _margin(Xb, y, w):
-    """z_i = y_i * (w . x_i) for w possibly batched: (..., N)."""
-    return y * np.einsum("nd,...d->...n", Xb, w)
+def _neg_margin(NXy, w):
+    """-z_i = -y_i (w . x_i) for w possibly batched: (..., N)."""
+    return _einsum("nd,...d->...n", NXy, w)
 
 
-def _margin_terms(z):
-    """(z, sigma(-z)), the form in which a margin is shared: the
-    cross-entropy slope is -sigma(-z), as _ce_slope computes it, and the
-    curvature is _curvature of the pair."""
-    return z, _sigmoid(-z)
+def _margin_terms(nz):
+    """(-z, sigma(-z)), the form in which a margin is shared: the
+    cross-entropy log(1 + exp(-z)) is logaddexp(0, -z), its slope
+    contraction sigma(-z) NXy, and its curvature _curvature of the pair."""
+    return nz, _sigmoid(nz)
 
 
 def _curvature(terms):
-    """d2/dz2 of the cross-entropy log(1 + exp(-z)), sigma(z) sigma(-z),
-    from a (z, sigma(-z)) pair."""
-    z, s = terms
-    return _sigmoid(z) * s
+    """d2/dz2 of the cross-entropy, sigma(z) sigma(-z), from a
+    (-z, sigma(-z)) pair; -0.5 (-z) is 0.5 z to the bit, so the first
+    factor is _sigmoid(z) exactly."""
+    nz, s = terms
+    return 0.5 * (1.0 + np.tanh(-0.5 * nz)) * s
 
 
 def logistic_losses(Xb, y, w):
     """Per-example cross-entropy log(1 + exp(-z)), stable."""
-    return np.logaddexp(0.0, -_margin(Xb, y, w))
+    return np.logaddexp(0.0, _neg_margin(_signed(Xb, y), w))
 
 
 def fit_logistic(X, y, sample_weight=None,
@@ -357,16 +377,16 @@ def fit_logistic(X, y, sample_weight=None,
     """
     Xb = _augment(np.asarray(X, float))
     y = np.asarray(y, float)
+    NXy = _signed(Xb, y)
     if sample_weight is None:
         sample_weight = np.ones(len(y))
     wts = np.asarray(sample_weight, float) / np.sum(sample_weight)
     w = np.zeros(Xb.shape[1])
     eye = np.eye(Xb.shape[1])
     for _ in range(60):
-        terms = _margin_terms(_margin(Xb, y, w))
-        a = -terms[1] * y                          # dl/dw coefficient
+        terms = _margin_terms(_neg_margin(NXy, w))
         r = _curvature(terms)                      # d2l/dz2
-        grad = Xb.T @ (wts * a) + 2.0 * reg * w
+        grad = NXy.T @ (wts * terms[1]) + 2.0 * reg * w
         hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * reg * eye
         step = np.linalg.solve(hess, grad)
         w = w - step
@@ -376,7 +396,7 @@ def fit_logistic(X, y, sample_weight=None,
 
 
 def accuracy(w, X, y) -> float:
-    z = np.einsum("nd,d->n", _augment(np.asarray(X, float)), w)
+    z = _einsum("nd,d->n", _augment(np.asarray(X, float)), w)
     return float(np.mean(np.sign(z) == np.sign(y)))
 
 
@@ -422,13 +442,15 @@ def make_blobs(seed: int, n_train: int, n_val: int, n_test: int = 2000,
 def _val_upper(Xb_val, y_val, sign=1.0):
     """Mean validation CE as the upper cost (sign=-1 for attackers)."""
     n_val = len(y_val)
+    NXy = _signed(Xb_val, y_val)
 
     def eval_f(p):
-        return sign * np.mean(logistic_losses(Xb_val, y_val, p.v), axis=-1)
+        return sign * np.mean(np.logaddexp(0.0, _neg_margin(NXy, p.v)),
+                              axis=-1)
 
     def grad_v_f(p):
-        a = _ce_slope(_margin(Xb_val, y_val, p.v)) * y_val
-        return sign * np.einsum("...n,nd->...d", a, Xb_val) / n_val
+        s = _sigmoid(_neg_margin(NXy, p.v))
+        return sign * _einsum("...n,nd->...d", s, NXy) / n_val
 
     return eval_f, grad_v_f
 
@@ -464,64 +486,63 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
                          split.X_test, split.y_test)
 
     Xb = _augment(split.X_train)
-    y = split.y_train
+    NXy = _signed(Xb, split.y_train)
     Xb_val = _augment(split.X_val)
     reg = LOGISTIC_REG
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val)
 
     # terms the callbacks share at one point, each computed once per
-    # value: the importances W and their sum S on u, the margin terms on
-    # v, the weighted mean gradient m on (u, v)
+    # value: the importances W, their sum S and S at v's shape (a
+    # same-shape divide is cheaper than a broadcast one) on u, the margin
+    # terms on v, the weighted mean gradient m on (u, v)
     @_memo
     def weights(u):
         W = importance_values(u)
-        return W, np.sum(W, axis=-1)
+        S = np.sum(W, axis=-1)
+        return W, S, spread(S[..., None], S.shape + (3,))
 
-    margin = _memo(lambda v: _margin_terms(_margin(Xb, y, v)))
+    margin = _memo(lambda v: _margin_terms(_neg_margin(NXy, v)))
 
     def d_weights(u):
         return 0.5 / np.cosh(u) ** 2
 
-    def slope(v):
-        return -margin(v)[1] * y
-
     @_memo
     def mean_grad(u, v):
-        W, S = weights(u)
-        return np.einsum("...n,nd->...d", W * slope(v), Xb) / S[..., None]
+        W, _, S_v = weights(u)
+        return _einsum("...n,nd->...d", W * margin(v)[1], NXy) / S_v
 
     def eval_g(p):
-        W, S = weights(p.u)
-        l = np.logaddexp(0.0, -margin(p.v)[0])
+        W, S, _ = weights(p.u)
+        l = np.logaddexp(0.0, margin(p.v)[0])
         return np.sum(W * l, axis=-1) / S + reg * sqnorm(p.v)
 
     def grad_v_g(p):
         return mean_grad(p.u, p.v) + 2.0 * reg * p.v
 
     def hvp(p, q):
-        W, S = weights(p.u)
-        t = np.einsum("nd,...d->...n", Xb, q)
-        return (np.einsum("...n,nd->...d", W * _curvature(margin(p.v)) * t,
-                          Xb) / S[..., None] + 2.0 * reg * q)
+        W, _, S_v = weights(p.u)
+        t = _einsum("nd,...d->...n", Xb, q)
+        return (_einsum("...n,nd->...d", W * _curvature(margin(p.v)) * t,
+                        Xb) / S_v + 2.0 * reg * q)
 
     def jvp(p, q):
         # row i of the mixed matrix: (dW_i/du_i)(grad l_i - m)/S
         S = weights(p.u)[1]
-        a = slope(p.v)
-        xq = np.einsum("nd,...d->...n", Xb, q)
+        s = margin(p.v)[1]
+        xq = _einsum("nd,...d->...n", NXy, q)
         mq = np.sum(mean_grad(p.u, p.v) * q, axis=-1)
-        return d_weights(p.u) * (a * xq - mq[..., None]) / S[..., None]
+        return d_weights(p.u) * (s * xq - mq[..., None]) / S[..., None]
 
     def hess(p):
-        W, S = weights(p.u)
+        W, S, _ = weights(p.u)
         return ((Xb * (W * _curvature(margin(p.v)))[:, None]).T @ Xb / S
                 + 2.0 * reg * np.eye(3))
 
     def jac(p):
         S = weights(p.u)[1]
-        a = slope(p.v)
+        s = margin(p.v)[1]
         m = mean_grad(p.u, p.v)
-        return (d_weights(p.u) / S)[:, None] * (a[:, None] * Xb - m[None, :])
+        return (d_weights(p.u) / S)[:, None] * (s[:, None] * NXy - m[None, :])
 
     oracle = ProblemOracle(
         name="importance_toy", dim_u=n_train, dim_v=3, dim_c=0,
@@ -568,61 +589,64 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
 
     Xb_clean = _augment(split.X_train)
     y_clean = split.y_train
+    NXy_clean = _signed(Xb_clean, y_clean)
+    ny_poison = -y_poison
     Xb_val = _augment(split.X_val)
     n_total = n_train + n_poison
     reg = LOGISTIC_REG
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val, sign=-1.0)
 
     # terms the callbacks share at one point, each computed once per
-    # value: the augmented poison block on u, the clean margin terms on
-    # v, the poison margin terms on (u, v)
+    # value: the augmented poison block and its signed rows on u, the
+    # clean margin terms on v, the poison margin terms on (u, v)
     @_memo
     def poison_block(u):
         X = u.reshape(u.shape[:-1] + (n_poison, 2))
-        return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+        Xbp = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+        return Xbp, _signed(Xbp, y_poison)
 
     clean_margin = _memo(
-        lambda v: _margin_terms(_margin(Xb_clean, y_clean, v)))
+        lambda v: _margin_terms(_neg_margin(NXy_clean, v)))
     poison_margin = _memo(lambda u, v: _margin_terms(
-        y_poison * np.einsum("...nd,...d->...n", poison_block(u), v)))
+        _einsum("...nd,...d->...n", poison_block(u)[1], v)))
 
     def eval_g(p):
-        lc = np.logaddexp(0.0, -clean_margin(p.v)[0])
-        lp = np.logaddexp(0.0, -poison_margin(p.u, p.v)[0])
+        lc = np.logaddexp(0.0, clean_margin(p.v)[0])
+        lp = np.logaddexp(0.0, poison_margin(p.u, p.v)[0])
         return ((np.sum(lc, axis=-1) + np.sum(lp, axis=-1)) / n_total
                 + reg * sqnorm(p.v))
 
     def grad_v_g(p):
-        Xbp = poison_block(p.u)
-        sc = -clean_margin(p.v)[1]
-        sp = -poison_margin(p.u, p.v)[1]
-        out = np.einsum("...n,nd->...d", sc * y_clean, Xb_clean)
-        out = out + np.einsum("...n,...nd->...d", sp * y_poison, Xbp)
+        NXyp = poison_block(p.u)[1]
+        sc = clean_margin(p.v)[1]
+        sp = poison_margin(p.u, p.v)[1]
+        out = _einsum("...n,nd->...d", sc, NXy_clean)
+        out = out + _einsum("...n,...nd->...d", sp, NXyp)
         return out / n_total + 2.0 * reg * p.v
 
     def hvp(p, q):
-        Xbp = poison_block(p.u)
+        Xbp = poison_block(p.u)[0]
         rc = _curvature(clean_margin(p.v))
         rp = _curvature(poison_margin(p.u, p.v))
-        tc = np.einsum("nd,...d->...n", Xb_clean, q)
-        tp = np.einsum("...nd,...d->...n", Xbp, q)
-        out = np.einsum("...n,nd->...d", rc * tc, Xb_clean)
-        out = out + np.einsum("...n,...nd->...d", rp * tp, Xbp)
+        tc = _einsum("nd,...d->...n", Xb_clean, q)
+        tp = _einsum("...nd,...d->...n", Xbp, q)
+        out = _einsum("...n,nd->...d", rc * tc, Xb_clean)
+        out = out + _einsum("...n,...nd->...d", rp * tp, Xbp)
         return out / n_total + 2.0 * reg * q
 
     def jvp(p, q):
         # d(grad_w l_j)/dx_j = r_j w_f xb_j^T + a_j E; rows (j,b) dot q
-        Xbp = poison_block(p.u)
+        Xbp = poison_block(p.u)[0]
         terms = poison_margin(p.u, p.v)
-        a = -terms[1] * y_poison
-        xq = np.einsum("...nd,...d->...n", Xbp, q)
+        a = terms[1] * ny_poison
+        xq = _einsum("...nd,...d->...n", Xbp, q)
         wf = p.v[..., None, :2]
         out = ((_curvature(terms) * xq)[..., None] * wf
                + a[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 
     def hess(p):
-        Xbp = poison_block(p.u)
+        Xbp = poison_block(p.u)[0]
         rc = _curvature(clean_margin(p.v))
         rp = _curvature(poison_margin(p.u, p.v))
         H = (Xb_clean * rc[:, None]).T @ Xb_clean
@@ -631,9 +655,9 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
 
     def jac(p):
         # block (j, b, c) = r_j w_b x_jc + a_j [b == c]
-        Xbp = poison_block(p.u)
+        Xbp = poison_block(p.u)[0]
         terms = poison_margin(p.u, p.v)
-        a = -terms[1] * y_poison
+        a = terms[1] * ny_poison
         r = _curvature(terms)
         blocks = (r[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
         eye = np.zeros((2, 3))
@@ -721,10 +745,10 @@ def make_hyperparam_ridge(seed: int = 0, n: int = 80, d: int = 6,
     split = DatasetSplit(X_tr, y_tr, X_val, y_val, X_te, y_te)
 
     def res_tr(w):
-        return np.einsum("nd,...d->...n", X_tr, w) - y_tr
+        return _einsum("nd,...d->...n", X_tr, w) - y_tr
 
     def res_val(w):
-        return np.einsum("nd,...d->...n", X_val, w) - y_val
+        return _einsum("nd,...d->...n", X_val, w) - y_val
 
     def e_u(p):
         return np.exp(p.u[..., 0])
@@ -735,14 +759,14 @@ def make_hyperparam_ridge(seed: int = 0, n: int = 80, d: int = 6,
         eval_g=lambda p: (np.mean(res_tr(p.v) ** 2, axis=-1)
                           + e_u(p) * sqnorm(p.v)),
         grad_u_f=lambda p: np.zeros_like(p.u),
-        grad_v_f=lambda p: 2.0 * np.einsum("nd,...n->...d", X_val,
-                                           res_val(p.v)) / len(y_val),
-        grad_v_g=lambda p: (2.0 * np.einsum("nd,...n->...d", X_tr,
-                                            res_tr(p.v)) / n_tr
+        grad_v_f=lambda p: 2.0 * _einsum("nd,...n->...d", X_val,
+                                         res_val(p.v)) / len(y_val),
+        grad_v_g=lambda p: (2.0 * _einsum("nd,...n->...d", X_tr,
+                                          res_tr(p.v)) / n_tr
                             + 2.0 * e_u(p)[..., None] * p.v),
-        hvp_vv_g=lambda p, q: (2.0 * np.einsum(
+        hvp_vv_g=lambda p, q: (2.0 * _einsum(
             "nd,...n->...d", X_tr,
-            np.einsum("nd,...d->...n", X_tr, q)) / n_tr
+            _einsum("nd,...d->...n", X_tr, q)) / n_tr
             + 2.0 * e_u(p)[..., None] * q),
         jvp_uv_g=lambda p, q: 2.0 * e_u(p)[..., None]
         * np.sum(p.v * q, axis=-1, keepdims=True),

@@ -15,8 +15,9 @@ the recorder and the numeric-abort path. A method supplies two callbacks:
 
 - ``step(u, v) -> (du, v, gv_sq)``: the method's lower-level work and its
   u-direction. gv_sq is the per-trial |grad_v|^2 of the method's own
-  v-steps, or None for the estimators; the driver then measures
-  |grad_v g|^2 with the uncounted oracle when a row is due.
+  v-steps, or None for the estimators; a recorded row then takes
+  |grad_v g|^2 from the recorder's feasibility term, the one uncounted
+  grad_v_g call at that point.
 - ``schedule(u, v, tol_sq) -> (gamma, eps, lam)``: called after the
   u-step with tol_sq = |du|^2 (+ gv_sq). The penalty methods advance their
   gamma/eps/lambda/nu schedule here; the other solvers return NaN columns.
@@ -47,7 +48,7 @@ from .core import (BoxBounds, StepperState, make_stepper, project_box,
                    stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
-                     penalty_grad_v, sample_in_box, sqnorm)
+                     penalty_grad_v, sample_in_box, spread, sqnorm)
 
 
 @dataclass
@@ -265,8 +266,9 @@ class _Recorder:
         slab[3] = o.eval_f(pt)
         slab[4] = o.eval_g(pt)
         slab[5] = gu_sq
-        slab[6] = gv_sq
         feas_sq = sqnorm(o.grad_v_g(pt))
+        # a method without v-steps of its own reports |grad_v g| here
+        slab[6] = feas_sq if gv_sq is None else gv_sq
         if o.has_constraints:
             feas_sq = feas_sq + sqnorm(o.eval_h(pt))
         slab[7] = feas_sq
@@ -339,10 +341,7 @@ def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Optional[Point],
                    f"trial(s) {np.flatnonzero(~finite).tolist()}", rec)
         gamma, eps, lam = schedule(u, v, tol_sq)
         if rec.due(k):
-            pt = Point(u, v)
-            if gv_sq is None:
-                gv_sq = sqnorm(oracle.grad_v_g(pt))
-            rec.record(k, pt, gu_sq, gv_sq, gamma, eps, lam)
+            rec.record(k, Point(u, v), gu_sq, gv_sq, gamma, eps, lam)
 
     return _unbatch(u, v, rec.traces(), squeeze)
 
@@ -362,15 +361,17 @@ def _nan_schedule(batch):
 GAMMA_CAP = 1e100
 
 
-def _schedule_weights(cfg, gamma, lam, nu, nu_h):
-    """Penalty weights and per-trial v-step sizes of one schedule phase."""
-    params = PenaltyParams(gamma=gamma, lam=lam, nu=nu, nu_h=nu_h)
+def _schedule_weights(cfg, gamma, lam, nu, nu_h, v_shape):
+    """Penalty weights and per-trial v-step sizes of one schedule phase,
+    the v-side ones built at v's full shape (see PenaltyParams)."""
+    params = PenaltyParams(gamma=gamma, lam=lam, nu=nu, nu_h=nu_h,
+                           v_shape=v_shape)
     # v-step size shrinks with the penalty weight so the step on the
     # gamma-scaled stationarity term stays constant; without this the
     # v iterate limit-cycles at amplitude rho0 and the u-gradient
-    # inherits gamma * rho0 noise. Read-only, so the v-stepper checks it
-    # once per phase rather than on every step.
-    rho_k = cfg.rho0 * (cfg.gamma0 / gamma)[:, None]
+    # inherits gamma * rho0 noise. Read-only and owning its data, so the
+    # v-stepper checks it once per phase rather than on every step.
+    rho_k = spread(cfg.rho0 * (cfg.gamma0 / gamma)[:, None], v_shape)
     rho_k.setflags(write=False)
     return params, rho_k
 
@@ -393,7 +394,8 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
         zeros = np.zeros(B)
         phase = np.zeros(B, dtype=np.int64)
         # rebuilt only when the schedule advances
-        params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
+        params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h,
+                                           v.shape)
 
         def step(u, v):
             for _ in range(cfg.T):
@@ -423,7 +425,8 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
                                  gamma)
                 eps = np.where(advance, eps * cfg.c_eps, eps)
                 phase = np.where(advance, 0, phase)
-                params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h)
+                params, rho_k = _schedule_weights(cfg, gamma, lam, nu,
+                                                  nu_h, v.shape)
             return gamma, eps, lam if aug else zeros
 
         return step, schedule

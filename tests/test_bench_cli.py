@@ -15,7 +15,7 @@ from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, TrialResult, _fmt,
 from bilevel.cli import main
 from bilevel.core import derive_seed
 from bilevel.errors import ConfigError, ConvergenceError, NumericError
-from bilevel.problems import get_problem
+from bilevel.problems import PROBLEMS, get_problem
 from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
                              traces_equal)
 
@@ -700,3 +700,94 @@ def test_kkt_check_scores_the_solved_instance(monkeypatch, problem):
     assert oracle.grad_v_f(p).tobytes() == solved.grad_v_f(p).tobytes()
     assert oracle.grad_v_f(p).tobytes() != factory(3).oracle.grad_v_f(
         p).tobytes()
+
+
+# Config fuzz: random files of known keys, junk keys, junk values and bad
+# sections, run through the CLI in-process. Most values are in range, so
+# many files run; none asks for more than K = 5, T = 5, two trials or a
+# dim of 6, so every run stays tiny.
+_FUZZ_JUNK = ("0", "-1", "nan", "inf", "-inf", "1e400", "abc", "", "0x10",
+              "1, 2", "2.5", "adam")
+_FUZZ_GOOD = {
+    "K": ("1", "3", "5"), "T": ("1", "2", "5"), "while_cap": ("1", "3"),
+    "c_gamma": ("1.0", "1.5"), "c_eps": ("0.5", "1"), "c_lambda": ("0.9",),
+    "stepper": ("adam", "plain-gd"), "dim": ("2", "4", "6"),
+    "n_train": ("6", "10"), "n_val": ("3", "5"), "noise_frac": ("0.2",),
+    "n_poison": ("2",), "n": ("40",), "d": ("3",), "reg_true": ("1.0",),
+    "dim_u": ("2", "3"), "dim_v": ("2", "3"), "trials": ("1", "2"),
+    "record_every": ("1", "2"), "seed": ("0", "7"),
+}
+
+
+def _fuzz_value(key):
+    good = _FUZZ_GOOD.get(key, ("1e-3", "0.5", "2.0"))
+    # seven in eight values are in range
+    return st.sampled_from([good] * 7 + [_FUZZ_JUNK]).flatmap(
+        st.sampled_from)
+
+
+@st.composite
+def fuzz_config(draw):
+    command = draw(st.sampled_from(("run", "sweep", "compare")))
+    lines = []
+
+    def maybe(n=10):
+        """True but for one draw in n (it shrinks to True)."""
+        return draw(st.sampled_from([True] * (n - 1) + [False]))
+
+    def items(keys, known):
+        if known:
+            keys = draw(st.lists(st.sampled_from(sorted(known)), max_size=3,
+                                 unique=True)) + keys
+        if not maybe():
+            keys.append("bogus")
+        lines.extend(f"{k} = {draw(_fuzz_value(k))}" for k in keys)
+
+    if maybe():
+        problem = draw(st.sampled_from(sorted(PROBLEMS))) if maybe() else (
+            "nope")
+        lines += ["[problem]"] + ([f"name = {problem}"] if maybe() else [])
+        items([], PROBLEMS.get(problem, PROBLEMS["example1"]).defaults)
+    labels = (["solver.a", "solver.b"] if command == "compare" and maybe(3)
+              else ["solver"] if maybe() else ["solver."])
+    for label in labels:
+        solver = draw(st.sampled_from(bench.SOLVER_NAMES)) if maybe() else (
+            "nope")
+        lines += [f"[{label}]", f"name = {solver}"]
+        # K and T are always set, so no run takes their large defaults;
+        # a key another solver reads turns up now and then
+        known = SOLVER_KEYS.get(solver, SOLVER_KEYS["penalty"])
+        if not maybe(5):
+            known = SOLVER_KEYS["penalty"] | SOLVER_KEYS["approxgrad"]
+        items(["K", "T"], set(known) - {"K", "T"})
+    if maybe(2):
+        lines.append("[run]")
+        items([], ("trials", "record_every", "seed"))
+    if command == "sweep" and maybe(5) or not maybe(5):
+        axis = draw(st.sampled_from(("T", "gamma0", "lambda0", "eps0", "K")))
+        lines += ["[sweep]", f"axis = {axis}", "values = " + draw(
+            st.sampled_from(("1, 2", "0.5, 2", "", "a, b", "nan", "2, 0")))]
+    if not maybe(5):
+        lines.append(draw(st.sampled_from(
+            ("[bogus]", "key without value", "[unclosed", "= 3",
+             "[problem]", "name = example1"))))
+    return command, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=fuzz_config())
+def test_config_fuzz_only_exits_0_to_3(case):
+    import tempfile
+    from unittest import mock
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"BILEVEL_THREADS": "1"}):
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out",
+                str(Path(tmp) / "out.csv"), "--quiet"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)

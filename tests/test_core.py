@@ -265,13 +265,33 @@ class TestRateRule:
     def test_schedule_rate_is_read_only(self):
         from bilevel.solvers import PenaltyConfig, _schedule_weights
         _, rho_k = _schedule_weights(PenaltyConfig(), np.array([1.0, 2.0]),
-                                     0.0, None, None)
-        assert rho_k.shape == (2, 1) and not rho_k.flags.writeable
+                                     0.0, None, None, (2, 3))
+        assert rho_k.shape == (2, 3) and not rho_k.flags.writeable
+        assert rho_k.base is None
         with pytest.raises(ValueError):
             rho_k[0] = -1.0
         with pytest.raises(ValueError):
             rho_k *= -1.0
-        np.testing.assert_array_equal(rho_k, [[1e-4], [5e-5]])
+        np.testing.assert_array_equal(rho_k, [[1e-4] * 3, [5e-5] * 3])
+
+    def test_schedule_weights_have_v_shape(self):
+        # the v-side weights and the rate at v's (B, V) shape; the factor
+        # on the (B, C) constraint term stays a column
+        from bilevel.oracle import PenaltyParams
+        from bilevel.solvers import PenaltyConfig, _schedule_weights
+        gamma, lam = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+        params, rho_k = _schedule_weights(
+            PenaltyConfig(), gamma, lam, np.zeros((2, 3)), np.zeros((2, 1)),
+            (2, 3))
+        for x, col in ((params.gamma_v, gamma), (params.lam_v, lam),
+                       (rho_k, 1e-4 / gamma)):
+            assert x.shape == (2, 3)
+            np.testing.assert_array_equal(x, np.repeat(col[:, None], 3, 1))
+        assert params.gamma_col.shape == (2, 1)
+        # without a v shape the weights stay columns, and a zero lam drops
+        # the lam term
+        params = PenaltyParams(gamma=gamma)
+        assert params.gamma_v.shape == (2, 1) and params.lam_v is None
 
     def test_checks_kept_with_an_accepted_rate(self):
         # shape and gradient finiteness are checked on every step

@@ -236,9 +236,29 @@ def _sig(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def val_formulas(inst, sign):
+    """The validation cross-entropy upper cost and its v-gradient of a
+    logistic toy, with the margin z = y (w . x) and the slope
+    -sigma(-z) y, in the order the toys first computed them."""
+    split = inst.info["split"]
+    Xb_val, y_val = _augment(split.X_val), split.y_val
+
+    def margin(p):
+        return y_val * np.einsum("nd,...d->...n", Xb_val, p.v)
+
+    def eval_f(p):
+        return sign * np.mean(np.logaddexp(0.0, -margin(p)), axis=-1)
+
+    def grad_v_f(p):
+        a = -_sig(-margin(p)) * y_val
+        return sign * np.einsum("...n,nd->...d", a, Xb_val) / len(y_val)
+
+    return eval_f, grad_v_f
+
+
 def importance_formulas(inst):
-    """importance_toy's v-gradient and second-order callbacks written out,
-    every term computed in one pass, in the library's operation order."""
+    """importance_toy's callbacks written out, every term computed in one
+    pass, in the order the library first computed them."""
     split = inst.info["split"]
     Xb, y, reg = _augment(split.X_train), split.y_train, inst.info["reg"]
 
@@ -248,42 +268,50 @@ def importance_formulas(inst):
         z = y * np.einsum("nd,...d->...n", Xb, p.v)
         a = -_sig(-z) * y
         r = _sig(z) * _sig(-z)
-        return W, dW, np.sum(W, axis=-1), a, r
+        return W, dW, np.sum(W, axis=-1), a, r, z
 
     def mean_grad(W, S, a):
         return np.einsum("...n,nd->...d", W * a, Xb) / S[..., None]
 
+    def eval_g(p):
+        W, _, S, _, _, z = terms(p)
+        l = np.logaddexp(0.0, -z)
+        return np.sum(W * l, axis=-1) / S + reg * np.sum(p.v * p.v, axis=-1)
+
     def grad_v_g(p):
-        W, _, S, a, _ = terms(p)
+        W, _, S, a, _, _ = terms(p)
         return mean_grad(W, S, a) + 2.0 * reg * p.v
 
     def hvp(p, q):
-        W, _, S, _, r = terms(p)
+        W, _, S, _, r, _ = terms(p)
         t = np.einsum("nd,...d->...n", Xb, q)
         return (np.einsum("...n,nd->...d", W * r * t, Xb) / S[..., None]
                 + 2.0 * reg * q)
 
     def jvp(p, q):
-        W, dW, S, a, _ = terms(p)
+        W, dW, S, a, _, _ = terms(p)
         mq = np.sum(mean_grad(W, S, a) * q, axis=-1)
         xq = np.einsum("nd,...d->...n", Xb, q)
         return dW * (a * xq - mq[..., None]) / S[..., None]
 
     def hess(p):
-        W, _, S, _, r = terms(p)
+        W, _, S, _, r, _ = terms(p)
         return (Xb * (W * r)[:, None]).T @ Xb / S + 2.0 * reg * np.eye(3)
 
     def jac(p):
-        W, dW, S, a, _ = terms(p)
+        W, dW, S, a, _, _ = terms(p)
         m = mean_grad(W, S, a)
         return (dW / S)[:, None] * (a[:, None] * Xb - m[None, :])
 
-    return grad_v_g, hvp, jvp, hess, jac
+    eval_f, grad_v_f = val_formulas(inst, 1.0)
+    return dict(eval_f=eval_f, grad_v_f=grad_v_f, eval_g=eval_g,
+                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp,
+                hess_vv_g=hess, jac_uv_g=jac)
 
 
 def poison_formulas(inst):
-    """poison_toy's v-gradient and second-order callbacks written out,
-    both logistic coefficients from one pass, in the library's order."""
+    """poison_toy's callbacks written out, both logistic coefficients from
+    one pass, in the order the library first computed them."""
     split, y_p = inst.info["split"], inst.info["y_poison"]
     n_poison, reg = inst.info["n_poison"], inst.info["reg"]
     Xb_c, y_c = _augment(split.X_train), split.y_train
@@ -298,16 +326,23 @@ def poison_formulas(inst):
         zc = y_c * np.einsum("nd,...d->...n", Xb_c, p.v)
         zp = y_p * np.einsum("...nd,...d->...n", Xbp, p.v)
         return (Xbp, -_sig(-zc), _sig(zc) * _sig(-zc),
-                -_sig(-zp), _sig(zp) * _sig(-zp))
+                -_sig(-zp), _sig(zp) * _sig(-zp), zc, zp)
+
+    def eval_g(p):
+        zc, zp = coeffs(p)[5:]
+        lc = np.logaddexp(0.0, -zc)
+        lp = np.logaddexp(0.0, -zp)
+        return ((np.sum(lc, axis=-1) + np.sum(lp, axis=-1)) / n_total
+                + reg * np.sum(p.v * p.v, axis=-1))
 
     def grad_v_g(p):
-        Xbp, ac, _, ap, _ = coeffs(p)
+        Xbp, ac, _, ap, _ = coeffs(p)[:5]
         out = np.einsum("...n,nd->...d", ac * y_c, Xb_c)
         out = out + np.einsum("...n,...nd->...d", ap * y_p, Xbp)
         return out / n_total + 2.0 * reg * p.v
 
     def hvp(p, q):
-        Xbp, _, rc, _, rp = coeffs(p)
+        Xbp, _, rc, _, rp = coeffs(p)[:5]
         tc = np.einsum("nd,...d->...n", Xb_c, q)
         tp = np.einsum("...nd,...d->...n", Xbp, q)
         out = np.einsum("...n,nd->...d", rc * tc, Xb_c)
@@ -315,26 +350,29 @@ def poison_formulas(inst):
         return out / n_total + 2.0 * reg * q
 
     def jvp(p, q):
-        Xbp, _, _, ap, rp = coeffs(p)
+        Xbp, _, _, ap, rp = coeffs(p)[:5]
         xq = np.einsum("...nd,...d->...n", Xbp, q)
         out = ((rp * xq)[..., None] * p.v[..., None, :2]
                + (ap * y_p)[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 
     def hess(p):
-        Xbp, _, rc, _, rp = coeffs(p)
+        Xbp, _, rc, _, rp = coeffs(p)[:5]
         H = (Xb_c * rc[:, None]).T @ Xb_c + (Xbp * rp[:, None]).T @ Xbp
         return H / n_total + 2.0 * reg * np.eye(3)
 
     def jac(p):
-        Xbp, _, _, ap, rp = coeffs(p)
+        Xbp, _, _, ap, rp = coeffs(p)[:5]
         blocks = (rp[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
         eye = np.zeros((2, 3))
         eye[0, 0] = eye[1, 1] = 1.0
         blocks = blocks + (ap * y_p)[:, None, None] * eye[None]
         return blocks.reshape(2 * n_poison, 3) / n_total
 
-    return grad_v_g, hvp, jvp, hess, jac
+    eval_f, grad_v_f = val_formulas(inst, -1.0)
+    return dict(eval_f=eval_f, grad_v_f=grad_v_f, eval_g=eval_g,
+                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp,
+                hess_vv_g=hess, jac_uv_g=jac)
 
 
 TOY_FORMULAS = {
@@ -349,30 +387,91 @@ TOY_FORMULAS = {
 @pytest.mark.parametrize("name", sorted(TOY_FORMULAS))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_toy_callbacks_equal_formulas_bitwise(name, seed):
+    # at random points, on a batch of 4 (the dense pair is single-point
+    # only), and at v = 0, where every margin is exactly zero
     make, formulas = TOY_FORMULAS[name]
     inst = make(seed)
     o = inst.oracle
-    grad_v_g, hvp, jvp, hess, jac = formulas(inst)
+    want = formulas(inst)
     rng = make_rng(seed, 0x7E57)
 
     def draw(*batch):
         return (rng.uniform(-3.0, 3.0, batch + (o.dim_u,)),
                 rng.standard_normal(batch + (o.dim_v,)))
 
-    for _ in range(3):
-        p = Point(*draw())
-        q = rng.standard_normal(o.dim_v)
-        assert o.grad_v_g(p).tobytes() == grad_v_g(p).tobytes()
-        assert o.hvp_vv_g(p, q).tobytes() == hvp(p, q).tobytes()
-        assert o.jvp_uv_g(p, q).tobytes() == jvp(p, q).tobytes()
-        assert o.hess_vv_g(p).tobytes() == hess(p).tobytes()
-        assert o.jac_uv_g(p).tobytes() == jac(p).tobytes()
-    # the first-order and matrix-free callbacks broadcast over a batch
-    p = Point(*draw(4))
-    q = rng.standard_normal((4, o.dim_v))
-    assert o.grad_v_g(p).tobytes() == grad_v_g(p).tobytes()
-    assert o.hvp_vv_g(p, q).tobytes() == hvp(p, q).tobytes()
-    assert o.jvp_uv_g(p, q).tobytes() == jvp(p, q).tobytes()
+    def check(p, q):
+        for cb in ("eval_f", "grad_v_f", "eval_g", "grad_v_g"):
+            assert getattr(o, cb)(p).tobytes() == want[cb](p).tobytes(), cb
+        for cb in ("hvp_vv_g", "jvp_uv_g"):
+            assert (getattr(o, cb)(p, q).tobytes()
+                    == want[cb](p, q).tobytes()), cb
+        if p.v.ndim == 1:
+            for cb in ("hess_vv_g", "jac_uv_g"):
+                assert getattr(o, cb)(p).tobytes() == want[cb](p).tobytes(), cb
+
+    for batch in [()] * 3 + [(4,)]:
+        u, v = draw(*batch)
+        q = rng.standard_normal(batch + (o.dim_v,))
+        check(Point(u, v), q)
+        check(Point(u, np.zeros_like(v)), q)
+
+
+def textbook_fit_logistic(X, y, reg):
+    """fit_logistic's Newton loop with the margin z = y (w . x), in the
+    order the library first computed it."""
+    Xb = _augment(np.asarray(X, float))
+    y = np.asarray(y, float)
+    wts = np.ones(len(y)) / np.sum(np.ones(len(y)))
+    w = np.zeros(Xb.shape[1])
+    eye = np.eye(Xb.shape[1])
+    for _ in range(60):
+        z = y * np.einsum("nd,...d->...n", Xb, w)
+        s = _sig(-z)
+        a = -s * y
+        r = _sig(z) * s
+        grad = Xb.T @ (wts * a) + 2.0 * reg * w
+        hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * reg * eye
+        w = w - np.linalg.solve(hess, grad)
+        if np.linalg.norm(grad) < 1e-12:
+            break
+    return w
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_toy_warm_starts_equal_textbook_fit_bitwise(seed):
+    imp = make_importance_toy(seed)
+    split = imp.info["split"]
+    want = textbook_fit_logistic(split.X_val, split.y_val, imp.info["reg"])
+    assert imp.init_sampler(seed).v.tobytes() == want.tobytes()
+    poi = make_poison_toy(seed)
+    split = poi.info["split"]
+    X = np.concatenate([split.X_train, poi.info["init_features"]])
+    y = np.concatenate([split.y_train, poi.info["y_poison"]])
+    want = textbook_fit_logistic(X, y, poi.info["reg"])
+    assert poi.init_sampler(seed).v.tobytes() == want.tobytes()
+
+
+def test_einsum_entry_point_matches_numpy_bitwise():
+    # every subscript string problems.py contracts with, single and with
+    # a batch axis where it has one
+    import inspect
+    import re
+    from bilevel import problems
+    source = inspect.getsource(problems)
+    assert not re.search(r'np\.einsum\(\s*"', source)
+    subs = sorted(set(re.findall(r'_einsum\(\s*"([^"]+)"', source)))
+    assert {"nd,...d->...n", "...n,nd->...d", "...nd,...d->...n",
+            "...ij,...j->...i"} <= set(subs)
+    sizes = dict(zip("dijn", (3, 4, 5, 7)))
+    rng = make_rng(0, 0xE1)
+    for sub in subs:
+        for batch in ((), (4,)):
+            ops = [rng.standard_normal(
+                (batch if term.startswith("...") else ())
+                + tuple(sizes[c] for c in term.replace("...", "")))
+                for term in sub.split("->")[0].split(",")]
+            got = problems._einsum(sub, *ops)
+            assert got.tobytes() == np.einsum(sub, *ops).tobytes(), sub
 
 
 class TestLogisticHelpers:

@@ -426,6 +426,8 @@ class RowRecorder:
         g = np.broadcast_to(o.eval_g(pt), (self.batch,))
         gvg = o.grad_v_g(pt)
         feas_sq = sqnorm(gvg)
+        if gv_sq is None:
+            gv_sq = feas_sq
         if o.has_constraints:
             feas_sq = feas_sq + sqnorm(o.eval_h(pt))
         feas = np.sqrt(np.broadcast_to(feas_sq, (self.batch,)))
@@ -659,16 +661,18 @@ def textbook_project_box(params, box, out=None):
 
 
 def textbook_penalty_grad_v(oracle, p, params):
+    # the weights as (B, 1) columns, broadcast against each term
+    gamma_col = np.asarray(params.gamma, dtype=float)[..., None]
     gvf = oracle.grad_v_f(p)
     gvg = oracle.grad_v_g(p)
-    w = params.gamma_col * gvg
+    w = gamma_col * gvg
     if params.nu is not None:
         w = w + params.nu
     out = gvf + oracle.hvp_vv_g(p, w)
-    if params.lam_col is not None:
-        out = out + params.lam_col * gvg
+    if np.ndim(params.lam) or params.lam != 0.0:
+        out = out + np.asarray(params.lam, dtype=float)[..., None] * gvg
     if oracle.has_constraints:
-        mu = params.gamma_col * oracle.eval_h(p)
+        mu = gamma_col * oracle.eval_h(p)
         if params.nu_h is not None:
             mu = mu + params.nu_h
         out = out + oracle.jtvp_v_h(p, mu)
@@ -711,6 +715,38 @@ def test_lean_path_matches_textbook_formulas(monkeypatch, solver, stepper,
     assert np.isfinite(lean[0].u).all() and np.isfinite(lean[0].v).all()
     assert lean[0].u.tobytes() == ref[0].u.tobytes()
     assert lean[0].v.tobytes() == ref[0].v.tobytes()
+
+
+@pytest.mark.parametrize("solve", [penalty_solve, penalty_aug_solve])
+def test_penalty_run_checks_the_v_rate_once_per_phase(monkeypatch, solve):
+    # every schedule phase builds one read-only (B, V) rate, and the
+    # v-stepper checks that object once; the u-rate, a float, once a run
+    from bilevel import core
+    checked, built = [], []
+    check_rate, schedule_weights = core._check_rate, solvers._schedule_weights
+
+    def spy_check(state, shape, lr):
+        checked.append(lr)
+        return check_rate(state, shape, lr)
+
+    def spy_weights(*args):
+        out = schedule_weights(*args)
+        built.append(out[1])
+        return out
+
+    monkeypatch.setattr(core, "_check_rate", spy_check)
+    monkeypatch.setattr(solvers, "_schedule_weights", spy_weights)
+    inst = make_synthetic(1, dim=4, seed=2)
+    # while_cap = 4 ends a phase every fourth u-step, the last at k = 39
+    cfg = PenaltyConfig(K=42, T=3, while_cap=4)
+    solve(inst.oracle, cfg, stacked_points(inst, (3, 4, 5)))
+    v_rates = [lr for lr in checked if isinstance(lr, np.ndarray)]
+    assert len(built) == 1 + 40 // 4
+    assert len(v_rates) == len(built)
+    assert all(a is b for a, b in zip(v_rates, built))
+    assert all(lr.shape == (3, 4) for lr in built)
+    assert [lr for lr in checked if not isinstance(lr, np.ndarray)] == [
+        cfg.sigma0]
 
 
 @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
