@@ -42,6 +42,7 @@ import configparser
 import csv
 import operator
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -291,25 +292,54 @@ def _dispatch(solver, oracle, cfg, p0, metric, record_every, counters):
     return outer_loop(oracle, solver, cfg, p0, **kw)
 
 
-def _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,
-               record_every):
-    """Run the trials in groups of (trial ids, factory, seed or seeds).
+def trial_groups(problem, solver, seed, trial_ids):
+    """The (trial ids, factory, seed or seeds) groups the trials run in.
 
-    One lockstep group comes from the batch factory where it applies,
-    else there is one group per trial; each group runs as one batch.
+    One lockstep group comes from the batch factory when there is one,
+    there are two or more trials and the solver is not fmd; else there
+    is one group per trial. Trial t's seed is derive_seed(seed, t).
     """
     spec = get_problem(problem)
     seeds = [derive_seed(seed, t) for t in trial_ids]
     if (spec.batch_factory is not None and len(trial_ids) > 1
             and solver != "fmd"):
-        groups = [(trial_ids, spec.batch_factory, seeds)]
-    else:
-        groups = [([t], spec.factory, s) for t, s in zip(trial_ids, seeds)]
+        return [(trial_ids, spec.batch_factory, seeds)]
+    return [([t], spec.factory, s) for t, s in zip(trial_ids, seeds)]
+
+
+# (key, instance, p0) of the last group built; see _built
+_slot = None
+
+
+def _built(factory, gseed, pparams):
+    """factory(gseed, **pparams) and its p0, reusing the last group's.
+
+    Factories are deterministic and oracles pure, so a group with the
+    same factory object, seed(s) and pparams (by type and value: 1 and
+    1.0, or 0.0 and -0.0, are different keys) gets the instance and p0
+    built last, whose arrays are read-only. A miss empties the slot
+    before building, so it never holds more than the loop does.
+    """
+    global _slot
+    key = (factory, pickle.dumps((gseed, sorted(pparams.items()))))
+    if _slot is None or _slot[0] != key:
+        _slot = None
+        instance = factory(gseed, **pparams)
+        p0 = instance.init_sampler(gseed)
+        p0.u.setflags(write=False)
+        p0.v.setflags(write=False)
+        _slot = (key, instance, p0)
+    return _slot[1], _slot[2]
+
+
+def _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,
+               record_every):
+    """Run the trials in their trial_groups, each group as one batch."""
+    groups = trial_groups(problem, solver, seed, trial_ids)
     results = []
     try:
         for ids, factory, gseed in groups:
-            instance = factory(gseed, **pparams)
-            p0 = instance.init_sampler(gseed)
+            instance, p0 = _built(factory, gseed, pparams)
             oracle, p0, metric = _prepare_instance(instance, solver, p0)
             # a lone trial runs as a batch of one
             p0 = Point(np.atleast_2d(p0.u), np.atleast_2d(p0.v))
@@ -661,8 +691,10 @@ def _check(problem: str, level: str, seed: int, say) -> int:
         results = run_trials(problem, "penalty", pparams={}, cfg=cfgkw,
                              trials=1, seed=seed, record_every=10**9)
         final = results[0].final_point
-        # the instance trial 0 solved, not the one built from `seed`
-        solved = get_problem(problem).factory(derive_seed(seed, 0)).oracle
+        # the instance trial 0 solved, not the one built from `seed`: the
+        # slot still holds it
+        (_, factory, gseed), = trial_groups(problem, "penalty", seed, [0])
+        solved = _built(factory, gseed, {})[0].oracle
         report = kkt_residual(
             slackify(solved) if solved.has_constraints else solved, final)
         say(f"check {problem} kkt: feasibility={report.feasibility:.3e} "

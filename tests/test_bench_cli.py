@@ -1,21 +1,27 @@
 import csv
+import dataclasses
+import importlib.util
 import os
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilevel import bench, hypergrad
-from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, TrialResult, _fmt,
+from bilevel import bench, hypergrad, problems
+from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, SOLVER_NAMES,
+                           TrialResult, _fmt,
                            _run_chunk,
                            load_run_setup, run_trials, summarize,
                            worker_count, write_run_csv)
 from bilevel.cli import main
 from bilevel.core import derive_seed
 from bilevel.errors import ConfigError, ConvergenceError, NumericError
-from bilevel.problems import PROBLEMS, get_problem
+from bilevel.problems import (PROBLEMS, ProblemSpec, get_problem,
+                              make_synthetic)
 from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
                              traces_equal)
 
@@ -45,6 +51,10 @@ trials = 2
 record_every = 20
 seed = 3
 """
+
+
+# plain-gd at step 10 on the quadratic: aborts at u-iteration 7
+DIVERGING = dict(K=200, stepper="plain-gd", rho0=10.0, sigma0=10.0)
 
 
 class TestConfigParsing:
@@ -357,9 +367,11 @@ seed = 0
                      str(tmp_path / "o.csv"), "--quiet"])
         assert code == 3
 
-    def test_numeric_abort_writes_partial_csv(self, tmp_path):
+    def test_numeric_abort_writes_partial_csv(self, tmp_path, monkeypatch):
         # plain-gd at step 10 diverges on the quadratic; the abort comes
-        # at u-iteration 7, after 7 recorded rows
+        # at u-iteration 7, after 7 recorded rows. One worker runs the
+        # trials in order
+        monkeypatch.delenv("BILEVEL_THREADS", raising=False)
         text = """
 [problem]
 name = quadratic
@@ -382,13 +394,25 @@ record_every = 1
         assert tuple(rows[0]) == RUN_COLUMNS
         assert [r[:2] for r in rows[1:]] == [["0", str(k)] for k in range(7)]
         with pytest.raises(NumericError, match="u-iteration 7") as err:
-            run_trials("quadratic", "penalty_plain", cfg=dict(
-                K=200, stepper="plain-gd", rho0=10.0, sigma0=10.0),
-                trials=2, record_every=1)
+            run_trials("quadratic", "penalty_plain", cfg=DIVERGING,
+                       trials=2, record_every=1)
         # trial 0 aborted, so trial 1 never ran
         assert [r.trial for r in err.value.results] == [0]
         assert len(err.value.results[0].trace) == 7
         assert err.value.results[0].final_point is None
+
+    def test_numeric_abort_on_two_workers_keeps_both_trials(self,
+                                                            monkeypatch):
+        # each worker runs one trial, and each aborts at u-iteration 7
+        monkeypatch.setenv("BILEVEL_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(NumericError, match="u-iteration 7") as err:
+            run_trials("quadratic", "penalty_plain", cfg=DIVERGING,
+                       trials=2, record_every=1)
+        results = err.value.results
+        assert [r.trial for r in results] == [0, 1]
+        assert [len(r.trace) for r in results] == [7, 7]
+        assert all(r.final_point is None for r in results)
 
 
 COMPARE_CONFIG = """
@@ -700,6 +724,163 @@ def test_kkt_check_scores_the_solved_instance(monkeypatch, problem):
     assert oracle.grad_v_f(p).tobytes() == solved.grad_v_f(p).tobytes()
     assert oracle.grad_v_f(p).tobytes() != factory(3).oracle.grad_v_f(
         p).tobytes()
+
+
+# The instance slot: run_trials reuses the last group's instance and p0
+# while the factory, seed(s) and pparams stay the same.
+
+@pytest.fixture
+def serial(monkeypatch):
+    """One worker and an empty slot, so every build happens here."""
+    monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+    monkeypatch.setattr(bench, "_slot", None)
+
+
+def same_results(a, b):
+    assert [r.trial for r in a] == [r.trial for r in b]
+    for x, y in zip(a, b):
+        assert traces_equal(x.trace, y.trace)
+        assert x.counters == y.counters
+        if x.final_point is None:
+            assert y.final_point is None
+        else:
+            assert x.final_point.u.tobytes() == y.final_point.u.tobytes()
+            assert x.final_point.v.tobytes() == y.final_point.v.tobytes()
+
+
+class TestInstanceSlot:
+    def test_rebuilds_only_on_a_new_key(self, serial, monkeypatch):
+        slot_empty = []             # per factory call: was the slot empty?
+
+        def spy(seed, dim=4, scale=0.0):
+            slot_empty.append(bench._slot is None)
+            return make_synthetic(1, dim, seed)
+
+        monkeypatch.setitem(PROBLEMS, "spy", ProblemSpec(
+            spy, spy, {"dim": 4, "scale": 0.0}))
+
+        def builds(solver="penalty", trials=2, seed=0, scale=0.0):
+            before = len(slot_empty)
+            run_trials("spy", solver, pparams={"scale": scale},
+                       cfg=dict(K=2, T=1), trials=trials, seed=seed,
+                       record_every=2)
+            return len(slot_empty) - before
+
+        assert builds() == 1
+        assert builds() == 0
+        assert builds(solver="gd") == 0
+        assert builds(seed=1) == 1
+        assert builds() == 1
+        assert builds(trials=3) == 1
+        assert builds(trials=1) == 1
+        assert builds() == 1
+        assert builds(scale=-0.0) == 1
+        assert builds(scale=1) == 1
+        assert builds(scale=1.0) == 1
+        # fmd runs one group per trial; each evicts the one before
+        assert builds(solver="fmd") == 2
+        assert builds(solver="fmd") == 2
+        assert builds() == 1
+        assert all(slot_empty)
+
+    def test_cached_p0_is_read_only(self, serial):
+        run_trials("example1", "penalty", pparams={"dim": 4},
+                   cfg=dict(K=2, T=1), trials=2, record_every=2)
+        _, _, p0 = bench._slot
+        assert not p0.u.flags.writeable and not p0.v.flags.writeable
+
+    @pytest.mark.parametrize("problem, solver", [
+        (problem, solver) for problem in sorted(PROBLEMS)
+        for solver in SOLVER_NAMES
+        if problem != "constrained_toy" or solver.startswith("penalty")])
+    def test_warm_call_equals_cold(self, serial, problem, solver):
+        # a warm call reuses an instance another solver has just run on
+        cfg = dict(K=4, T=2, sigma0=1e-3, rho0=1e-4, gamma0=1.0, eps0=1.0,
+                   lambda0=10.0)
+        other = "penalty_plain" if problem == "constrained_toy" else "gd"
+        # where trials run one group each, the slot keeps only the last
+        lockstep = len(bench.trial_groups(problem, solver, 4, [0, 1])) == 1
+        kw = dict(trials=2 if lockstep else 1, seed=4, record_every=1)
+
+        def run(name):
+            return run_trials(problem, name, cfg={
+                k: v for k, v in cfg.items() if k in SOLVER_KEYS[name]},
+                **kw)
+
+        cold = run(solver)
+        slot = bench._slot
+        run(other)
+        warm = run(solver)
+        assert bench._slot is slot
+        same_results(cold, warm)
+
+    def test_warm_abort_equals_cold(self, serial):
+        def abort():
+            with pytest.raises(NumericError) as err:
+                run_trials("quadratic", "penalty_plain", cfg=DIVERGING,
+                           trials=2, record_every=1)
+            return err.value.results
+
+        cold = abort()
+        slot = bench._slot
+        warm = abort()
+        assert bench._slot is slot
+        same_results(cold, warm)
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py as a module. Its import pins the *_THREADS
+    variables and needs perfbench/ on sys.path; both are undone after,
+    and perfbench's modules leave sys.modules."""
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    for var in ("BILEVEL_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  here / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name, mod in list(sys.modules.items()):
+        if str(getattr(mod, "__file__", "")).startswith(str(here)):
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("problem, solver, trials, pparams", [
+    ("example1", "penalty", 3, {"dim": 4}),       # one batched group
+    ("example1", "fmd", 3, {"dim": 4}),           # fmd: one per trial
+    ("example1", "penalty", 1, {"dim": 4}),       # a lone trial
+    ("quadratic", "penalty", 3, {}),              # no batch factory
+])
+def test_perfbench_setup_builds_the_trial_groups(perfbench_run, monkeypatch,
+                                                 problem, solver, trials,
+                                                 pparams):
+    # setup_s must time the factory calls that runs make
+    calls = []
+    real = problems.get_problem
+
+    def recording(factory):
+        def build(seed, **kw):
+            calls.append((factory, seed, kw))
+            return factory(seed, **kw)
+        return build
+
+    def spy(name):
+        spec = real(name)
+        return dataclasses.replace(
+            spec, factory=recording(spec.factory),
+            batch_factory=spec.batch_factory and recording(
+                spec.batch_factory))
+
+    monkeypatch.setattr(problems, "get_problem", spy)
+    case = SimpleNamespace(problem=problem, solver=solver, trials=trials,
+                           pparams=pparams)
+    perfbench_run.build_inputs(case, 3)
+    assert calls == [(factory, gseed, pparams) for _, factory, gseed
+                     in bench.trial_groups(problem, solver, 3,
+                                           list(range(trials)))]
 
 
 # Config fuzz: random files of known keys, junk keys, junk values and bad
