@@ -483,13 +483,8 @@ def write_summary_csv(path, rows):
         w = csv.writer(fh)
         w.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            w.writerow([row["label"], row["solver"], _fmt(row["value"])
-                        if row["value"] != "" else "",
-                        row["trials"], _fmt(row["final_mean"]),
-                        _fmt(row["final_sd"]), _fmt(row["final_median"]),
-                        row["n_hvp_total"], row["n_jvp_total"],
-                        row["second_order_total"], row["peak_stored_vecs"],
-                        _fmt(row["wall_mean_seconds"])])
+            w.writerow([row[c] if isinstance(row[c], str) else _fmt(row[c])
+                        for c in SUMMARY_COLUMNS])
     return path
 
 
@@ -539,8 +534,6 @@ def _derived_path(out, tag):
 def cmd_sweep(setup: RunSetup, quiet=False) -> int:
     if setup.sweep_axis is None:
         raise ConfigError("sweep needs a [sweep] section with axis/values")
-    if not setup.sweep_values:
-        raise ConfigError("[sweep] values must be non-empty")
     summary_rows = []
     for entry in setup.solvers:
         for value in setup.sweep_values:
@@ -568,10 +561,7 @@ def cmd_compare(setup: RunSetup, quiet=False) -> int:
         raise ConfigError("compare expects at least two solver sections")
     rows = []
     for entry in setup.solvers:
-        results = run_trials(setup.problem, entry.name,
-                             pparams=setup.problem_params, cfg=entry.cfg,
-                             trials=setup.trials, seed=setup.seed,
-                             record_every=setup.record_every)
+        results = _run_to_csv(setup, entry, entry.cfg, None)
         row = summarize(entry.label, entry.name, results)
         rows.append(row)
         if not quiet:
@@ -678,8 +668,7 @@ def _check(problem: str, level: str, seed: int, say) -> int:
                 u = rng.standard_normal(oracle.dim_u)
             # the penalized minimizer lies near the lower-level solution
             v0 = solve_lower_level(oracle, u, p0.v, tol=1e-10)
-            err = verify_lemma3(oracle, u, gamma=10.0, inner_tol=1e-10,
-                                v0=v0)
+            err = verify_lemma3(oracle, u, gamma=10.0, v0=v0)
             worst = max(worst, err)
         say(f"check {problem} lemma3: max relative error {worst:.3e}")
         ok = worst < 1e-6

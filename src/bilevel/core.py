@@ -100,7 +100,7 @@ class StepperState:
     ``moments``, so a single ufunc call updates both; ``m`` and
     ``s`` are writable views of its two halves. ``step_count`` advances
     by exactly one per step. Plain-gd keeps the moments at zero. The
-    betas and eps_hat are read into coefficient arrays of the moments'
+    Adam constants are read into coefficient arrays of the moments'
     full shape at construction (at desk scale a same-shape ufunc call is
     cheaper than a broadcast one), next to the scratch an Adam step
     writes and the last rate accepted (see the module docstring).
@@ -109,9 +109,6 @@ class StepperState:
     kind: str
     moments: np.ndarray
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps_hat: float = ADAM_EPS
     m: np.ndarray = field(init=False, repr=False, compare=False)
     s: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -124,9 +121,9 @@ class StepperState:
             return np.broadcast_to(np.array((first, second)).reshape(col),
                                    self.moments.shape).copy()
 
-        self._decay = per_half(self.beta1, self.beta2)
-        self._gain = per_half(1.0 - self.beta1, 1.0 - self.beta2)
-        self._eps = np.full(self.m.shape, self.eps_hat)
+        self._decay = per_half(ADAM_BETA1, ADAM_BETA2)
+        self._gain = per_half(1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2)
+        self._eps = np.full(self.m.shape, ADAM_EPS)
         # bias corrections, rewritten every step; _corr_col is a view
         self._corr = np.ones(2)
         self._corr_col = self._corr.reshape(col)
@@ -142,13 +139,12 @@ class StepperState:
         self._rate = None
 
 
-def make_stepper(kind: str, shape, beta1=ADAM_BETA1, beta2=ADAM_BETA2,
-                 eps_hat=ADAM_EPS) -> StepperState:
+def make_stepper(kind: str, shape) -> StepperState:
     if kind not in ("adam", "plain-gd"):
         raise ContractViolationError(f"unknown stepper kind {kind!r}")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     moments = np.zeros((2,) + shape, dtype=np.float64)
-    return StepperState(kind, moments, 0, beta1, beta2, eps_hat)
+    return StepperState(kind, moments)
 
 
 def _check_rate(state: StepperState, shape, lr):
@@ -187,9 +183,10 @@ def adam_step(state: StepperState, params: RealVec, grad: RealVec,
               lr: float) -> RealVec:
     """One Adam update with bias correction; advances ``state`` in place.
 
-    Per element, with t the advanced step count and g = grad:
+    Per element, with t the advanced step count, g = grad, b1 =
+    ADAM_BETA1, b2 = ADAM_BETA2 and eps = ADAM_EPS:
     m = b1*m + (1-b1)*g, s = b2*s + ((1-b2)*g)*g, and the returned new
-    array is params - lr*(m/(1-b1**t)) / (sqrt(s/(1-b2**t)) + eps_hat).
+    array is params - lr*(m/(1-b1**t)) / (sqrt(s/(1-b2**t)) + eps).
     Every intermediate lives in the state's scratch; ``params`` is only
     read.
     """
@@ -205,8 +202,8 @@ def adam_step(state: StepperState, params: RealVec, grad: RealVec,
     state._inc_s *= grad
     mom += inc
     # Python float pow: numpy's vector pow may differ in the last ulp
-    state._corr[0] = 1.0 - state.beta1**t
-    state._corr[1] = 1.0 - state.beta2**t
+    state._corr[0] = 1.0 - ADAM_BETA1**t
+    state._corr[1] = 1.0 - ADAM_BETA2**t
     np.divide(mom, state._corr_col, out=state._hat)
     den = state._hat_s
     np.sqrt(den, out=den)

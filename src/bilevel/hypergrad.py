@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import (ContractViolationError, ConvergenceError,
                      SingularHessianError)
-from .oracle import (PenaltyParams, Point, ProblemOracle, central_diff,
-                     penalty_grad_u, penalty_grad_v, rel_err)
+from .oracle import (FD_EPS, PenaltyParams, Point, ProblemOracle,
+                     central_diff, penalty_grad_u, penalty_grad_v, rel_err)
 
 COND_CAP = 1e12
+INNER_TOL = 1e-10  # |residual| a verification solve must reach
 
 
 def _solve_checked(H, b, what: str):
@@ -43,9 +44,8 @@ def exact_hypergrad(oracle: ProblemOracle, p: Point) -> np.ndarray:
     return oracle.grad_u_f(p) - oracle.jac_uv_g(p) @ q
 
 
-def newton_root(residual, x0, tol, max_iter=100, what="newton_root",
-                jacobian=None):
-    """Damped Newton on a smooth residual.
+def newton_root(residual, x0, tol, what="newton_root", jacobian=None):
+    """Damped Newton on a smooth residual, in at most 100 steps.
 
     The Jacobian comes from ``jacobian(x)`` when given, else from central
     differences of the residual. Exact on affine residuals in one step;
@@ -53,7 +53,7 @@ def newton_root(residual, x0, tol, max_iter=100, what="newton_root",
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     r = residual(x)
-    for _ in range(max_iter):
+    for _ in range(100):
         rn = np.linalg.norm(r)
         if rn <= tol:
             return x
@@ -73,10 +73,10 @@ def newton_root(residual, x0, tol, max_iter=100, what="newton_root",
             alpha *= 0.5
         else:
             raise ConvergenceError(f"{what}: stalled at residual {rn:.3e}")
-    if np.linalg.norm(residual(x)) <= tol:
+    rn = np.linalg.norm(residual(x))
+    if rn <= tol:
         return x
-    raise ConvergenceError(
-        f"{what}: residual {np.linalg.norm(residual(x)):.3e} > tol {tol:.1e}")
+    raise ConvergenceError(f"{what}: residual {rn:.3e} > tol {tol:.1e}")
 
 
 def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10) -> np.ndarray:
@@ -92,40 +92,40 @@ def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10) -> np.ndarray:
                        what="lower-level solve", jacobian=hess)
 
 
-def minimize_penalty_v(oracle: ProblemOracle, u, v0, params: PenaltyParams,
-                       tol=1e-10) -> np.ndarray:
-    """Minimize the penalized objective over v to |grad_v| <= tol."""
+def minimize_penalty_v(oracle: ProblemOracle, u, v0,
+                       params: PenaltyParams) -> np.ndarray:
+    """Minimize the penalized objective over v to |grad_v| <= INNER_TOL."""
     u = np.asarray(u, dtype=np.float64)
     return newton_root(
-        lambda v: penalty_grad_v(oracle, Point(u, v), params), v0, tol,
+        lambda v: penalty_grad_v(oracle, Point(u, v), params), v0, INNER_TOL,
         what="penalized v-minimization")
 
 
-def fd_hypergrad(oracle: ProblemOracle, u, v0, inner_tol: float = 1e-10,
-                 fd_eps: float = 1e-5) -> np.ndarray:
+def fd_hypergrad(oracle: ProblemOracle, u, v0) -> np.ndarray:
     """Central-difference hypergradient through converged lower solves.
 
-    Solves the lower level at u +- fd_eps e_i (warm-started from the
-    unperturbed solution) and differences f(u, v*(u)). Independent of the
-    implicit-differentiation path: uses only eval_f and lower solves.
+    Solves the lower level to INNER_TOL at u +- FD_EPS e_i (warm-started
+    from the unperturbed solution) and differences f(u, v*(u)).
+    Independent of the implicit-differentiation path: uses only eval_f
+    and lower solves.
     """
     u = np.asarray(u, dtype=np.float64)
-    v_star = solve_lower_level(oracle, u, v0, inner_tol)
+    v_star = solve_lower_level(oracle, u, v0, INNER_TOL)
 
     def f_at(x):
         return oracle.eval_f(
-            Point(x, solve_lower_level(oracle, x, v_star, inner_tol)))
-    return central_diff(f_at, u, fd_eps)
+            Point(x, solve_lower_level(oracle, x, v_star, INNER_TOL)))
+    return central_diff(f_at, u, FD_EPS)
 
 
 def verify_lemma3(oracle: ProblemOracle, u, gamma: float,
-                  inner_tol: float = 1e-10, v0=None) -> float:
+                  v0=None) -> float:
     """Relative gap between the penalized u-gradient at the inner
     minimizer of the penalized objective and the exact hypergradient.
 
     Requires an unconstrained problem. The gap is invariant to gamma
     (which cancels at the minimizer) and shrinks to rounding error once
-    the inner minimization is tight.
+    the inner minimization is tight; it is solved to INNER_TOL.
     """
     if oracle.has_constraints:
         raise ContractViolationError(
@@ -134,7 +134,7 @@ def verify_lemma3(oracle: ProblemOracle, u, gamma: float,
     if v0 is None:
         v0 = np.zeros(oracle.dim_v)
     params = PenaltyParams(gamma=gamma)
-    v_hat = minimize_penalty_v(oracle, u, v0, params, tol=inner_tol)
+    v_hat = minimize_penalty_v(oracle, u, v0, params)
     p = Point(u, v_hat)
     gu = penalty_grad_u(oracle, p, params)
     exact = exact_hypergrad(oracle, p)
@@ -146,8 +146,7 @@ class KKTReport:
     """Feasibility and stationarity of the single-level reformulation.
 
     feasibility = |(h; grad_v g)|; stationarity = |grad_w f - J^T mu|
-    with the least-squares multiplier mu (w = (u, v)). multiplier_penalty
-    is the penalty-implied candidate -gamma (h; grad_v g). rank is the
+    with the least-squares multiplier mu (w = (u, v)). rank is the
     numerical rank of the constraint Jacobian (LICQ diagnostic; reported,
     not enforced).
     """
@@ -155,7 +154,6 @@ class KKTReport:
     feasibility: float
     stationarity: float
     multiplier: np.ndarray
-    multiplier_penalty: np.ndarray
     rank: int
 
 
@@ -174,22 +172,18 @@ def _constraint_jacobian(oracle: ProblemOracle, p: Point) -> np.ndarray:
     return J
 
 
-def kkt_residual(oracle: ProblemOracle, p: Point,
-                 gamma: float = 1.0) -> KKTReport:
+def kkt_residual(oracle: ProblemOracle, p: Point) -> KKTReport:
     """Report-only KKT residuals at a point (needs dense capability)."""
     oracle.require_dense("kkt_residual")
     oracle.check_point(p)
-    gvg = oracle.grad_v_g(p)
-    parts = [gvg]
+    parts = [oracle.grad_v_g(p)]
     if oracle.has_constraints:
         parts.insert(0, oracle.eval_h(p))
-    g_tilde = np.concatenate(parts)
-    feasibility = float(np.linalg.norm(g_tilde))
+    feasibility = float(np.linalg.norm(np.concatenate(parts)))
 
     J = _constraint_jacobian(oracle, p)
     grad_w_f = np.concatenate([oracle.grad_u_f(p), oracle.grad_v_f(p)])
     mu, _, rank, _ = np.linalg.lstsq(J.T, grad_w_f, rcond=None)
     stationarity = float(np.linalg.norm(grad_w_f - J.T @ mu))
     return KKTReport(feasibility=feasibility, stationarity=stationarity,
-                     multiplier=mu, multiplier_penalty=-gamma * g_tilde,
-                     rank=int(rank))
+                     multiplier=mu, rank=int(rank))

@@ -334,6 +334,9 @@ class FdCheckReport:
         return f"FdCheckReport({rows})"
 
 
+FD_EPS = 1e-5  # central-difference step of the fd checks
+
+
 def central_diff(fun, x, eps):
     """Central differences of fun at x, one row per coordinate:
     row i is (fun(x + eps e_i) - fun(x - eps e_i)) / (2 eps). For a scalar
@@ -346,9 +349,9 @@ def central_diff(fun, x, eps):
     return np.array(rows)
 
 
-def fd_check_oracle(oracle: ProblemOracle, p: Point,
-                    eps: float = 1e-5) -> FdCheckReport:
-    """Check analytic callbacks against central finite differences.
+def fd_check_oracle(oracle: ProblemOracle, p: Point) -> FdCheckReport:
+    """Check analytic callbacks against central finite differences of
+    step FD_EPS.
 
     Report-only: returns per-callback max relative error (denominator
     max(1, ||exact||)), never raises on mismatch. Second-order and
@@ -357,31 +360,29 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point,
     direction, jvp_uv_g by the mixed-derivative matrix (``central_diff``
     of grad_v_g over u, built once) times the direction.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ContractViolationError("fd eps must lie in [1e-7, 1e-3]")
     oracle.check_point(p)
     rng = make_rng(0, 0xFD)
     u, v = np.asarray(p.u, float), np.asarray(p.v, float)
     errors = {}
 
     errors["grad_u_f"] = rel_err(
-        central_diff(lambda x: oracle.eval_f(Point(x, v)), u, eps),
+        central_diff(lambda x: oracle.eval_f(Point(x, v)), u, FD_EPS),
         oracle.grad_u_f(p))
     errors["grad_v_f"] = rel_err(
-        central_diff(lambda x: oracle.eval_f(Point(u, x)), v, eps),
+        central_diff(lambda x: oracle.eval_f(Point(u, x)), v, FD_EPS),
         oracle.grad_v_f(p))
     errors["grad_v_g"] = rel_err(
-        central_diff(lambda x: oracle.eval_g(Point(u, x)), v, eps),
+        central_diff(lambda x: oracle.eval_g(Point(u, x)), v, FD_EPS),
         oracle.grad_v_g(p))
 
-    mixed = central_diff(lambda x: oracle.grad_v_g(Point(x, v)), u, eps)
+    mixed = central_diff(lambda x: oracle.grad_v_g(Point(x, v)), u, FD_EPS)
     hvp_err = 0.0
     jvp_err = 0.0
     for _ in range(2):
         q = rng.standard_normal(oracle.dim_v)
         q /= np.linalg.norm(q)
-        fd_hvp = (oracle.grad_v_g(Point(u, v + eps * q))
-                  - oracle.grad_v_g(Point(u, v - eps * q))) / (2.0 * eps)
+        fd_hvp = (oracle.grad_v_g(Point(u, v + FD_EPS * q))
+                  - oracle.grad_v_g(Point(u, v - FD_EPS * q))) / (2.0 * FD_EPS)
         hvp_err = max(hvp_err, rel_err(fd_hvp, oracle.hvp_vv_g(p, q)))
         jvp_err = max(jvp_err, rel_err(mixed @ q, oracle.jvp_uv_g(p, q)))
     errors["hvp_vv_g"] = hvp_err
@@ -394,10 +395,10 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point,
             mu = rng.standard_normal(oracle.dim_c)
             mu /= np.linalg.norm(mu)
             fd_u = central_diff(
-                lambda x: np.dot(oracle.eval_h(Point(x, v)), mu), u, eps)
+                lambda x: np.dot(oracle.eval_h(Point(x, v)), mu), u, FD_EPS)
             ju_err = max(ju_err, rel_err(fd_u, oracle.jtvp_u_h(p, mu)))
             fd_v = central_diff(
-                lambda x: np.dot(oracle.eval_h(Point(u, x)), mu), v, eps)
+                lambda x: np.dot(oracle.eval_h(Point(u, x)), mu), v, FD_EPS)
             jv_err = max(jv_err, rel_err(fd_v, oracle.jtvp_v_h(p, mu)))
         errors["jtvp_u_h"] = ju_err
         errors["jtvp_v_h"] = jv_err

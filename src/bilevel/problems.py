@@ -368,12 +368,12 @@ def logistic_losses(Xb, y, w):
     return np.logaddexp(0.0, _neg_margin(_signed(Xb, y), w))
 
 
-def fit_logistic(X, y, sample_weight=None,
-                 reg: float = LOGISTIC_REG) -> np.ndarray:
+def fit_logistic(X, y, sample_weight=None) -> np.ndarray:
     """Newton fit of l2-regularized logistic regression (labels +-1).
 
-    Minimizes sum(w_i * l_i) / sum(w_i) + reg * |w|^2 (bias included in
-    the parameter vector and in the penalty), in at most 60 steps.
+    Minimizes sum(w_i * l_i) / sum(w_i) + LOGISTIC_REG * |w|^2 (bias
+    included in the parameter vector and in the penalty), in at most 60
+    steps.
     """
     Xb = _augment(np.asarray(X, float))
     y = np.asarray(y, float)
@@ -386,8 +386,8 @@ def fit_logistic(X, y, sample_weight=None,
     for _ in range(60):
         terms = _margin_terms(_neg_margin(NXy, w))
         r = _curvature(terms)                      # d2l/dz2
-        grad = NXy.T @ (wts * terms[1]) + 2.0 * reg * w
-        hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * reg * eye
+        grad = NXy.T @ (wts * terms[1]) + 2.0 * LOGISTIC_REG * w
+        hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * LOGISTIC_REG * eye
         step = np.linalg.solve(hess, grad)
         w = w - step
         if np.linalg.norm(grad) < 1e-12:
@@ -421,21 +421,21 @@ class DatasetSplit:
 
 
 
-def make_blobs(seed: int, n_train: int, n_val: int, n_test: int = 2000,
-               sep: float = 1.5) -> DatasetSplit:
-    """Two isotropic Gaussian classes with means (+-sep, 0), balanced."""
+def make_blobs(seed: int, n_train: int, n_val: int) -> DatasetSplit:
+    """Two isotropic Gaussian classes with means (+-1.5, 0), balanced;
+    the test split holds 2000 points."""
     rng = make_rng(seed, 0xB10B)
 
     def draw(n):
         y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         X = rng.standard_normal((n, 2))
-        X[:, 0] += sep * y
+        X[:, 0] += 1.5 * y
         perm = rng.permutation(n)
         return X[perm], y[perm]
 
     Xtr, ytr = draw(n_train)
     Xv, yv = draw(n_val)
-    Xte, yte = draw(n_test)
+    Xte, yte = draw(2000)
     return DatasetSplit(Xtr, ytr, Xv, yv, Xte, yte)
 
 
@@ -553,7 +553,7 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
 
     def sample(seed_):
         # u = 0 gives uniform importances 0.5; w warm-started on validation
-        w0 = fit_logistic(split.X_val, split.y_val, reg=reg)
+        w0 = fit_logistic(split.X_val, split.y_val)
         return Point(np.zeros(n_train), w0)
 
     return ProblemInstance(
@@ -601,8 +601,7 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
     # clean margin terms on v, the poison margin terms on (u, v)
     @_memo
     def poison_block(u):
-        X = u.reshape(u.shape[:-1] + (n_poison, 2))
-        Xbp = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+        Xbp = _augment(u.reshape(u.shape[:-1] + (n_poison, 2)))
         return Xbp, _signed(Xbp, y_poison)
 
     clean_margin = _memo(
@@ -676,7 +675,7 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         """Classifier fit on clean data plus the given poison block."""
         X = np.concatenate([split.X_train, features.reshape(n_poison, 2)])
         yy = np.concatenate([y_clean, y_poison])
-        return fit_logistic(X, yy, reg=reg)
+        return fit_logistic(X, yy)
 
     def sample(seed_):
         u0 = init_features.ravel().copy()

@@ -235,7 +235,8 @@ class _Recorder:
     Each recorded u-iteration fills one (9, B) slab of a float64 buffer
     (schedule, costs, norms, distance) plus one tuple of the scalars the
     batch shares (k, wall time, counters); trace rows are built only when
-    the traces are handed back.
+    the traces are handed back. ``_drive`` calls ``record`` once for each
+    k that is ``due``.
     """
 
     def __init__(self, oracle, metric, counters, batch, record_every, total):
@@ -255,8 +256,6 @@ class _Recorder:
 
     def record(self, k, pt, gu_sq, gv_sq, gamma, eps, lam):
         shared = self.shared
-        if not self.due(k) or (shared and shared[-1][0] == k):
-            return
         o = self.oracle
         # gamma, eps, lam, f, g, |grad_u|, |grad_v|, feas, distance
         slab = self.cols[len(shared)]
@@ -462,7 +461,8 @@ def penalty_aug_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
     lambda *= c_lambda and nu += gamma_k grad_v_g (method of multipliers;
     nu_h is updated the same way when constraints are present). With
     lambda0 = nu0 = 0 the iterates coincide bit-for-bit with
-    penalty_solve.
+    penalty_solve only until the first schedule advance, whose
+    nu += gamma_k grad_v_g moves them apart.
     """
     return _drive(oracle, cfg, p0, _penalty_method(oracle, cfg, aug=True),
                   1, metric, record_every, counters)

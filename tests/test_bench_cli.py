@@ -497,6 +497,35 @@ class TestCmdSweep:
                        - vals.std()) < 1e-12
 
 
+def test_summary_csv_bytes(tmp_path):
+    # a label needing csv quoting, an empty and two numeric sweep values
+    # and an all-NaN row, against fixed bytes
+    nan = float("nan")
+    rows = [
+        dict(label='a,"b"', solver="penalty", value="", trials=3,
+             final_mean=0.1, final_sd=1e-17, final_median=2.5,
+             n_hvp_total=12, n_jvp_total=0, second_order_total=12,
+             peak_stored_vecs=1, wall_mean_seconds=0.012345678901234567),
+        dict(label="sw", solver="rmd", value=0.001, trials=1,
+             final_mean=nan, final_sd=nan, final_median=nan,
+             n_hvp_total=0, n_jvp_total=7, second_order_total=7,
+             peak_stored_vecs=40, wall_mean_seconds=1.0),
+        dict(label="T", solver="gd", value=20, trials=2, final_mean=-0.0,
+             final_sd=1e300, final_median=float("inf"), n_hvp_total=0,
+             n_jvp_total=0, second_order_total=0, peak_stored_vecs=0,
+             wall_mean_seconds=3.0),
+    ]
+    path = bench.write_summary_csv(tmp_path / "s.csv", rows)
+    assert path.read_bytes() == (
+        b"label,solver,value,trials,final_mean,final_sd,final_median,"
+        b"n_hvp_total,n_jvp_total,second_order_total,peak_stored_vecs,"
+        b"wall_mean_seconds\r\n"
+        b'"a,""b""",penalty,,3,0.10000000000000001,1.0000000000000001e-17,'
+        b"2.5,12,0,12,1,0.012345678901234567\r\n"
+        b"sw,rmd,0.001,1,nan,nan,nan,0,7,7,40,1\r\n"
+        b"T,gd,20,2,-0,1.0000000000000001e+300,inf,0,0,0,0,3\r\n")
+
+
 class TestCmdCheck:
     def test_oracle_level(self, capsys):
         assert main(["check", "example1", "oracle"]) == 0

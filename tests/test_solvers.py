@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilevel import solvers
-from bilevel.core import BoxBounds, make_rng
+from bilevel.core import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BoxBounds, make_rng
 from bilevel.errors import (CapabilityError, ContractViolationError,
                             NumericError)
 from bilevel.oracle import (Point, ProblemOracle, slackify, sqnorm,
@@ -68,6 +68,9 @@ class TestPenaltySolve:
                             box=inst.box, seed=2)
         p1, t1 = penalty_solve(inst.oracle, cfg)
         p2, t2 = penalty_aug_solve(inst.oracle, cfg)
+        # the claim holds only before the first schedule advance (its
+        # nu += gamma grad_v g moves the two apart), so no row may show one
+        assert {row.gamma for t in (t1, t2) for row in t.rows} == {cfg.gamma0}
         np.testing.assert_array_equal(p1.u, p2.u)
         np.testing.assert_array_equal(p1.v, p2.v)
 
@@ -419,8 +422,6 @@ class RowRecorder:
         return (k + 1) % self.every == 0 or k == self.total - 1
 
     def record(self, k, pt, gu_sq, gv_sq, gamma, eps, lam):
-        if not self.due(k) or (self.rows[0] and self.rows[0][-1].k == k):
-            return
         o = self.oracle
         f = np.broadcast_to(o.eval_f(pt), (self.batch,))
         g = np.broadcast_to(o.eval_g(pt), (self.batch,))
@@ -557,23 +558,6 @@ class TestColumnarRecorder:
         assert len(got[0]) > 0
         assert_same_traces(got, want)
 
-    def test_repeated_k_recorded_once(self):
-        # a second record call at the same k keeps the first row
-        inst = ex1(dim=3)
-        pt = stacked_points(inst, (1, 2))
-        traces = []
-        for recorder in (solvers._Recorder, RowRecorder):
-            rec = recorder(inst.oracle, inst.metric, OracleCounters(), 2,
-                           3, 7)
-            for k, scale in ((2, 1.0), (2, 2.0), (4, 1.0), (6, 1.0),
-                             (6, 3.0)):
-                rec.record(k, pt, np.full(2, scale), np.ones(2), 1.0,
-                           np.full(2, -scale), 0.0)
-            traces.append(rec.traces())
-        assert [row.k for row in traces[0][1].rows] == [2, 6]
-        assert [row.eps for row in traces[0][0].rows] == [-1.0, -1.0]
-        assert_same_traces(*traces)
-
 
 @pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd", "rmd",
                                     "approxgrad"])
@@ -646,14 +630,14 @@ def textbook_stepper_step(state, params, grad, lr):
     if state.kind == "plain-gd":
         return params - lr * grad
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = b1 * state.m + (1.0 - b1) * grad
     s = b2 * state.s + ((1.0 - b2) * grad) * grad
     state.m[...] = m
     state.s[...] = s
     mhat = m / (1.0 - b1**t)
     shat = s / (1.0 - b2**t)
-    return params - (lr * mhat) / (np.sqrt(shat) + state.eps_hat)
+    return params - (lr * mhat) / (np.sqrt(shat) + ADAM_EPS)
 
 
 def textbook_project_box(params, box, out=None):
