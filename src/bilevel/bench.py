@@ -21,8 +21,8 @@ Config files are flat key=value text with [section] headers:
     values = 1, 5, 10
 
 The [problem] keys are the problem factory's keyword parameters, the
-[solver] keys the PenaltyConfig fields except box and seed (each trial
-supplies those), and [run] takes trials, record_every, seed and out.
+[solver] keys the PenaltyConfig fields except box (the problem supplies
+it), and [run] takes trials, record_every, seed and out.
 Every value, [sweep] values included, must parse to its default's type
 (an int may stand for a float) and is cast to that type; a float must
 be finite. A [solver] section may set only the keys its solver reads
@@ -76,7 +76,7 @@ _RUN_ROW = "%d,%d," + "%.17g," * 10 + "%d,%d,%d\r\n"
 
 # [solver] keys and their defaults
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(PenaltyConfig)
-                    if f.name not in ("box", "seed")}
+                    if f.name != "box"}
 
 # the [solver] keys each solver reads; a config may set no other
 _PENALTY_KEYS = frozenset(_SOLVER_DEFAULTS) - {"approx_reg"}
@@ -271,14 +271,13 @@ def load_run_setup(path, overrides=None) -> RunSetup:
 def _prepare_instance(instance: ProblemInstance, solver: str, p0: Point):
     """Slack-extend inequality-constrained problems for penalty solvers."""
     if not instance.oracle.has_constraints:
-        return instance.oracle, p0, instance.metric
+        return instance.oracle, p0
     if solver not in ("penalty", "penalty_plain"):
         raise ContractViolationError(
             f"solver {solver!r} does not support constrained problems")
     oracle = slackify(instance.oracle)
     s0 = initial_slacks(instance.oracle, p0)
-    p0 = Point(np.concatenate([p0.u, s0], axis=-1), p0.v)
-    return oracle, p0, instance.metric
+    return oracle, Point(np.concatenate([p0.u, s0], axis=-1), p0.v)
 
 
 def _dispatch(solver, oracle, cfg, p0, metric, record_every, counters):
@@ -340,13 +339,13 @@ def _run_chunk(problem, pparams, solver, cfgkw, seed, trial_ids,
     try:
         for ids, factory, gseed in groups:
             instance, p0 = _built(factory, gseed, pparams)
-            oracle, p0, metric = _prepare_instance(instance, solver, p0)
+            oracle, p0 = _prepare_instance(instance, solver, p0)
             # a lone trial runs as a batch of one
             p0 = Point(np.atleast_2d(p0.u), np.atleast_2d(p0.v))
             cfg = PenaltyConfig(box=instance.box, **cfgkw)
             counters = OracleCounters()
             t0 = time.perf_counter()
-            point, traces = _dispatch(solver, oracle, cfg, p0, metric,
+            point, traces = _dispatch(solver, oracle, cfg, p0, instance.metric,
                                       record_every, counters)
             wall = (time.perf_counter() - t0) / len(ids)
             results += [TrialResult(trial=t, trace=traces[i],
@@ -384,7 +383,8 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
 
     Returns a list of TrialResult in trial order. cfg is a dict of the
     PenaltyConfig fields the solver reads (SOLVER_KEYS[solver]; the
-    problem supplies box, and p0 is drawn per trial).
+    problem supplies box, and p0 is drawn per trial). trials and
+    record_every must be >= 1.
     """
     pparams = dict(pparams or {})
     cfgkw = dict(cfg or {})
@@ -393,6 +393,9 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     unread = sorted(set(cfgkw) - SOLVER_KEYS[solver])
     if unread:
         raise ConfigError(f"solver {solver!r} does not read key(s) {unread}")
+    for key, n in (("trials", trials), ("record_every", record_every)):
+        if n < 1:
+            raise ConfigError(f"{key} must be >= 1, got {n!r}")
     workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:
@@ -404,7 +407,7 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_chunk, problem, pparams, solver, cfgkw,
                                seed, chunk, record_every)
-                   for chunk in chunks if chunk]
+                   for chunk in chunks]
         for fut in futures:
             try:
                 out.extend(fut.result())
@@ -644,8 +647,7 @@ def _check(problem: str, level: str, seed: int, say) -> int:
         fd = fd_hypergrad(oracle, p0.u, v_star)
         rmd, _ = rmd_hypergrad(oracle, p0.u, v_star, T=500, rho=rho)
         fmdg, _ = fmd_hypergrad(oracle, p0.u, v_star, T=500, rho=rho)
-        ag, _, _ = approxgrad_hypergrad(oracle, p0.u, v_star, T_v=1,
-                                        T_lin=1, rho=rho,
+        ag, _, _ = approxgrad_hypergrad(oracle, p0.u, v_star, 1, rho=rho,
                                         lin_solver="dense")
         errs = {"fd": rel_err(fd, exact), "rmd": rel_err(rmd, exact),
                 "fmd": rel_err(fmdg, exact), "approxgrad": rel_err(ag, exact)}

@@ -10,8 +10,9 @@
   by outer_loop for full runs.
 
 Every solver runs the same u-iteration loop, ``_drive``. It owns the
-p0 sampling, batching, oracle counters, the u-stepper and box projection,
-the recorder and the numeric-abort path. A method supplies two callbacks:
+float64 copy of p0, the oracle counters, the u-stepper and box
+projection, the recorder and the numeric-abort path. A method supplies
+two callbacks:
 
 - ``step(u, v) -> (du, v, gv_sq)``: the method's lower-level work and its
   u-direction. gv_sq is the per-trial |grad_v|^2 of the method's own
@@ -28,18 +29,21 @@ globals at call time, so a timing harness can wrap them in place. The box
 clamps each stepper output in place (``out=``), since a step always
 returns a fresh array.
 
-All solvers accept either a single point (u: (U,), v: (V,)) or a lockstep
-batch of independent trials (u: (B, U), v: (B, V)); per-trial penalty
+Every solver takes p0 as a lockstep batch of independent trials (u:
+(B, U), v: (B, V); a lone trial is a batch of one) and returns the final
+Point of the same shape and a list of B traces. Per-trial penalty
 schedules are tracked as arrays, so one python-level loop serves every
 trial. Oracle-call counters tally the algorithm's own calls; diagnostic
-evaluations made to fill the trace are excluded.
+evaluations made to fill the trace are excluded. The estimators take a
+single point or a batch and count only through the oracle they are
+handed: outer_loop hands them the driver's counting view.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -48,7 +52,7 @@ from .core import (BoxBounds, StepperState, make_stepper, project_box,
                    stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
-                     penalty_grad_v, sample_in_box, spread, sqnorm)
+                     penalty_grad_v, spread, sqnorm)
 
 
 @dataclass
@@ -111,11 +115,6 @@ def attach_counters(oracle: ProblemOracle,
     return replace(oracle, **kw)
 
 
-# the float fields of PenaltyConfig, each of which must be finite
-FLOAT_KEYS = ("sigma0", "rho0", "gamma0", "eps0", "lambda0", "nu0",
-              "c_gamma", "c_eps", "c_lambda", "approx_reg")
-
-
 @dataclass
 class PenaltyConfig:
     """Solver hyperparameters; defaults follow the synthetic protocol."""
@@ -136,10 +135,8 @@ class PenaltyConfig:
     # outrun what float64 can represent in the v-gradient balance).
     while_cap: int = 10**6
     stepper: str = "adam"
-    # box and seed belong to the problem and trial, not to a config file;
-    # seed only draws p0 for a solver called without one
+    # the box belongs to the problem, not to a config file
     box: Optional[BoxBounds] = None
-    seed: int = 0
     approx_reg: float = 0.0          # ridge on the ApproxGrad linear system
 
     def __post_init__(self):
@@ -164,6 +161,12 @@ class PenaltyConfig:
             raise ContractViolationError(f"unknown stepper {self.stepper!r}")
         if self.lambda0 < 0 or self.approx_reg < 0:
             raise ContractViolationError("lambda0, approx_reg must be >= 0")
+
+
+# the float fields of PenaltyConfig (those with a float default), each of
+# which must be finite
+FLOAT_KEYS = tuple(f.name for f in fields(PenaltyConfig)
+                   if isinstance(f.default, float))
 
 
 @dataclass(slots=True)
@@ -215,20 +218,6 @@ def traces_equal(a: SolverTrace, b: SolverTrace) -> bool:
     return True
 
 
-def _batchify(p: Point):
-    u = np.asarray(p.u, dtype=np.float64)
-    v = np.asarray(p.v, dtype=np.float64)
-    if u.ndim == 1:
-        return u[None, :].copy(), v[None, :].copy(), True
-    return u.copy(), v.copy(), False
-
-
-def _unbatch(u, v, traces, squeeze):
-    if squeeze:
-        return Point(u[0], v[0]), traces[0]
-    return Point(u, v), traces
-
-
 class _Recorder:
     """Collects per-trial trace rows; uses the uncounted oracle.
 
@@ -244,7 +233,7 @@ class _Recorder:
         self.metric = metric
         self.counters = counters
         self.batch = batch
-        self.every = max(1, record_every)
+        self.every = record_every
         self.total = total
         due = total // self.every + (total % self.every != 0)
         self.cols = np.empty((due, 9, batch))
@@ -300,21 +289,26 @@ def _abort(message, recorder):
 # The driver
 # ---------------------------------------------------------------------------
 
-def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Optional[Point],
+def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
            method, stored: int, metric, record_every: int,
            counters: Optional[OracleCounters]):
-    """K u-iterations of one method; see the module docstring.
+    """K u-iterations of one method from the (B, ·) batch p0; see the
+    module docstring.
 
     ``method(alg, v)`` builds the method's step and schedule callbacks
-    from the counted oracle and the batched initial v; ``stored`` is its
-    peak stored-vector count. Non-finite values abort with the trace
-    collected so far attached to the NumericError.
+    from the counted oracle and the initial v; ``stored`` is its peak
+    stored-vector count. Non-finite values abort with the trace collected
+    so far attached to the NumericError.
     """
-    if p0 is None:
-        if cfg.box is None:
-            raise ContractViolationError("need p0 or a box to sample from")
-        p0 = sample_in_box(oracle.dim_u, oracle.dim_v, cfg.box, cfg.seed)
-    u, v, squeeze = _batchify(p0)
+    u = np.array(p0.u, dtype=np.float64)
+    v = np.array(p0.v, dtype=np.float64)
+    if u.ndim != 2 or v.ndim != 2 or len(u) != len(v):
+        raise ContractViolationError(
+            f"p0 must be a (B, U), (B, V) batch, got shapes {u.shape}, "
+            f"{v.shape}")
+    if record_every < 1:
+        raise ContractViolationError(
+            f"record_every must be >= 1, got {record_every!r}")
     oracle.check_point(Point(u, v))
     counters = counters if counters is not None else OracleCounters()
     alg = attach_counters(oracle, counters)
@@ -342,7 +336,7 @@ def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Optional[Point],
         if rec.due(k):
             rec.record(k, Point(u, v), gu_sq, gv_sq, gamma, eps, lam)
 
-    return _unbatch(u, v, rec.traces(), squeeze)
+    return Point(u, v), rec.traces()
 
 
 def _nan_schedule(batch):
@@ -433,7 +427,7 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
 
 
 def penalty_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
-                  p0: Optional[Point] = None, *, metric=None,
+                  p0: Point, *, metric=None,
                   record_every: int = 1,
                   counters: Optional[OracleCounters] = None):
     """Alternating penalty minimization with the gamma/eps schedule.
@@ -444,14 +438,15 @@ def penalty_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
     while_cap u-steps elapse) the schedule advances: gamma *= c_gamma,
     eps *= c_eps. The budget K counts total u-iterations. Exhausting
     while_cap is not an error; non-finite gradients abort with the trace
-    collected so far attached to the exception.
+    collected so far attached to the exception. p0 is a (B, ·) batch;
+    returns the final Point batch and B traces.
     """
     return _drive(oracle, cfg, p0, _penalty_method(oracle, cfg, aug=False),
                   1, metric, record_every, counters)
 
 
 def penalty_aug_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
-                      p0: Optional[Point] = None, *, metric=None,
+                      p0: Point, *, metric=None,
                       record_every: int = 1,
                       counters: Optional[OracleCounters] = None):
     """Penalty loop with regularization and multiplier terms.
@@ -462,7 +457,8 @@ def penalty_aug_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
     nu_h is updated the same way when constraints are present). With
     lambda0 = nu0 = 0 the iterates coincide bit-for-bit with
     penalty_solve only until the first schedule advance, whose
-    nu += gamma_k grad_v_g moves them apart.
+    nu += gamma_k grad_v_g moves them apart. p0 is a (B, ·) batch;
+    returns the final Point batch and B traces.
     """
     return _drive(oracle, cfg, p0, _penalty_method(oracle, cfg, aug=True),
                   1, metric, record_every, counters)
@@ -473,13 +469,14 @@ def penalty_aug_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
 # ---------------------------------------------------------------------------
 
 def gd_alternating(oracle: ProblemOracle, cfg: PenaltyConfig,
-                   p0: Optional[Point] = None, *, metric=None,
+                   p0: Point, *, metric=None,
                    record_every: int = 1,
                    counters: Optional[OracleCounters] = None):
     """T v-steps on grad_v g then one u-step on grad_u f, K times.
 
     Uses no second-order oracle at all; converges only where the bilevel
     solution happens to be a stationary point of the naive dynamics.
+    p0 is a (B, ·) batch; returns the final Point batch and B traces.
     """
     def method(alg, v):
         st_v = make_stepper(cfg.stepper, v.shape)
@@ -516,158 +513,146 @@ def stored_vecs(estimator: str, T: int, dim_u: int) -> int:
     return {"rmd": T + 1, "fmd": dim_u + 1, "approxgrad": 2}[estimator]
 
 
-def _check_estimator(oracle, who, rho, **horizons):
-    """The estimators' common input rules: no constraints, every horizon
-    >= 1 and rho > 0 (`not > 0` also rejects NaN)."""
+def _check_estimator(oracle, who, T, rho):
+    """The estimators' common input rules: no constraints, T >= 1 and
+    rho > 0 (`not > 0` also rejects NaN)."""
     _require_unconstrained(oracle, who)
-    for name, n in horizons.items():
-        if n < 1:
-            raise ContractViolationError(f"{name} must be >= 1")
+    if T < 1:
+        raise ContractViolationError("T must be >= 1")
     if not rho > 0:
         raise ContractViolationError("rho must be positive")
 
 
-def _counted(oracle, counters, estimator, T):
-    """The oracle an estimator calls: with counters, a counting view, and
-    the estimator's stored vectors recorded."""
-    if counters is None:
-        return oracle
-    counters.record_stored(stored_vecs(estimator, T, oracle.dim_u))
-    return attach_counters(oracle, counters)
-
-
 def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
-                  T: int, rho: float,
-                  counters: Optional[OracleCounters] = None):
+                  T: int, rho: float):
     """Reverse-mode differentiation through T unrolled plain-GD v-steps.
 
     Forward: v_{t+1} = v_t - rho grad_v g (trajectory stored). Backward:
     q <- grad_v f, p <- grad_u f at v_T, then for t = T..1
     p <- p - rho jvp(q), q <- q - rho hvp(q), both evaluated at v_{t-1}.
     Returns (p, v_T). Stores T+1 trajectory vectors and uses exactly T
-    hvp and T jvp calls.
+    hvp and T jvp calls of ``oracle``; u and v0 are one point or a batch.
     """
-    _check_estimator(oracle, "rmd_hypergrad", rho, T=T)
-    alg = _counted(oracle, counters, "rmd", T)
+    _check_estimator(oracle, "rmd_hypergrad", T, rho)
     v = np.asarray(v0, dtype=np.float64)
     traj = np.empty((T + 1,) + v.shape)
     traj[0] = v
     for t in range(T):
-        v = v - rho * alg.grad_v_g(Point(u, v))
+        v = v - rho * oracle.grad_v_g(Point(u, v))
         traj[t + 1] = v
     pt_T = Point(u, v)
-    q = alg.grad_v_f(pt_T)
-    p = alg.grad_u_f(pt_T)
+    q = oracle.grad_v_f(pt_T)
+    p = oracle.grad_u_f(pt_T)
     for t in range(T - 1, -1, -1):
         pt = Point(u, traj[t])
-        p = p - rho * alg.jvp_uv_g(pt, q)
-        q = q - rho * alg.hvp_vv_g(pt, q)
+        p = p - rho * oracle.jvp_uv_g(pt, q)
+        q = q - rho * oracle.hvp_vv_g(pt, q)
     if not np.isfinite(p).all():
         raise NumericError("non-finite reverse-mode hypergradient")
     return p, v
 
 
 def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
-                  T: int, rho: float,
-                  counters: Optional[OracleCounters] = None):
+                  T: int, rho: float):
     """Forward-mode differentiation through T unrolled plain-GD v-steps.
 
     Maintains the dense U-by-V sensitivity P via
     P <- P (I - rho H) - rho J with dense H, J at each step; the result
     is grad_u f + P grad_v f at v_T. Needs the dense capability and is
-    gated to U * V <= 1e6; single (unbatched) points only.
+    gated to U * V <= 1e6; single (unbatched) points only. Uses exactly
+    T hess_vv_g and T jac_uv_g calls of ``oracle``.
     """
     oracle.require_dense("fmd_hypergrad")
-    _check_estimator(oracle, "fmd_hypergrad", rho, T=T)
+    _check_estimator(oracle, "fmd_hypergrad", T, rho)
     if np.ndim(u) != 1:
         raise ContractViolationError("fmd_hypergrad is single-point only")
     if oracle.dim_u * oracle.dim_v > 10**6:
         raise CapabilityError("dense sensitivity would exceed 1e6 entries")
-    alg = _counted(oracle, counters, "fmd", T)
     v = np.asarray(v0, dtype=np.float64)
     P = np.zeros((oracle.dim_u, oracle.dim_v))
     eye = np.eye(oracle.dim_v)
     for _ in range(T):
         pt = Point(u, v)
-        A = eye - rho * alg.hess_vv_g(pt)
-        Bm = -rho * alg.jac_uv_g(pt)
+        A = eye - rho * oracle.hess_vv_g(pt)
+        Bm = -rho * oracle.jac_uv_g(pt)
         P = P @ A + Bm
-        v = v - rho * alg.grad_v_g(pt)
+        v = v - rho * oracle.grad_v_g(pt)
     pt_T = Point(u, v)
-    hg = alg.grad_u_f(pt_T) + P @ alg.grad_v_f(pt_T)
+    hg = oracle.grad_u_f(pt_T) + P @ oracle.grad_v_f(pt_T)
     if not np.isfinite(hg).all():
         raise NumericError("non-finite forward-mode hypergradient")
     return hg, v
 
 
 def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
-                         v0: np.ndarray, T_v: int, T_lin: int, rho: float,
-                         reg_lambda: float = 0.0, *,
+                         v0: np.ndarray, T: int, *, rho: float,
+                         reg_lambda: float = 0.0,
                          q0: Optional[np.ndarray] = None,
                          lin_solver: str = "adam",
                          v_stepper: Optional[StepperState] = None,
-                         q_stepper: Optional[StepperState] = None,
-                         counters: Optional[OracleCounters] = None):
+                         q_stepper: Optional[StepperState] = None):
     """Hypergradient via an approximate solve of H q = grad_v f.
 
-    T_v v-steps descend g at step rho > 0 through v_stepper; then T_lin
+    T v-steps descend g at step rho > 0 through v_stepper; then T
     iterations reduce |(H + reg I) q - grad_v f|^2 from q0 (default 0)
     through q_stepper: per iteration r = (H + reg I) q - b, step along
     (H + reg I) r at rho, costing exactly two hvp calls. A stepper not
     given is a fresh plain-gd one, whose step is x - rho * grad. The
-    returned hypergradient is grad_u f - jvp(q); v and q are returned for
-    warm starts. lin_solver "dense" solves the regularized system
-    directly instead (single points only).
+    returned hypergradient is grad_u f - jvp(q), one jvp call; v and q
+    are returned for warm starts. u and v0 are one point or a batch.
+    lin_solver "dense" solves the regularized system directly instead
+    (single points only). rho and every later parameter are keyword-only.
     """
-    _check_estimator(oracle, "approxgrad_hypergrad", rho, T_v=T_v,
-                     T_lin=T_lin)
+    _check_estimator(oracle, "approxgrad_hypergrad", T, rho)
     if reg_lambda < 0:
         raise ContractViolationError("reg_lambda must be >= 0")
-    alg = _counted(oracle, counters, "approxgrad", T_v)
     v = np.asarray(v0, dtype=np.float64)
     if v_stepper is None:
         v_stepper = make_stepper("plain-gd", v.shape)
-    for _ in range(T_v):
-        gv = alg.grad_v_g(Point(u, v))
+    for _ in range(T):
+        gv = oracle.grad_v_g(Point(u, v))
         v = stepper_step(v_stepper, v, gv, rho)
     pt = Point(u, v)
-    b = alg.grad_v_f(pt)
+    b = oracle.grad_v_f(pt)
     q = (np.zeros_like(v) if q0 is None
          else np.asarray(q0, dtype=np.float64))
 
     if lin_solver == "adam":
         if q_stepper is None:
             q_stepper = make_stepper("plain-gd", q.shape)
-        for _ in range(T_lin):
-            r = alg.hvp_vv_g(pt, q) + reg_lambda * q - b
-            gq = alg.hvp_vv_g(pt, r) + reg_lambda * r
+        for _ in range(T):
+            r = oracle.hvp_vv_g(pt, q) + reg_lambda * q - b
+            gq = oracle.hvp_vv_g(pt, r) + reg_lambda * r
             q = stepper_step(q_stepper, q, gq, rho)
     elif lin_solver == "dense":
         oracle.require_dense("approxgrad dense solve")
         if np.ndim(u) != 1:
             raise ContractViolationError("dense solve is single-point only")
-        H = alg.hess_vv_g(pt) + reg_lambda * np.eye(oracle.dim_v)
+        H = oracle.hess_vv_g(pt) + reg_lambda * np.eye(oracle.dim_v)
         q = np.linalg.solve(H, b)
     else:
         raise ContractViolationError(f"unknown lin_solver {lin_solver!r}")
 
-    hg = alg.grad_u_f(pt) - alg.jvp_uv_g(pt, q)
+    hg = oracle.grad_u_f(pt) - oracle.jvp_uv_g(pt, q)
     if not np.isfinite(hg).all():
         raise NumericError("non-finite approximate hypergradient")
     return hg, v, q
 
 
 def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
-               p0: Optional[Point] = None, *, metric=None,
+               p0: Point, *, metric=None,
                record_every: int = 1,
                counters: Optional[OracleCounters] = None):
     """K u-updates driven by a hypergradient estimator.
 
+    Each estimator call gets the driver's counting view of the oracle.
     v (and ApproxGrad's q) warm-start across iterations; q is zero only
     at run start. RMD/FMD unroll plain GD at rho0; ApproxGrad uses the
     configured stepper (Adam by default) at rho0 for both the v-steps and
     the T linear-system iterations, with ridge cfg.approx_reg. The u-step
-    uses the configured stepper at sigma0 and box projection if set.
+    uses the configured stepper at sigma0 and box projection if set. p0
+    is a (B, ·) batch, with B = 1 for fmd; returns the final Point batch
+    and B traces.
     """
     if estimator not in ESTIMATORS:
         raise ContractViolationError(
@@ -696,7 +681,7 @@ def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
             def step(u, v):
                 nonlocal q
                 hg, v, q = approxgrad_hypergrad(
-                    alg, u, v, cfg.T, cfg.T, cfg.rho0, cfg.approx_reg,
+                    alg, u, v, cfg.T, rho=cfg.rho0, reg_lambda=cfg.approx_reg,
                     q0=q, v_stepper=st_v, q_stepper=st_q)
                 return hg, v, None
         return step, _nan_schedule(v.shape[0])

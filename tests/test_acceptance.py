@@ -90,7 +90,7 @@ def test_criterion_02_cross_oracle_hypergradient_agreement():
         "fd": fd_hypergrad(o, p0.u, v_star),
         "rmd": rmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
         "fmd": fmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
-        "approxgrad": approxgrad_hypergrad(o, p0.u, v_star, 1, 1, rho,
+        "approxgrad": approxgrad_hypergrad(o, p0.u, v_star, 1, rho=rho,
                                            lin_solver="dense")[0],
     }
     names = list(estimates)
@@ -181,34 +181,39 @@ def test_criterion_04_example3_penalty_beats_approxgrad_2x():
 
 
 def test_criterion_05_oracle_call_tallies():
+    # every solver counts through the driver's counting view; each
+    # estimator is reached through outer_loop at K = 1, as runs reach it
     inst = make_synthetic(1, dim=10)
     o = inst.oracle
     rng = make_rng(0, 5)
     u = rng.uniform(-5, 5, 10)
     v = rng.uniform(-5, 5, 10)
+    p0 = Point(u[None, :], v[None, :])
     lines = []
     ok = True
+
+    def tally(solve, *args):
+        c = OracleCounters()
+        solve(o, *args, p0, counters=c, record_every=10**9)
+        return c
+
     for T in (5, 10):
         # penalty: per u-cycle T hvp + 1 jvp, constant storage
-        c = OracleCounters()
         K = 3
-        penalty_solve(o, PenaltyConfig(K=K, T=T, box=inst.box, seed=0),
-                      counters=c, record_every=10**9)
+        c = tally(penalty_solve, PenaltyConfig(K=K, T=T, box=inst.box))
         ok &= (c.n_hvp, c.n_jvp, c.peak_stored_vecs) == (K * T, K, 1)
         lines.append(f"T={T} penalty {c.n_hvp}/{c.n_jvp}/{c.peak_stored_vecs}")
+        cfg = PenaltyConfig(K=1, T=T, rho0=1e-4, box=inst.box)
         # rmd: T hvp + T jvp, trajectory of T+1 vectors
-        c = OracleCounters()
-        rmd_hypergrad(o, u, v, T=T, rho=1e-4, counters=c)
+        c = tally(outer_loop, "rmd", cfg)
         ok &= (c.n_hvp, c.n_jvp, c.peak_stored_vecs) == (T, T, T + 1)
         lines.append(f"rmd {c.n_hvp}/{c.n_jvp}/{c.peak_stored_vecs}")
         # approxgrad: 2T hvp + 1 jvp, constant storage
-        c = OracleCounters()
-        approxgrad_hypergrad(o, u, v, T_v=T, T_lin=T, rho=1e-4, counters=c)
+        c = tally(outer_loop, "approxgrad", cfg)
         ok &= (c.n_hvp, c.n_jvp, c.peak_stored_vecs) == (2 * T, 1, 2)
         lines.append(f"approxgrad {c.n_hvp}/{c.n_jvp}/{c.peak_stored_vecs}")
         # fmd: T dense pairs, U-by-V state counted as U vectors plus v
-        c = OracleCounters()
-        fmd_hypergrad(o, u, v, T=T, rho=1e-4, counters=c)
+        c = tally(outer_loop, "fmd", cfg)
         ok &= (c.n_dense_hess, c.n_dense_jac) == (T, T)
         ok &= c.peak_stored_vecs == o.dim_u + 1
         lines.append(f"fmd dense={c.n_dense_hess} peak={c.peak_stored_vecs}")

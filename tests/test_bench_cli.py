@@ -650,6 +650,17 @@ class TestRunTrialsApi:
                        cfg={"K": 2, key: 1.0})
         assert repr(solver) in str(err.value) and repr(key) in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 0), ("trials", -2), ("record_every", 0),
+        ("record_every", -5)])
+    def test_bad_sizes_rejected(self, monkeypatch, key, value):
+        # on two workers, trials = 0 once reached the process pool
+        monkeypatch.setenv("BILEVEL_THREADS", "2")
+        kw = dict(trials=1, record_every=1)
+        kw[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+            run_trials("example1", "gd", cfg=dict(K=3, T=1), **kw)
+
     def test_constrained_pipeline_adds_slacks(self):
         res = run_trials("constrained_toy", "penalty", cfg=dict(K=20, T=2),
                          trials=1, seed=0, record_every=20)

@@ -151,7 +151,7 @@ class TestCrossOracleAgreement:
             "fd": fd_hypergrad(o, p0.u, v_star),
             "rmd": rmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
             "fmd": fmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
-            "approx": approxgrad_hypergrad(o, p0.u, v_star, 1, 1, rho,
+            "approx": approxgrad_hypergrad(o, p0.u, v_star, 1, rho=rho,
                                            lin_solver="dense")[0],
         }
         for name, hg in results.items():

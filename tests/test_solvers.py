@@ -7,19 +7,24 @@ from bilevel import solvers
 from bilevel.core import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BoxBounds, make_rng
 from bilevel.errors import (CapabilityError, ContractViolationError,
                             NumericError)
-from bilevel.oracle import (Point, ProblemOracle, slackify, sqnorm,
-                            with_zero_f)
+from bilevel.oracle import (Point, ProblemOracle, sample_in_box, slackify,
+                            sqnorm, with_zero_f)
 from bilevel.problems import (make_constrained_toy, make_quadratic,
                               make_synthetic)
 from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                              TraceRow, approxgrad_hypergrad, attach_counters,
                              fmd_hypergrad, gd_alternating, outer_loop,
                              penalty_aug_solve, penalty_solve, rmd_hypergrad,
-                             traces_equal)
+                             stored_vecs, traces_equal)
 
 
 def ex1(dim=10, seed=0):
     return make_synthetic(1, dim=dim, seed=seed)
+
+
+def drawn(oracle, box, seed):
+    """The batch of one that a box and a seed draw."""
+    return sample_in_box(oracle.dim_u, oracle.dim_v, box, [seed])
 
 
 def decoupled_oracle(dim=4):
@@ -55,9 +60,10 @@ class TestPenaltyConfig:
 class TestPenaltySolve:
     def test_deterministic(self):
         inst = ex1()
-        cfg = PenaltyConfig(K=60, T=3, box=inst.box, seed=5)
-        p1, t1 = penalty_solve(inst.oracle, cfg, metric=inst.metric)
-        p2, t2 = penalty_solve(inst.oracle, cfg, metric=inst.metric)
+        cfg = PenaltyConfig(K=60, T=3, box=inst.box)
+        p0 = drawn(inst.oracle, inst.box, 5)
+        p1, (t1,) = penalty_solve(inst.oracle, cfg, p0, metric=inst.metric)
+        p2, (t2,) = penalty_solve(inst.oracle, cfg, p0, metric=inst.metric)
         np.testing.assert_array_equal(p1.u, p2.u)
         np.testing.assert_array_equal(p1.v, p2.v)
         assert traces_equal(t1, t2)
@@ -65,9 +71,10 @@ class TestPenaltySolve:
     def test_aug_degenerates_to_plain(self):
         inst = ex1()
         cfg = PenaltyConfig(K=50, T=4, lambda0=0.0, nu0=0.0, c_lambda=1.0,
-                            box=inst.box, seed=2)
-        p1, t1 = penalty_solve(inst.oracle, cfg)
-        p2, t2 = penalty_aug_solve(inst.oracle, cfg)
+                            box=inst.box)
+        p0 = drawn(inst.oracle, inst.box, 2)
+        p1, (t1,) = penalty_solve(inst.oracle, cfg, p0)
+        p2, (t2,) = penalty_aug_solve(inst.oracle, cfg, p0)
         # the claim holds only before the first schedule advance (its
         # nu += gamma grad_v g moves the two apart), so no row may show one
         assert {row.gamma for t in (t1, t2) for row in t.rows} == {cfg.gamma0}
@@ -82,8 +89,8 @@ class TestPenaltySolve:
         cfg = PenaltyConfig(K=1, T=1, sigma0=0.1, rho0=0.1, gamma0=2.0,
                             eps0=1e-12, lambda0=0.5, nu0=0.25, while_cap=1,
                             stepper="plain-gd")
-        p0 = Point(np.array([1.0]), np.array([0.0]))
-        pt, trace = penalty_aug_solve(o, cfg, p0)
+        p0 = Point(np.array([[1.0]]), np.array([[0.0]]))
+        pt, (trace,) = penalty_aug_solve(o, cfg, p0)
         # replicate by hand: grad_v = 2v + (gamma*2+lam)*gvg(u,v) + 2*nu
         u, v, nu, gamma, lam = 1.0, 0.0, 0.25, 2.0, 0.5
         gvg = 2 * (u + v - 1)
@@ -93,8 +100,8 @@ class TestPenaltySolve:
         gu = 2 * u + 2 * (gamma * gvg1 + nu)
         u1 = u - 0.1 * gu
         nu1 = nu + gamma * 2 * (u1 + v1 - 1)
-        np.testing.assert_allclose(pt.u, [u1], rtol=1e-14)
-        np.testing.assert_allclose(pt.v, [v1], rtol=1e-14)
+        np.testing.assert_allclose(pt.u, [[u1]], rtol=1e-14)
+        np.testing.assert_allclose(pt.v, [[v1]], rtol=1e-14)
         # the nu update is visible through the next run step; check the
         # schedule advanced
         assert trace.final.gamma == pytest.approx(2.0 * 1.1)
@@ -102,8 +109,10 @@ class TestPenaltySolve:
 
     def test_schedule_exact_float_recurrence(self):
         inst = ex1()
-        cfg = PenaltyConfig(K=25, T=1, while_cap=1, box=inst.box, seed=0)
-        _, trace = penalty_solve(inst.oracle, cfg, record_every=1)
+        cfg = PenaltyConfig(K=25, T=1, while_cap=1, box=inst.box)
+        _, (trace,) = penalty_solve(inst.oracle, cfg,
+                                    drawn(inst.oracle, inst.box, 0),
+                                    record_every=1)
         gamma, eps = 1.0, 1.0
         for row in trace.rows:
             gamma *= 1.1
@@ -115,8 +124,9 @@ class TestPenaltySolve:
         inst = ex1()
         oracle = with_zero_f(inst.oracle)
         cfg = PenaltyConfig(K=20000, T=10, sigma0=1e-3, rho0=1e-4,
-                            gamma0=1e8, eps0=1.0, box=inst.box, seed=1)
-        pt, trace = penalty_solve(oracle, cfg, record_every=10**9)
+                            gamma0=1e8, eps0=1.0, box=inst.box)
+        pt, _ = penalty_solve(oracle, cfg, drawn(oracle, inst.box, 1),
+                              record_every=10**9)
         gvg = inst.oracle.grad_v_g(Point(pt.u, pt.v))
         assert np.linalg.norm(gvg) < 1e-3
 
@@ -135,65 +145,61 @@ class TestPenaltySolve:
             return out
 
         bad = replace(o, grad_v_g=poisoned)
-        cfg = PenaltyConfig(K=100, T=2, box=inst.box, seed=0)
+        cfg = PenaltyConfig(K=100, T=2, box=inst.box)
         with pytest.raises(NumericError) as err:
-            penalty_solve(bad, cfg)
+            penalty_solve(bad, cfg, drawn(o, inst.box, 0))
         assert hasattr(err.value, "traces")
-
-    def test_needs_p0_or_box(self):
-        o = make_quadratic(0).oracle
-        with pytest.raises(ContractViolationError):
-            penalty_solve(o, PenaltyConfig(K=5))
 
     def test_trace_rows_and_record_every(self):
         inst = ex1()
-        cfg = PenaltyConfig(K=100, T=1, box=inst.box, seed=0)
-        _, trace = penalty_solve(inst.oracle, cfg, record_every=100)
+        cfg = PenaltyConfig(K=100, T=1, box=inst.box)
+        p0 = drawn(inst.oracle, inst.box, 0)
+        _, (trace,) = penalty_solve(inst.oracle, cfg, p0, record_every=100)
         assert len(trace) == 1 and trace.final.k == 99
-        _, trace = penalty_solve(inst.oracle, cfg, record_every=30)
+        _, (trace,) = penalty_solve(inst.oracle, cfg, p0, record_every=30)
         ks = trace.column("k").tolist()
         assert ks == [29, 59, 89, 99]
         assert all(b > a for a, b in zip(ks, ks[1:]))
 
     def test_batched_matches_sequential(self):
         inst = ex1()
-        cfg = PenaltyConfig(K=40, T=3, box=inst.box, seed=0)
+        cfg = PenaltyConfig(K=40, T=3, box=inst.box)
         singles = []
         for seed in (4, 5, 6):
-            p0 = inst.init_sampler(seed)
-            pt, _ = penalty_aug_solve(inst.oracle, cfg, p0)
+            pt, _ = penalty_aug_solve(inst.oracle, cfg,
+                                      stacked_points(inst, (seed,)))
             singles.append(pt)
-        p0s = [inst.init_sampler(s) for s in (4, 5, 6)]
-        batch = Point(np.stack([p.u for p in p0s]),
-                      np.stack([p.v for p in p0s]))
+        batch = stacked_points(inst, (4, 5, 6))
         pt_b, traces = penalty_aug_solve(inst.oracle, cfg, batch)
         assert len(traces) == 3
         for i, single in enumerate(singles):
-            np.testing.assert_array_equal(pt_b.u[i], single.u)
-            np.testing.assert_array_equal(pt_b.v[i], single.v)
+            np.testing.assert_array_equal(pt_b.u[i], single.u[0])
+            np.testing.assert_array_equal(pt_b.v[i], single.v[0])
 
 
 class TestGdAlternating:
     def test_decoupled_problem_converges(self):
         o = decoupled_oracle()
         cfg = PenaltyConfig(K=4000, T=5, sigma0=5e-3, rho0=5e-3,
-                            box=BoxBounds(-5, 5), seed=3)
-        pt, trace = gd_alternating(o, cfg)
+                            box=BoxBounds(-5, 5))
+        pt, _ = gd_alternating(o, cfg, drawn(o, cfg.box, 3))
         assert np.sqrt(sqnorm(pt.u) + sqnorm(pt.v)) < 1e-3
 
     def test_example2_converges_to_non_solution(self):
         inst = make_synthetic(2, dim=10)
         cfg = PenaltyConfig(K=3000, T=10, sigma0=1e-3, rho0=1e-4,
-                            box=inst.box, seed=1)
-        pt, trace = gd_alternating(inst.oracle, cfg, metric=inst.metric)
+                            box=inst.box)
+        _, (trace,) = gd_alternating(inst.oracle, cfg,
+                                     drawn(inst.oracle, inst.box, 1),
+                                     metric=inst.metric)
         assert trace.final.distance > 1e-1
 
     def test_counters(self):
         inst = ex1()
         counters = OracleCounters()
-        cfg = PenaltyConfig(K=17, T=4, box=inst.box, seed=0)
-        gd_alternating(inst.oracle, cfg, counters=counters,
-                       record_every=10**9)
+        cfg = PenaltyConfig(K=17, T=4, box=inst.box)
+        gd_alternating(inst.oracle, cfg, drawn(inst.oracle, inst.box, 0),
+                       counters=counters, record_every=10**9)
         assert counters.n_grad_v_g == 17 * 4
         assert counters.n_hvp == 0 and counters.n_jvp == 0
         assert counters.peak_stored_vecs == 1
@@ -210,11 +216,11 @@ class TestRmd:
     def test_counters_and_storage(self):
         o = make_synthetic(1, dim=5).oracle
         counters = OracleCounters()
-        rmd_hypergrad(o, np.zeros(5), np.zeros(5), T=7, rho=0.01,
-                      counters=counters)
+        rmd_hypergrad(attach_counters(o, counters), np.zeros(5), np.zeros(5),
+                      T=7, rho=0.01)
         assert counters.n_hvp == 7
         assert counters.n_jvp == 7
-        assert counters.peak_stored_vecs == 8
+        assert stored_vecs("rmd", 7, o.dim_u) == 8
 
     def test_converges_to_exact_hypergrad(self):
         from bilevel.hypergrad import exact_hypergrad
@@ -270,30 +276,29 @@ class TestFmd:
     def test_counters_and_storage(self):
         o = make_quadratic(0).oracle
         counters = OracleCounters()
-        fmd_hypergrad(o, np.zeros(5), np.zeros(5), T=6, rho=0.1,
-                      counters=counters)
+        fmd_hypergrad(attach_counters(o, counters), np.zeros(5), np.zeros(5),
+                      T=6, rho=0.1)
         assert counters.n_dense_hess == 6
         assert counters.n_dense_jac == 6
-        assert counters.peak_stored_vecs == 5 + 1
+        assert stored_vecs("fmd", 6, o.dim_u) == 5 + 1
 
 
 class TestApproxGrad:
     def test_exact_lower_solution_closed_form(self):
         o = make_synthetic(1, dim=1).oracle
         hg, vT, q = approxgrad_hypergrad(o, np.array([0.5]), np.array([0.5]),
-                                         T_v=1, T_lin=1, rho=0.1,
-                                         lin_solver="dense")
+                                         T=1, rho=0.1, lin_solver="dense")
         assert q[0] == pytest.approx(0.5, abs=1e-14)
         assert hg[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_counters_default_solver(self):
         o = make_synthetic(1, dim=5).oracle
         counters = OracleCounters()
-        approxgrad_hypergrad(o, np.zeros(5), np.zeros(5), T_v=3, T_lin=9,
-                             rho=0.01, counters=counters)
+        approxgrad_hypergrad(attach_counters(o, counters), np.zeros(5),
+                             np.zeros(5), T=9, rho=0.01)
         assert counters.n_hvp == 2 * 9
         assert counters.n_jvp == 1
-        assert counters.peak_stored_vecs == 2
+        assert stored_vecs("approxgrad", 9, o.dim_u) == 2
 
     def test_singular_system_residual_stagnates(self):
         # rank-deficient lower-level Hessian: the unregularized residual
@@ -309,7 +314,7 @@ class TestApproxGrad:
         _, lstsq_res, _, _ = np.linalg.lstsq(H, b, rcond=None)
         floor = np.linalg.norm(H @ np.linalg.lstsq(H, b, rcond=None)[0] - b)
         assert floor > 1e-3
-        _, _, q = approxgrad_hypergrad(o, u, v, T_v=1, T_lin=200, rho=1e-2,
+        _, _, q = approxgrad_hypergrad(o, u, v, T=200, rho=1e-2,
                                        reg_lambda=1e-4)
         assert np.linalg.norm(H @ q - b) >= floor * (1 - 1e-9)
         assert np.linalg.norm(H @ q - b) > 1e-3
@@ -317,11 +322,10 @@ class TestApproxGrad:
     def test_contract_checks(self):
         o = make_synthetic(1, dim=2).oracle
         with pytest.raises(ContractViolationError):
-            approxgrad_hypergrad(o, np.zeros(2), np.zeros(2), T_v=0,
-                                 T_lin=1, rho=0.1)
+            approxgrad_hypergrad(o, np.zeros(2), np.zeros(2), T=0, rho=0.1)
         with pytest.raises(ContractViolationError):
-            approxgrad_hypergrad(o, np.zeros(2), np.zeros(2), T_v=1,
-                                 T_lin=1, rho=0.1, reg_lambda=-1.0)
+            approxgrad_hypergrad(o, np.zeros(2), np.zeros(2), T=1, rho=0.1,
+                                 reg_lambda=-1.0)
 
 
 class TestOuterLoop:
@@ -330,34 +334,39 @@ class TestOuterLoop:
         inst = ex1()
         o = replace(inst.oracle, hess_vv_g=None, jac_uv_g=None)
         counters = OracleCounters()
-        cfg = PenaltyConfig(K=10, T=2, box=inst.box, seed=0)
+        cfg = PenaltyConfig(K=10, T=2, box=inst.box)
         with pytest.raises(CapabilityError):
-            outer_loop(o, "fmd", cfg, counters=counters)
+            outer_loop(o, "fmd", cfg, drawn(o, inst.box, 0),
+                       counters=counters)
         assert counters.n_f == 0 and counters.n_hvp == 0
 
     def test_unknown_estimator(self):
         inst = ex1()
         with pytest.raises(ContractViolationError):
-            outer_loop(inst.oracle, "newton", PenaltyConfig(box=inst.box))
+            outer_loop(inst.oracle, "newton", PenaltyConfig(box=inst.box),
+                       drawn(inst.oracle, inst.box, 0))
 
     def test_rmd_example2_small_horizon_fails(self):
         inst = make_synthetic(2, dim=10)
         cfg = PenaltyConfig(K=3000, T=1, sigma0=1e-3, rho0=1e-4,
-                            box=inst.box, seed=1)
-        _, trace = outer_loop(inst.oracle, "rmd", cfg, metric=inst.metric)
+                            box=inst.box)
+        _, (trace,) = outer_loop(inst.oracle, "rmd", cfg,
+                                 drawn(inst.oracle, inst.box, 1),
+                                 metric=inst.metric)
         assert trace.final.distance > 1e-1
 
     def test_estimator_counters_per_run(self):
         inst = ex1()
         K, T = 11, 4
-        cfg = PenaltyConfig(K=K, T=T, box=inst.box, seed=0)
+        cfg = PenaltyConfig(K=K, T=T, box=inst.box)
+        p0 = drawn(inst.oracle, inst.box, 0)
         c_rmd = OracleCounters()
-        outer_loop(inst.oracle, "rmd", cfg, counters=c_rmd,
+        outer_loop(inst.oracle, "rmd", cfg, p0, counters=c_rmd,
                    record_every=10**9)
         assert (c_rmd.n_hvp, c_rmd.n_jvp) == (K * T, K * T)
         assert c_rmd.peak_stored_vecs == T + 1
         c_ag = OracleCounters()
-        outer_loop(inst.oracle, "approxgrad", cfg, counters=c_ag,
+        outer_loop(inst.oracle, "approxgrad", cfg, p0, counters=c_ag,
                    record_every=10**9)
         assert (c_ag.n_hvp, c_ag.n_jvp) == (2 * K * T, K)
         assert c_ag.peak_stored_vecs == 2
@@ -366,9 +375,9 @@ class TestOuterLoop:
         inst = ex1()
         K, T = 9, 5
         counters = OracleCounters()
-        cfg = PenaltyConfig(K=K, T=T, box=inst.box, seed=0)
-        penalty_solve(inst.oracle, cfg, counters=counters,
-                      record_every=10**9)
+        cfg = PenaltyConfig(K=K, T=T, box=inst.box)
+        penalty_solve(inst.oracle, cfg, drawn(inst.oracle, inst.box, 0),
+                      counters=counters, record_every=10**9)
         assert (counters.n_hvp, counters.n_jvp) == (K * T, K)
         assert counters.peak_stored_vecs == 1
 
@@ -378,7 +387,7 @@ class TestOuterLoop:
         with pytest.raises(ContractViolationError):
             outer_loop(inst.oracle, "rmd",
                        PenaltyConfig(K=2, box=inst.box),
-                       Point(np.zeros(1), np.zeros(1)))
+                       Point(np.zeros((1, 1)), np.zeros((1, 1))))
 
 
 def test_attach_counters_counts_every_surface():
@@ -413,7 +422,7 @@ class RowRecorder:
         self.metric = metric
         self.counters = counters
         self.batch = batch
-        self.every = max(1, record_every)
+        self.every = record_every
         self.total = total
         self.rows = [[] for _ in range(batch)]
         self.t0 = time.perf_counter()
@@ -500,15 +509,14 @@ class TestColumnarRecorder:
     @pytest.mark.parametrize("solver", list(RECORDED_SOLVERS))
     def test_matches_row_recorder(self, monkeypatch, solver, K, every):
         inst = ex1(dim=4)
-        # fmd runs unbatched; every other solver gets a batch of three
-        p0 = (inst.init_sampler(3) if solver == "fmd"
-              else stacked_points(inst, (3, 4, 5)))
-        cfg = PenaltyConfig(K=K, T=2, box=inst.box, seed=0)
+        # fmd runs a batch of one; every other solver a batch of three
+        p0 = stacked_points(inst, (3,) if solver == "fmd" else (3, 4, 5))
+        cfg = PenaltyConfig(K=K, T=2, box=inst.box)
 
         def run():
-            _, traces = RECORDED_SOLVERS[solver](
-                inst.oracle, cfg, p0, metric=inst.metric, record_every=every)
-            return [traces] if solver == "fmd" else traces
+            return RECORDED_SOLVERS[solver](
+                inst.oracle, cfg, p0, metric=inst.metric,
+                record_every=every)[1]
 
         want = run_with_row_recorder(monkeypatch, run)
         got = run()
@@ -520,14 +528,14 @@ class TestColumnarRecorder:
     @pytest.mark.parametrize("solver", ["penalty", "penalty_plain"])
     def test_constrained_and_metric_free(self, monkeypatch, solver):
         # slack-extended oracle (feasibility includes h) and no metric
-        # (distance NaN), on a single point
+        # (distance NaN), on a batch of one
         base = make_constrained_toy().oracle
         o = slackify(base)
-        p0 = Point(np.array([0.3, 0.2]), np.array([-0.4]))
+        p0 = Point(np.array([[0.3, 0.2]]), np.array([[-0.4]]))
         cfg = PenaltyConfig(K=8, T=3, rho0=1e-3, lambda0=0.0)
 
         def run():
-            return [RECORDED_SOLVERS[solver](o, cfg, p0, record_every=3)[1]]
+            return RECORDED_SOLVERS[solver](o, cfg, p0, record_every=3)[1]
 
         want = run_with_row_recorder(monkeypatch, run)
         got = run()
@@ -557,6 +565,29 @@ class TestColumnarRecorder:
         got = run()
         assert len(got[0]) > 0
         assert_same_traces(got, want)
+
+
+@pytest.mark.parametrize("shape", ["1-D", "batch sizes differ"])
+@pytest.mark.parametrize("solver", list(RECORDED_SOLVERS))
+def test_p0_must_be_a_batch(solver, shape):
+    # a 1-D p0 passes check_point, since its last axis is U, so only the
+    # batch check stands between it and a wrong run
+    inst = ex1(dim=4)
+    p = inst.init_sampler(3)
+    p0 = p if shape == "1-D" else Point(np.stack([p.u, p.u]), p.v[None, :])
+    cfg = PenaltyConfig(K=2, T=1, box=inst.box)
+    with pytest.raises(ContractViolationError, match="p0 must be"):
+        RECORDED_SOLVERS[solver](inst.oracle, cfg, p0)
+
+
+@pytest.mark.parametrize("every", [0, -5])
+@pytest.mark.parametrize("solver", list(RECORDED_SOLVERS))
+def test_record_every_below_one_rejected(solver, every):
+    inst = ex1(dim=4)
+    cfg = PenaltyConfig(K=2, T=1, box=inst.box)
+    with pytest.raises(ContractViolationError, match="record_every"):
+        RECORDED_SOLVERS[solver](inst.oracle, cfg, stacked_points(inst, (3,)),
+                                 record_every=every)
 
 
 @pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd", "rmd",
@@ -740,9 +771,16 @@ def test_estimators_reject_bad_rho(estimator, rho):
     call = {"rmd": lambda: rmd_hypergrad(o, np.zeros(2), np.ones(2), 3, rho),
             "fmd": lambda: fmd_hypergrad(o, np.zeros(2), np.ones(2), 3, rho),
             "approxgrad": lambda: approxgrad_hypergrad(
-                o, np.zeros(2), np.ones(2), 3, 3, rho)}[estimator]
+                o, np.zeros(2), np.ones(2), 3, rho=rho)}[estimator]
     with pytest.raises(ContractViolationError, match="rho must be positive"):
         call()
+
+
+def test_approxgrad_rho_is_keyword_only():
+    # the old (T_v, T_lin, rho) positional form would bind rho to a horizon
+    o = make_synthetic(1, dim=2).oracle
+    with pytest.raises(TypeError):
+        approxgrad_hypergrad(o, np.zeros(2), np.ones(2), 3, 3, 0.1)
 
 
 def test_approxgrad_default_steppers_are_plain_gd():
@@ -753,7 +791,7 @@ def test_approxgrad_default_steppers_are_plain_gd():
     q0 = rng.standard_normal((3, 4))
     rho, reg = 0.05, 1e-3
     v = v0
-    for _ in range(3):
+    for _ in range(4):
         v = v - rho * o.grad_v_g(Point(u, v))
     pt = Point(u, v)
     b = o.grad_v_f(pt)
@@ -762,7 +800,7 @@ def test_approxgrad_default_steppers_are_plain_gd():
         r = o.hvp_vv_g(pt, q) + reg * q - b
         q = q - rho * (o.hvp_vv_g(pt, r) + reg * r)
     hg = o.grad_u_f(pt) - o.jvp_uv_g(pt, q)
-    got = approxgrad_hypergrad(o, u, v0, 3, 4, rho, reg, q0=q0)
+    got = approxgrad_hypergrad(o, u, v0, 4, rho=rho, reg_lambda=reg, q0=q0)
     for a, w in zip(got, (hg, v, q)):
         assert a.tobytes() == w.tobytes()
 
