@@ -12,10 +12,15 @@ import argparse
 
 import numpy as np
 
-from bilevel.bench import final_distances, run_trials
-from bilevel.core import derive_seed
-from bilevel.problems import (accuracy, fit_logistic, importance_values,
-                              make_importance_toy, make_poison_toy)
+from bilevel.bench import final_distances, run_trials, trial_groups
+from bilevel.problems import accuracy, fit_logistic, importance_values
+
+
+def trial0(problem, solver, seed):
+    """The instance and p0 run_trials builds for trial 0 of a run."""
+    (_, factory, gseed), = trial_groups(problem, solver, seed, [0])
+    instance = factory(gseed)
+    return instance, instance.init_sampler(gseed)
 
 
 def ridge(seed):
@@ -29,7 +34,7 @@ def ridge(seed):
 
 
 def importance(seed):
-    inst = make_importance_toy(derive_seed(seed, 0))
+    inst, _ = trial0("importance_toy", "penalty_plain", seed)
     split, mask = inst.info["split"], inst.info["flip_mask"]
     res = run_trials("importance_toy", "penalty_plain",
                      cfg=dict(K=2500, T=20, sigma0=0.05, rho0=0.01,
@@ -48,9 +53,8 @@ def importance(seed):
 
 
 def poison(seed):
-    inst = make_poison_toy(derive_seed(seed, 0))
+    inst, p0 = trial0("poison_toy", "penalty", seed)
     split, retrain = inst.info["split"], inst.info["retrain"]
-    p0 = inst.init_sampler(seed)
     res = run_trials("poison_toy", "penalty",
                      cfg=dict(K=2000, T=20, sigma0=0.1, rho0=0.01,
                               gamma0=10.0, eps0=1.0, lambda0=1.0),

@@ -596,6 +596,24 @@ _KKT_RUN = {
 }
 
 
+def hypergrad_estimates(oracle, u, v0) -> dict:
+    """Every hypergradient estimate at (u, v*), v* solved from v0 to 1e-11.
+
+    Keys in order: exact, fd, rmd and fmd (T=500 at rho = 1/lambda_max
+    of H), approxgrad (T=1000 at rho = min(1/lambda_max, 1/lambda_max^2),
+    where both its v-steps and its q-steps are stable).
+    """
+    v_star = solve_lower_level(oracle, u, v0, tol=1e-11)
+    p = Point(u, v_star)
+    rho = 1.0 / float(np.max(np.linalg.eigvalsh(oracle.hess_vv_g(p))))
+    return {"exact": exact_hypergrad(oracle, p),
+            "fd": fd_hypergrad(oracle, u, v_star),
+            "rmd": rmd_hypergrad(oracle, u, v_star, T=500, rho=rho)[0],
+            "fmd": fmd_hypergrad(oracle, u, v_star, T=500, rho=rho)[0],
+            "approxgrad": approxgrad_hypergrad(
+                oracle, u, v_star, 1000, rho=min(rho, rho ** 2))[0]}
+
+
 def cmd_check(problem: str, level: str, seed: int = 0, quiet=False) -> int:
     """Run one check level; an inner solve that does not converge fails."""
     if level not in CHECK_LEVELS:
@@ -639,18 +657,9 @@ def _check(problem: str, level: str, seed: int, say) -> int:
             say(f"FAIL: max fd error {report.max_error:.3e} >= 1e-4")
 
     elif level == "hypergrad":
-        v_star = solve_lower_level(oracle, p0.u, p0.v, tol=1e-11)
-        p = Point(p0.u, v_star)
-        exact = exact_hypergrad(oracle, p)
-        lam_max = float(np.max(np.linalg.eigvalsh(oracle.hess_vv_g(p))))
-        rho = 1.0 / lam_max
-        fd = fd_hypergrad(oracle, p0.u, v_star)
-        rmd, _ = rmd_hypergrad(oracle, p0.u, v_star, T=500, rho=rho)
-        fmdg, _ = fmd_hypergrad(oracle, p0.u, v_star, T=500, rho=rho)
-        ag, _, _ = approxgrad_hypergrad(oracle, p0.u, v_star, 1, rho=rho,
-                                        lin_solver="dense")
-        errs = {"fd": rel_err(fd, exact), "rmd": rel_err(rmd, exact),
-                "fmd": rel_err(fmdg, exact), "approxgrad": rel_err(ag, exact)}
+        estimates = hypergrad_estimates(oracle, p0.u, p0.v)
+        exact = estimates.pop("exact")
+        errs = {k: rel_err(hg, exact) for k, hg in estimates.items()}
         say(f"check {problem} hypergrad: " +
             ", ".join(f"{k}={v:.3e}" for k, v in errs.items()))
         ok = max(errs.values()) < 1e-4

@@ -588,7 +588,6 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
                          v0: np.ndarray, T: int, *, rho: float,
                          reg_lambda: float = 0.0,
                          q0: Optional[np.ndarray] = None,
-                         lin_solver: str = "adam",
                          v_stepper: Optional[StepperState] = None,
                          q_stepper: Optional[StepperState] = None):
     """Hypergradient via an approximate solve of H q = grad_v f.
@@ -600,8 +599,7 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     given is a fresh plain-gd one, whose step is x - rho * grad. The
     returned hypergradient is grad_u f - jvp(q), one jvp call; v and q
     are returned for warm starts. u and v0 are one point or a batch.
-    lin_solver "dense" solves the regularized system directly instead
-    (single points only). rho and every later parameter are keyword-only.
+    rho and every later parameter are keyword-only.
     """
     _check_estimator(oracle, "approxgrad_hypergrad", T, rho)
     if reg_lambda < 0:
@@ -616,23 +614,12 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     b = oracle.grad_v_f(pt)
     q = (np.zeros_like(v) if q0 is None
          else np.asarray(q0, dtype=np.float64))
-
-    if lin_solver == "adam":
-        if q_stepper is None:
-            q_stepper = make_stepper("plain-gd", q.shape)
-        for _ in range(T):
-            r = oracle.hvp_vv_g(pt, q) + reg_lambda * q - b
-            gq = oracle.hvp_vv_g(pt, r) + reg_lambda * r
-            q = stepper_step(q_stepper, q, gq, rho)
-    elif lin_solver == "dense":
-        oracle.require_dense("approxgrad dense solve")
-        if np.ndim(u) != 1:
-            raise ContractViolationError("dense solve is single-point only")
-        H = oracle.hess_vv_g(pt) + reg_lambda * np.eye(oracle.dim_v)
-        q = np.linalg.solve(H, b)
-    else:
-        raise ContractViolationError(f"unknown lin_solver {lin_solver!r}")
-
+    if q_stepper is None:
+        q_stepper = make_stepper("plain-gd", q.shape)
+    for _ in range(T):
+        r = oracle.hvp_vv_g(pt, q) + reg_lambda * q - b
+        gq = oracle.hvp_vv_g(pt, r) + reg_lambda * r
+        q = stepper_step(q_stepper, q, gq, rho)
     hg = oracle.grad_u_f(pt) - oracle.jvp_uv_g(pt, q)
     if not np.isfinite(hg).all():
         raise NumericError("non-finite approximate hypergradient")

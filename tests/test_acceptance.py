@@ -14,19 +14,17 @@ import time
 import numpy as np
 import pytest
 
-from bilevel.bench import run_trials, final_distances, mean_wall
+from bilevel.bench import (final_distances, hypergrad_estimates, mean_wall,
+                           run_trials)
 from bilevel.core import derive_seed, make_rng
-from bilevel.hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
-                               solve_lower_level, verify_lemma3)
-from bilevel.oracle import Point, rel_err, slackify
+from bilevel.hypergrad import kkt_residual, verify_lemma3
+from bilevel.oracle import Point, rel_err
 from bilevel.problems import (accuracy, constrained_toy_grid_optimum,
                               fit_logistic, importance_values,
-                              make_constrained_toy, make_importance_toy,
-                              make_poison_toy, make_quadratic,
-                              make_synthetic)
-from bilevel.solvers import (OracleCounters, PenaltyConfig,
-                             approxgrad_hypergrad, fmd_hypergrad,
-                             outer_loop, penalty_solve, rmd_hypergrad)
+                              make_importance_toy, make_poison_toy,
+                              make_quadratic, make_synthetic)
+from bilevel.solvers import (OracleCounters, PenaltyConfig, outer_loop,
+                             penalty_solve)
 
 # hyperparameters of the synthetic benchmark protocol
 SYN = dict(K=40000, T=10, sigma0=1e-3, rho0=1e-4, gamma0=1.0, eps0=1.0,
@@ -80,19 +78,8 @@ def test_criterion_01_penalized_gradient_equals_hypergradient():
 def test_criterion_02_cross_oracle_hypergradient_agreement():
     t0 = time.perf_counter()
     inst = make_quadratic(13, dim_u=5, dim_v=5)
-    o = inst.oracle
     p0 = inst.init_sampler(13)
-    v_star = solve_lower_level(o, p0.u, p0.v, tol=1e-11)
-    p = Point(p0.u, v_star)
-    rho = 1.0 / float(np.max(np.linalg.eigvalsh(o.hess_vv_g(p))))
-    estimates = {
-        "exact": exact_hypergrad(o, p),
-        "fd": fd_hypergrad(o, p0.u, v_star),
-        "rmd": rmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
-        "fmd": fmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
-        "approxgrad": approxgrad_hypergrad(o, p0.u, v_star, 1, rho=rho,
-                                           lin_solver="dense")[0],
-    }
+    estimates = hypergrad_estimates(inst.oracle, p0.u, p0.v)
     names = list(estimates)
     worst = max(rel_err(estimates[a], estimates[b])
                 for i, a in enumerate(names) for b in names[i + 1:])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bilevel.bench import hypergrad_estimates
 from bilevel.core import make_rng
 from bilevel.errors import (ContractViolationError, ConvergenceError,
                             SingularHessianError)
@@ -12,8 +13,6 @@ from bilevel.oracle import (PenaltyParams, Point, penalty_grad_u, rel_err,
 from bilevel.problems import (make_constrained_toy, make_hyperparam_ridge,
                               make_quadratic, make_synthetic,
                               ridge_closed_form)
-from bilevel.solvers import (approxgrad_hypergrad, fmd_hypergrad,
-                             rmd_hypergrad)
 from test_solvers import decoupled_oracle
 
 
@@ -141,19 +140,9 @@ class TestCrossOracleAgreement:
                                               (make_hyperparam_ridge, 13)])
     def test_all_estimators_agree(self, factory, seed):
         inst = factory(seed)
-        o = inst.oracle
         p0 = inst.init_sampler(seed)
-        v_star = solve_lower_level(o, p0.u, p0.v, tol=1e-11)
-        p = Point(p0.u, v_star)
-        exact = exact_hypergrad(o, p)
-        rho = 1.0 / float(np.max(np.linalg.eigvalsh(o.hess_vv_g(p))))
-        results = {
-            "fd": fd_hypergrad(o, p0.u, v_star),
-            "rmd": rmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
-            "fmd": fmd_hypergrad(o, p0.u, v_star, T=500, rho=rho)[0],
-            "approx": approxgrad_hypergrad(o, p0.u, v_star, 1, rho=rho,
-                                           lin_solver="dense")[0],
-        }
+        results = hypergrad_estimates(inst.oracle, p0.u, p0.v)
+        exact = results.pop("exact")
         for name, hg in results.items():
             assert rel_err(hg, exact) < 1e-4, name
 

@@ -285,9 +285,11 @@ class TestFmd:
 
 class TestApproxGrad:
     def test_exact_lower_solution_closed_form(self):
+        # H = 2 and grad_v f = 1 at v = 0.5, so one step at rho = 0.25 from
+        # q = 0 lands on q = H^-1 grad_v f = 0.5
         o = make_synthetic(1, dim=1).oracle
         hg, vT, q = approxgrad_hypergrad(o, np.array([0.5]), np.array([0.5]),
-                                         T=1, rho=0.1, lin_solver="dense")
+                                         T=1, rho=0.25)
         assert q[0] == pytest.approx(0.5, abs=1e-14)
         assert hg[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -302,22 +304,24 @@ class TestApproxGrad:
 
     def test_singular_system_residual_stagnates(self):
         # rank-deficient lower-level Hessian: the unregularized residual
-        # cannot drop below the least-squares floor, which exceeds 1e-3
+        # cannot drop below the least-squares floor, which exceeds 1e-3.
+        # rho = 5e-4 is below 2 / lambda_max(H)^2 = 7.0e-4, so q converges
+        # (no overflow is raised) and stalls at the floor.
         inst = make_synthetic(3, dim=10, seed=4)
         o = inst.oracle
         rng = make_rng(4, 2)
         u = rng.uniform(-5, 5, 10)
         v = rng.uniform(-5, 5, 10)
-        pt = Point(u, v)
+        with np.errstate(all="raise"):
+            _, vT, q = approxgrad_hypergrad(o, u, v, T=2000, rho=5e-4,
+                                            reg_lambda=1e-4)
+        pt = Point(u, vT)
         H = o.hess_vv_g(pt)
         b = o.grad_v_f(pt)
-        _, lstsq_res, _, _ = np.linalg.lstsq(H, b, rcond=None)
         floor = np.linalg.norm(H @ np.linalg.lstsq(H, b, rcond=None)[0] - b)
         assert floor > 1e-3
-        _, _, q = approxgrad_hypergrad(o, u, v, T=200, rho=1e-2,
-                                       reg_lambda=1e-4)
-        assert np.linalg.norm(H @ q - b) >= floor * (1 - 1e-9)
-        assert np.linalg.norm(H @ q - b) > 1e-3
+        residual = np.linalg.norm(H @ q - b)
+        assert floor * (1 - 1e-9) <= residual <= floor * (1 + 1e-3)
 
     def test_contract_checks(self):
         o = make_synthetic(1, dim=2).oracle
