@@ -633,6 +633,11 @@ def _check(problem: str, level: str, seed: int, say) -> int:
     p0 = instance.init_sampler(seed)
     ok = True
 
+    if oracle.has_constraints and level in ("hypergrad", "lemma3"):
+        # both levels differentiate through v*(u) of an unconstrained
+        # lower level
+        raise ConfigError(f"the {level} check needs an unconstrained "
+                          f"problem; {problem} has constraints h")
     if instance.expects_singular and level in ("hypergrad", "lemma3"):
         # both levels compare against the dense hypergradient, which a
         # singular lower-level Hessian leaves undefined

@@ -130,10 +130,6 @@ class PenaltyConfig:
     c_gamma: float = 1.1
     c_eps: float = 0.9
     c_lambda: float = 0.9
-    # u-steps allowed per tolerance phase before the schedule advances
-    # anyway; effectively uncapped by default (a tight cap lets gamma
-    # outrun what float64 can represent in the v-gradient balance).
-    while_cap: int = 10**6
     stepper: str = "adam"
     # the box belongs to the problem, not to a config file
     box: Optional[BoxBounds] = None
@@ -155,8 +151,6 @@ class PenaltyConfig:
             raise ContractViolationError("c_gamma must be >= 1")
         if not (0.0 < self.c_eps <= 1.0 and 0.0 < self.c_lambda <= 1.0):
             raise ContractViolationError("c_eps, c_lambda must be in (0, 1]")
-        if self.while_cap < 1:
-            raise ContractViolationError("while_cap must be >= 1")
         if self.stepper not in ("adam", "plain-gd"):
             raise ContractViolationError(f"unknown stepper {self.stepper!r}")
         if self.lambda0 < 0 or self.approx_reg < 0:
@@ -385,7 +379,6 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
         else:
             lam, nu, nu_h = 0.0, None, None
         zeros = np.zeros(B)
-        phase = np.zeros(B, dtype=np.int64)
         # rebuilt only when the schedule advances
         params, rho_k = _schedule_weights(cfg, gamma, lam, nu, nu_h,
                                            v.shape)
@@ -399,9 +392,8 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
             return penalty_grad_u(alg, Point(u, v), params), v, sqnorm(gv)
 
         def schedule(u, v, tol_sq):
-            nonlocal gamma, eps, lam, nu, nu_h, phase, params, rho_k
-            phase += 1
-            advance = (tol_sq <= eps * eps) | (phase >= cfg.while_cap)
+            nonlocal gamma, eps, lam, nu, nu_h, params, rho_k
+            advance = tol_sq <= eps * eps
             if advance.any():
                 pt_new = Point(u, v)
                 if aug:
@@ -417,7 +409,6 @@ def _penalty_method(oracle: ProblemOracle, cfg: PenaltyConfig, aug: bool):
                                  np.minimum(gamma * cfg.c_gamma, GAMMA_CAP),
                                  gamma)
                 eps = np.where(advance, eps * cfg.c_eps, eps)
-                phase = np.where(advance, 0, phase)
                 params, rho_k = _schedule_weights(cfg, gamma, lam, nu,
                                                   nu_h, v.shape)
             return gamma, eps, lam if aug else zeros
@@ -434,12 +425,12 @@ def penalty_solve(oracle: ProblemOracle, cfg: PenaltyConfig,
 
     Per u-iteration: T v-steps on the penalized v-gradient, one u-step on
     the penalized u-gradient. The tolerance test reuses the gradients
-    computed for those steps; once |grad_u|^2 + |grad_v|^2 <= eps_k^2 (or
-    while_cap u-steps elapse) the schedule advances: gamma *= c_gamma,
-    eps *= c_eps. The budget K counts total u-iterations. Exhausting
-    while_cap is not an error; non-finite gradients abort with the trace
-    collected so far attached to the exception. p0 is a (B, ·) batch;
-    returns the final Point batch and B traces.
+    computed for those steps; a trial advances its schedule exactly when
+    its |grad_u|^2 + |grad_v|^2 <= eps_k^2: gamma *= c_gamma (capped at
+    GAMMA_CAP), eps *= c_eps. The budget K counts total u-iterations;
+    non-finite gradients abort with the trace collected so far attached
+    to the exception. p0 is a (B, ·) batch; returns the final Point batch
+    and B traces.
     """
     return _drive(oracle, cfg, p0, _penalty_method(oracle, cfg, aug=False),
                   1, metric, record_every, counters)

@@ -160,6 +160,13 @@ class TestConfigParsing:
         assert main(["run", "--config", cfg, "--quiet"]) == 2
         assert "unknown key 'approx_lin_solver'" in capsys.readouterr().err
 
+    def test_while_cap_is_unknown_key(self, tmp_path, capsys):
+        # the penalty schedule advances on its tolerance test alone
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
+            "name = penalty", "name = penalty\nwhile_cap = 5"))
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        assert "unknown key 'while_cap'" in capsys.readouterr().err
+
     def test_float_problem_value_takes_an_int(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(
             "name = example1\ndim = 6", "name = ridge\nreg_true = 3"))
@@ -205,7 +212,7 @@ class TestConfigParsing:
         ("penalty_plain", "nu0 = 0.5"),
         ("penalty_plain", "c_lambda = 0.5"),
         ("gd", "gamma0 = 2.0"),
-        ("rmd", "while_cap = 5"),
+        ("rmd", "c_gamma = 1.5"),
         ("fmd", "eps0 = 0.5"),
         ("approxgrad", "c_gamma = 1.2"),
     ])
@@ -260,14 +267,14 @@ class TestConfigParsing:
     @pytest.mark.parametrize("solver", sorted(SOLVER_KEYS))
     def test_every_read_key_moves_the_run(self, solver):
         # each key a solver accepts changes its trace, counters or final
-        # point when moved off the base value; while_cap = 1 makes the
-        # penalty schedule advance on every u-iteration
+        # point when moved off the base value; an eps0 far above |grad|
+        # with c_eps = 1 makes the penalty schedule advance on every
+        # u-iteration
         moved = dict(K=5, T=3, sigma0=2e-3, rho0=2e-4, gamma0=2.0, eps0=2.0,
                      lambda0=5.0, nu0=0.5, c_gamma=1.5, c_eps=0.5,
-                     c_lambda=0.5, while_cap=2, stepper="plain-gd",
-                     approx_reg=0.5)
+                     c_lambda=0.5, stepper="plain-gd", approx_reg=0.5)
         keys = SOLVER_KEYS[solver]
-        base = {k: v for k, v in dict(K=4, T=2, while_cap=1).items()
+        base = {k: v for k, v in dict(K=4, T=2, eps0=1e100, c_eps=1.0).items()
                 if k in keys}
 
         def run(cfg):
@@ -559,8 +566,25 @@ class TestCmdCheck:
         assert out.startswith("FAIL: penalized v-minimization")
         assert out.count("\n") == 1
 
-    def test_lemma_on_constrained_is_config_error(self):
-        assert main(["check", "constrained_toy", "lemma3"]) == 2
+    @staticmethod
+    def refused_before_any_solve(monkeypatch, capsys, level):
+        # a constrained problem is refused before any lower-level solve
+        called = []
+        for name in ("hypergrad_estimates", "solve_lower_level"):
+            monkeypatch.setattr(bench, name,
+                                lambda *a, name=name, **k: called.append(name))
+        assert main(["check", "constrained_toy", level]) == 2
+        assert called == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert level in err and "constrained_toy" in err
+
+    def test_lemma_on_constrained_is_config_error(self, monkeypatch, capsys):
+        self.refused_before_any_solve(monkeypatch, capsys, "lemma3")
+
+    def test_hypergrad_on_constrained_is_config_error(self, monkeypatch,
+                                                      capsys):
+        self.refused_before_any_solve(monkeypatch, capsys, "hypergrad")
 
     def test_unknown_problem(self):
         assert main(["check", "nonexistent", "oracle"]) == 2
@@ -612,12 +636,11 @@ class TestRunTrialsApi:
         *[pytest.param(problem, solver, {}, id=f"{problem}-{solver}")
           for problem in ("example1", "example2", "example3", "example4")
           for solver in ("approxgrad", "gd", "penalty", "rmd")],
-        # nonzero multipliers, and a schedule that advances within K
-        # (per trial under plain-gd, at while_cap under adam), so the
-        # constraint's nu_h is updated
+        # nonzero multipliers, and a schedule that every trial advances
+        # within K, at k of its own, so the constraint's nu_h is updated
         *[pytest.param("constrained_toy", solver,
                        dict(stepper=stepper, sigma0=0.05, rho0=0.1,
-                            eps0=2.0, while_cap=6, lambda0=1.0, nu0=0.5),
+                            eps0=20.0, lambda0=1.0, nu0=0.5),
                        id=f"constrained_toy-{solver}-{stepper}")
           for solver in ("penalty", "penalty_plain")
           for stepper in ("adam", "plain-gd")],
@@ -639,6 +662,8 @@ class TestRunTrialsApi:
             got, want = batched[i].final_point, alone.final_point
             assert got.u.tobytes() == want.u.tobytes()
             assert got.v.tobytes() == want.v.tobytes()
+            if problem == "constrained_toy":
+                assert batched[i].trace.final.gamma > cfg["gamma0"]
 
     @pytest.mark.parametrize("solver, key", [
         ("gd", "gamma0"), ("rmd", "lambda0"), ("approxgrad", "eps0"),
@@ -929,8 +954,10 @@ def test_perfbench_setup_builds_the_trial_groups(perfbench_run, monkeypatch,
 # dim of 6, so every run stays tiny.
 _FUZZ_JUNK = ("0", "-1", "nan", "inf", "-inf", "1e400", "abc", "", "0x10",
               "1, 2", "2.5", "adam")
+# keys no section reads (while_cap is a retired penalty key)
+_FUZZ_JUNK_KEYS = ("bogus", "while_cap")
 _FUZZ_GOOD = {
-    "K": ("1", "3", "5"), "T": ("1", "2", "5"), "while_cap": ("1", "3"),
+    "K": ("1", "3", "5"), "T": ("1", "2", "5"),
     "c_gamma": ("1.0", "1.5"), "c_eps": ("0.5", "1"), "c_lambda": ("0.9",),
     "stepper": ("adam", "plain-gd"), "dim": ("2", "4", "6"),
     "n_train": ("6", "10"), "n_val": ("3", "5"), "noise_frac": ("0.2",),
@@ -961,7 +988,7 @@ def fuzz_config(draw):
             keys = draw(st.lists(st.sampled_from(sorted(known)), max_size=3,
                                  unique=True)) + keys
         if not maybe():
-            keys.append("bogus")
+            keys.append(draw(st.sampled_from(_FUZZ_JUNK_KEYS)))
         lines.extend(f"{k} = {draw(_fuzz_value(k))}" for k in keys)
 
     if maybe():

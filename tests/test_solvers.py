@@ -49,12 +49,17 @@ class TestPenaltyConfig:
     @pytest.mark.parametrize("kw", [
         dict(K=0), dict(T=0), dict(gamma0=0.0), dict(eps0=-1.0),
         dict(c_gamma=0.9), dict(c_eps=0.0), dict(c_eps=1.5),
-        dict(c_lambda=0.0), dict(while_cap=0), dict(stepper="sgd"),
+        dict(c_lambda=0.0), dict(approx_reg=-1.0), dict(stepper="sgd"),
         dict(lambda0=-1.0),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ContractViolationError):
             PenaltyConfig(**kw)
+
+    def test_no_while_cap(self):
+        # the tolerance test is the schedule's only advance rule
+        with pytest.raises(TypeError):
+            PenaltyConfig(while_cap=5)
 
 
 class TestPenaltySolve:
@@ -82,12 +87,13 @@ class TestPenaltySolve:
         np.testing.assert_array_equal(p1.v, p2.v)
 
     def test_multiplier_single_update_arithmetic(self):
-        # one u-cycle with while_cap=1 forces one schedule advance:
-        # nu_1 must equal nu_0 + gamma_0 * grad_v_g at the cycle-exit point
+        # eps0 far above |grad| makes the one u-cycle advance the
+        # schedule: nu_1 must equal nu_0 + gamma_0 * grad_v_g at the
+        # cycle-exit point
         inst = ex1(dim=1)
         o = inst.oracle
         cfg = PenaltyConfig(K=1, T=1, sigma0=0.1, rho0=0.1, gamma0=2.0,
-                            eps0=1e-12, lambda0=0.5, nu0=0.25, while_cap=1,
+                            eps0=1e6, lambda0=0.5, nu0=0.25,
                             stepper="plain-gd")
         p0 = Point(np.array([[1.0]]), np.array([[0.0]]))
         pt, (trace,) = penalty_aug_solve(o, cfg, p0)
@@ -109,11 +115,12 @@ class TestPenaltySolve:
 
     def test_schedule_exact_float_recurrence(self):
         inst = ex1()
-        cfg = PenaltyConfig(K=25, T=1, while_cap=1, box=inst.box)
+        # eps0 far above |grad| advances the schedule on every u-step
+        cfg = PenaltyConfig(K=25, T=1, eps0=1e6, box=inst.box)
         _, (trace,) = penalty_solve(inst.oracle, cfg,
                                     drawn(inst.oracle, inst.box, 0),
                                     record_every=1)
-        gamma, eps = 1.0, 1.0
+        gamma, eps = 1.0, 1e6
         for row in trace.rows:
             gamma *= 1.1
             eps *= 0.9
@@ -707,11 +714,12 @@ def test_lean_path_matches_textbook_formulas(monkeypatch, solver, stepper,
                                              boxed, sid):
     # the scratch stepper, the in-place box and the in-place penalty
     # assembly against allocating versions of the same formulas; the box
-    # is tight enough to clamp, and while_cap = 4 advances the penalty
-    # schedule, so the v-stepper meets several rate objects
+    # is tight enough to clamp, and eps0 = 1e3 advances the penalty
+    # schedule 5 to 43 times per trial, so the v-stepper meets several
+    # rate objects
     inst = make_synthetic(sid, dim=4, seed=2)
     box = BoxBounds(-1.0, 1.0) if boxed else None
-    cfg = PenaltyConfig(K=60, T=3, stepper=stepper, box=box, while_cap=4,
+    cfg = PenaltyConfig(K=60, T=3, stepper=stepper, box=box, eps0=1e3,
                         nu0=0.5)
     p0 = stacked_points(inst, (3, 4, 5))
 
@@ -734,6 +742,8 @@ def test_lean_path_matches_textbook_formulas(monkeypatch, solver, stepper,
     assert np.isfinite(lean[0].u).all() and np.isfinite(lean[0].v).all()
     assert lean[0].u.tobytes() == ref[0].u.tobytes()
     assert lean[0].v.tobytes() == ref[0].v.tobytes()
+    if solver.startswith("penalty"):
+        assert all(len(set(t.column("gamma"))) >= 5 for t in lean[1])
 
 
 @pytest.mark.parametrize("solve", [penalty_solve, penalty_aug_solve])
@@ -756,16 +766,47 @@ def test_penalty_run_checks_the_v_rate_once_per_phase(monkeypatch, solve):
     monkeypatch.setattr(core, "_check_rate", spy_check)
     monkeypatch.setattr(solvers, "_schedule_weights", spy_weights)
     inst = make_synthetic(1, dim=4, seed=2)
-    # while_cap = 4 ends a phase every fourth u-step, the last at k = 39
-    cfg = PenaltyConfig(K=42, T=3, while_cap=4)
-    solve(inst.oracle, cfg, stacked_points(inst, (3, 4, 5)))
+    # at eps0 = 1e3 the trials advance on some u-steps and hold on others;
+    # a new phase starts on each u-step where any trial advanced
+    cfg = PenaltyConfig(K=42, T=3, eps0=1e3)
+    _, traces = solve(inst.oracle, cfg, stacked_points(inst, (3, 4, 5)))
+    gammas = np.array([t.column("gamma") for t in traces])
+    advanced = np.diff(gammas, prepend=cfg.gamma0).any(axis=0)
+    assert 1 < advanced.sum() < cfg.K
     v_rates = [lr for lr in checked if isinstance(lr, np.ndarray)]
-    assert len(built) == 1 + 40 // 4
+    assert len(built) == 1 + advanced.sum()
     assert len(v_rates) == len(built)
     assert all(a is b for a, b in zip(v_rates, built))
     assert all(lr.shape == (3, 4) for lr in built)
     assert [lr for lr in checked if not isinstance(lr, np.ndarray)] == [
         cfg.sigma0]
+
+
+@pytest.mark.parametrize("solve", [penalty_solve, penalty_aug_solve])
+def test_tolerance_test_is_the_only_advance_rule_per_trial(solve):
+    # in a lockstep batch, trial i advances gamma and eps on the u-step
+    # where its own |grad_u|^2 + |grad_v|^2 <= eps^2, and holds them on
+    # every other one
+    inst = make_synthetic(1, dim=4, seed=2)
+    cfg = PenaltyConfig(K=42, T=3, eps0=1e3)
+    _, traces = solve(inst.oracle, cfg, stacked_points(inst, (3, 4, 5)))
+    masks = []
+    for trace in traces:
+        gamma, eps = cfg.gamma0, cfg.eps0
+        advances = []
+        for row in trace.rows:
+            tol_sq = row.grad_u_norm ** 2 + row.grad_v_norm ** 2
+            # the trace holds the norms, not their squares
+            if abs(tol_sq - eps * eps) > 1e-9 * eps * eps:
+                advance = tol_sq <= eps * eps
+                assert row.gamma == (gamma * cfg.c_gamma if advance
+                                     else gamma), row.k
+                assert row.eps == (eps * cfg.c_eps if advance else eps), row.k
+                advances.append(advance)
+            gamma, eps = row.gamma, row.eps
+        assert any(advances) and not all(advances)
+        masks.append(advances)
+    assert len({tuple(m) for m in masks}) > 1
 
 
 @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
