@@ -6,7 +6,8 @@ class ContractViolationError(ValueError):
 
 
 class CapabilityError(ContractViolationError):
-    """An optional oracle capability (dense matrices, constraints) is missing."""
+    """A dense computation would exceed its size gate (FMD's sensitivity
+    matrix)."""
 
 
 class NumericError(ArithmeticError):

@@ -37,7 +37,6 @@ def exact_hypergrad(oracle: ProblemOracle, p: Point) -> np.ndarray:
     Raises SingularHessianError when the condition estimate of the
     lower-level Hessian exceeds 1e12 (never forms an explicit inverse).
     """
-    oracle.require_dense("exact_hypergrad")
     oracle.check_point(p)
     H = oracle.hess_vv_g(p)
     q = _solve_checked(H, oracle.grad_v_f(p), "exact_hypergrad")
@@ -80,16 +79,12 @@ def newton_root(residual, x0, tol, what="newton_root", jacobian=None):
 
 
 def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10) -> np.ndarray:
-    """Minimize g over v to |grad_v g| <= tol by Newton.
-
-    The Jacobian is the dense Hessian when the oracle has one, else
-    central differences of grad_v g.
-    """
+    """Minimize g over v to |grad_v g| <= tol by Newton on the dense
+    Hessian."""
     u = np.asarray(u, dtype=np.float64)
-    hess = ((lambda v: oracle.hess_vv_g(Point(u, v)))
-            if oracle.has_dense else None)
     return newton_root(lambda v: oracle.grad_v_g(Point(u, v)), v0, tol,
-                       what="lower-level solve", jacobian=hess)
+                       what="lower-level solve",
+                       jacobian=lambda v: oracle.hess_vv_g(Point(u, v)))
 
 
 def minimize_penalty_v(oracle: ProblemOracle, u, v0,
@@ -173,8 +168,7 @@ def _constraint_jacobian(oracle: ProblemOracle, p: Point) -> np.ndarray:
 
 
 def kkt_residual(oracle: ProblemOracle, p: Point) -> KKTReport:
-    """Report-only KKT residuals at a point (needs dense capability)."""
-    oracle.require_dense("kkt_residual")
+    """Report-only KKT residuals at a point."""
     oracle.check_point(p)
     parts = [oracle.grad_v_g(p)]
     if oracle.has_constraints:

@@ -2,24 +2,24 @@
 
 A :class:`ProblemOracle` bundles analytic callbacks for the upper cost f,
 the lower cost g, their first-order gradients, and Hessian/Jacobian-vector
-products of g. Optional pieces: an inequality/equality constraint h with
-Jacobian-transpose products, and dense second-order matrices (needed only
-by forward-mode differentiation and the exact-hypergradient oracle).
+products of g. An inequality/equality constraint h with Jacobian-transpose
+products is optional. The dense second-order matrices, which forward-mode
+differentiation and the verification yardsticks need, are derived from
+the products (``dense_matrix``).
 
 All callbacks must broadcast over leading batch axes of the point
-(``u: (..., U)``, ``v: (..., V)``), except the dense pair which is only
-ever called with single (unbatched) points.
+(``u: (..., U)``, ``v: (..., V)``), the derived dense pair included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import BoxBounds, RealVec, make_rng
-from .errors import CapabilityError, ContractViolationError, NumericError
+from .errors import ContractViolationError, NumericError
 
 
 @dataclass
@@ -48,6 +48,30 @@ def sqnorm(x, axis=-1):
     return np.add.reduce(x * x, axis=axis)
 
 
+def dense_matrix(prod, dim_v: int):
+    """The matrix of a product ``prod(p, q)`` linear in a V-vector q, as a
+    callback of p: column i is ``prod(p, e_i)``.
+
+    One call on V copies of p against the identity builds it. The copy
+    axis goes first, so per-trial arrays of a stacked problem still
+    broadcast against the batch axes of p, and the result, of shape
+    (..., rows, V), owns C-contiguous data.
+    """
+    eye = np.eye(dim_v)
+
+    def dense(p):
+        u = np.empty((dim_v,) + np.shape(p.u))
+        u[...] = p.u
+        v = np.empty((dim_v,) + np.shape(p.v))
+        v[...] = p.v
+        q = np.empty(v.shape)
+        q[...] = eye.reshape((dim_v,) + (1,) * (v.ndim - 2) + (dim_v,))
+        out = prod(Point(u, v), q)
+        return np.ascontiguousarray(
+            out.transpose(tuple(range(1, out.ndim)) + (0,)))
+    return dense
+
+
 @dataclass
 class ProblemOracle:
     """Callback bundle for one bilevel problem.
@@ -55,7 +79,11 @@ class ProblemOracle:
     ``dim_c == 0`` means unconstrained (constraint callbacks are None).
     ``hvp_vv_g(p, q)`` applies the lower-level Hessian to q; it must be
     linear in q and symmetric as a bilinear form. ``jvp_uv_g(p, q)``
-    applies the U-by-V mixed second-derivative matrix to q.
+    applies the U-by-V mixed second-derivative matrix to q. The dense
+    ``hess_vv_g(p)`` (V-by-V) and ``jac_uv_g(p)`` (U-by-V) are derived
+    from these two products at construction; the fields exist so that a
+    view (``dataclasses.replace``) keeps or wraps the derived pair, and no
+    problem passes its own.
 
     Callbacks are pure functions of their argument values: equal bytes in
     give equal bytes out, whatever was called before, and an output is
@@ -85,14 +113,11 @@ class ProblemOracle:
     def has_constraints(self) -> bool:
         return self.dim_c > 0
 
-    @property
-    def has_dense(self) -> bool:
-        return self.hess_vv_g is not None and self.jac_uv_g is not None
-
-    def require_dense(self, who: str):
-        if not self.has_dense:
-            raise CapabilityError(f"{who} requires dense hess_vv_g/jac_uv_g "
-                                  f"(problem {self.name!r} lacks them)")
+    def __post_init__(self):
+        if self.hess_vv_g is None:
+            self.hess_vv_g = dense_matrix(self.hvp_vv_g, self.dim_v)
+        if self.jac_uv_g is None:
+            self.jac_uv_g = dense_matrix(self.jvp_uv_g, self.dim_v)
 
     def check_point(self, p: Point):
         if p.u.shape[-1] != self.dim_u or p.v.shape[-1] != self.dim_v:
@@ -228,25 +253,6 @@ def penalty_grad_u(oracle: ProblemOracle, p: Point,
     return out
 
 
-def penalty_value_full(oracle: ProblemOracle, p: Point,
-                       params: PenaltyParams) -> np.ndarray:
-    """Penalty value plus the multiplier and regularization terms.
-
-    Finite-difference counterpart of penalty_grad_v/penalty_grad_u when
-    nu or lam are nonzero (the lam g term only enters the v-gradient, so
-    differentiate this along v for grad_v and along u with lam = 0 for
-    grad_u).
-    """
-    out = penalty_value(oracle, p, params)
-    if params.nu is not None:
-        out = out + np.sum(oracle.grad_v_g(p) * params.nu, axis=-1)
-    if params.nu_h is not None and oracle.has_constraints:
-        out = out + np.sum(oracle.eval_h(p) * params.nu_h, axis=-1)
-    if params.lam_v is not None:
-        out = out + np.asarray(params.lam) * oracle.eval_g(p)
-    return out
-
-
 def slackify(oracle: ProblemOracle) -> ProblemOracle:
     """Convert inequality constraints h <= 0 into equalities h + s^2 = 0.
 
@@ -254,8 +260,9 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
     coordinates are the slacks s, optimized jointly with u. Costs ignore
     s: each callback is the base one on the u-prefix (``on_base``), a
     u-gradient padded with zero slack coordinates, except that ``eval_h``
-    adds s^2, ``jtvp_u_h`` gains the diagonal 2s block and the dense
-    ``jac_uv_g`` gains zero slack rows.
+    adds s^2 and ``jtvp_u_h`` gains the diagonal 2s block. The dense pair
+    is derived from the lifted products, so ``jac_uv_g`` has zero slack
+    rows.
     """
     if oracle.dim_c < 1:
         raise ContractViolationError("slackify needs at least one constraint")
@@ -283,15 +290,6 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
         return np.concatenate([base_jtvp_u_h(p, mu), 2.0 * p.u[..., U:] * mu],
                               axis=-1)
 
-    hess = jac = None
-    if base.has_dense:
-        hess = on_base(base.hess_vv_g)
-        base_jac = on_base(base.jac_uv_g)
-
-        def jac(p):
-            return np.concatenate([base_jac(p), np.zeros((C, base.dim_v))],
-                                  axis=0)
-
     return ProblemOracle(
         name=base.name + "+slack", dim_u=U + C, dim_v=base.dim_v, dim_c=C,
         eval_f=on_base(base.eval_f), eval_g=on_base(base.eval_g),
@@ -299,8 +297,7 @@ def slackify(oracle: ProblemOracle) -> ProblemOracle:
         grad_v_f=on_base(base.grad_v_f), grad_v_g=on_base(base.grad_v_g),
         hvp_vv_g=on_base(base.hvp_vv_g),
         jvp_uv_g=on_base(base.jvp_uv_g, pad=True), eval_h=eval_h,
-        jtvp_u_h=jtvp_u_h, jtvp_v_h=on_base(base.jtvp_v_h), hess_vv_g=hess,
-        jac_uv_g=jac)
+        jtvp_u_h=jtvp_u_h, jtvp_v_h=on_base(base.jtvp_v_h))
 
 
 def initial_slacks(oracle: ProblemOracle, p: Point) -> np.ndarray:
@@ -404,12 +401,3 @@ def fd_check_oracle(oracle: ProblemOracle, p: Point) -> FdCheckReport:
         errors["jtvp_v_h"] = jv_err
 
     return FdCheckReport(errors)
-
-
-def with_zero_f(oracle: ProblemOracle) -> ProblemOracle:
-    """Same lower level, identically-zero upper cost (feasibility limit)."""
-    zero = lambda p: np.zeros(p.u.shape[:-1])
-    return replace(
-        oracle, name=oracle.name + "+f0", eval_f=zero,
-        grad_u_f=lambda p: np.zeros_like(p.u),
-        grad_v_f=lambda p: np.zeros_like(p.v))

@@ -123,9 +123,7 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
             grad_v_f=lambda p: 2.0 * p.v,
             grad_v_g=lambda p: 2.0 * (p.u + p.v - ones),
             hvp_vv_g=lambda p, q: 2.0 * q,
-            jvp_uv_g=lambda p, q: 2.0 * q,
-            hess_vv_g=lambda p: 2.0 * np.eye(dim),
-            jac_uv_g=lambda p: 2.0 * np.eye(dim))
+            jvp_uv_g=lambda p, q: 2.0 * q)
 
     if sid == 2:
         # f = |v|^2 - |u - v|^2, g = |u - v|^2
@@ -137,9 +135,7 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
             grad_v_f=lambda p: 2.0 * p.v + 2.0 * (p.u - p.v),
             grad_v_g=lambda p: -2.0 * (p.u - p.v),
             hvp_vv_g=lambda p, q: 2.0 * q,
-            jvp_uv_g=lambda p, q: -2.0 * q,
-            hess_vv_g=lambda p: 2.0 * np.eye(dim),
-            jac_uv_g=lambda p: -2.0 * np.eye(dim))
+            jvp_uv_g=lambda p, q: -2.0 * q)
 
     if sid == 3:
         # f = |u|^2 + |v|^2, g = (1-u-v)^T A^T A (1-u-v), A^T A rank-deficient
@@ -157,9 +153,7 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
             grad_v_f=lambda p: 2.0 * p.v,
             grad_v_g=gvg3,
             hvp_vv_g=lambda p, q: 2.0 * _mat_t_vec(A, _mat_vec(A, q)),
-            jvp_uv_g=lambda p, q: 2.0 * _mat_t_vec(A, _mat_vec(A, q)),
-            hess_vv_g=lambda p: 2.0 * A.T @ A,
-            jac_uv_g=lambda p: 2.0 * A.T @ A)
+            jvp_uv_g=lambda p, q: 2.0 * _mat_t_vec(A, _mat_vec(A, q)))
 
     if sid == 4:
         # f = |v|^2 - (u-v)^T A^T A (u-v), g = (u-v)^T A^T A (u-v);
@@ -174,9 +168,7 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
             grad_v_f=lambda p: 2.0 * p.v + 2.0 * ATAd(p.u, p.v),
             grad_v_g=lambda p: -2.0 * ATAd(p.u, p.v),
             hvp_vv_g=lambda p, q: 2.0 * _mat_t_vec(A, _mat_vec(A, q)),
-            jvp_uv_g=lambda p, q: -2.0 * _mat_t_vec(A, _mat_vec(A, q)),
-            hess_vv_g=lambda p: 2.0 * A.T @ A,
-            jac_uv_g=lambda p: -2.0 * A.T @ A)
+            jvp_uv_g=lambda p, q: -2.0 * _mat_t_vec(A, _mat_vec(A, q)))
 
     raise ContractViolationError(f"synthetic id must be 1..4, got {sid}")
 
@@ -200,8 +192,7 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     drawn from ``seed``; their solution sets are affine, so the metric
     projects onto the row space of A. A list of seeds gives the stacked
     instance, one independent trial per seed run in lockstep: ids 3-4
-    stack one A per seed along the leading axis, and the dense callbacks,
-    which are single-point only, are left out.
+    stack one A per seed along the leading axis.
     """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
@@ -213,8 +204,6 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
         A = (np.stack([_synthetic_a(dim, s) for s in seed]) if stacked
              else _synthetic_a(dim, seed))
     oracle = _synthetic_oracle(sid, dim, A)
-    if stacked:
-        oracle.hess_vv_g = oracle.jac_uv_g = None
     return ProblemInstance(
         name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A),
         init_sampler=lambda s: sample_in_box(dim, dim, SYNTHETIC_BOX, s),
@@ -258,9 +247,7 @@ def make_quadratic(seed: int = 0, dim_u: int = 5,
         grad_v_f=lambda p: p.v - b,
         grad_v_g=gvg,
         hvp_vv_g=lambda p, q: _einsum("ij,...j->...i", H, q),
-        jvp_uv_g=lambda p, q: _einsum("ij,...j->...i", M, q),
-        hess_vv_g=lambda p: H,
-        jac_uv_g=lambda p: M)
+        jvp_uv_g=lambda p, q: _einsum("ij,...j->...i", M, q))
 
     def sample(seed_):
         r = make_rng(seed_, 0x1A17)
@@ -294,9 +281,7 @@ def make_constrained_toy(seed: int = 0) -> ProblemInstance:
         jvp_uv_g=lambda p, q: -2.0 * q,
         eval_h=lambda p: 1.0 - p.u - p.v,
         jtvp_u_h=lambda p, mu: -mu,
-        jtvp_v_h=lambda p, mu: -mu,
-        hess_vv_g=lambda p: 2.0 * np.eye(1),
-        jac_uv_g=lambda p: -2.0 * np.eye(1))
+        jtvp_v_h=lambda p, mu: -mu)
 
     def metric(p):
         return np.sqrt(sqnorm(p.u[..., :1] - 0.5) + sqnorm(p.v - 0.5))
@@ -361,11 +346,6 @@ def _curvature(terms):
     factor is _sigmoid(z) exactly."""
     nz, s = terms
     return 0.5 * (1.0 + np.tanh(-0.5 * nz)) * s
-
-
-def logistic_losses(Xb, y, w):
-    """Per-example cross-entropy log(1 + exp(-z)), stable."""
-    return np.logaddexp(0.0, _neg_margin(_signed(Xb, y), w))
 
 
 def fit_logistic(X, y, sample_weight=None) -> np.ndarray:
@@ -533,23 +513,12 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
         mq = np.sum(mean_grad(p.u, p.v) * q, axis=-1)
         return d_weights(p.u) * (s * xq - mq[..., None]) / S[..., None]
 
-    def hess(p):
-        W, S, _ = weights(p.u)
-        return ((Xb * (W * _curvature(margin(p.v)))[:, None]).T @ Xb / S
-                + 2.0 * reg * np.eye(3))
-
-    def jac(p):
-        S = weights(p.u)[1]
-        s = margin(p.v)[1]
-        m = mean_grad(p.u, p.v)
-        return (d_weights(p.u) / S)[:, None] * (s[:, None] * NXy - m[None, :])
-
     oracle = ProblemOracle(
         name="importance_toy", dim_u=n_train, dim_v=3, dim_c=0,
         eval_f=eval_f, eval_g=eval_g,
         grad_u_f=lambda p: np.zeros_like(p.u),
         grad_v_f=grad_v_f, grad_v_g=grad_v_g,
-        hvp_vv_g=hvp, jvp_uv_g=jvp, hess_vv_g=hess, jac_uv_g=jac)
+        hvp_vv_g=hvp, jvp_uv_g=jvp)
 
     def sample(seed_):
         # u = 0 gives uniform importances 0.5; w warm-started on validation
@@ -644,32 +613,12 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
                + a[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 
-    def hess(p):
-        Xbp = poison_block(p.u)[0]
-        rc = _curvature(clean_margin(p.v))
-        rp = _curvature(poison_margin(p.u, p.v))
-        H = (Xb_clean * rc[:, None]).T @ Xb_clean
-        H = H + (Xbp * rp[:, None]).T @ Xbp
-        return H / n_total + 2.0 * reg * np.eye(3)
-
-    def jac(p):
-        # block (j, b, c) = r_j w_b x_jc + a_j [b == c]
-        Xbp = poison_block(p.u)[0]
-        terms = poison_margin(p.u, p.v)
-        a = terms[1] * ny_poison
-        r = _curvature(terms)
-        blocks = (r[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
-        eye = np.zeros((2, 3))
-        eye[0, 0] = eye[1, 1] = 1.0
-        blocks = blocks + a[:, None, None] * eye[None]
-        return blocks.reshape(2 * n_poison, 3) / n_total
-
     oracle = ProblemOracle(
         name="poison_toy", dim_u=2 * n_poison, dim_v=3, dim_c=0,
         eval_f=eval_f, eval_g=eval_g,
         grad_u_f=lambda p: np.zeros_like(p.u),
         grad_v_f=grad_v_f, grad_v_g=grad_v_g,
-        hvp_vv_g=hvp, jvp_uv_g=jvp, hess_vv_g=hess, jac_uv_g=jac)
+        hvp_vv_g=hvp, jvp_uv_g=jvp)
 
     def retrain(features) -> np.ndarray:
         """Classifier fit on clean data plus the given poison block."""
@@ -768,10 +717,7 @@ def make_hyperparam_ridge(seed: int = 0, n: int = 80, d: int = 6,
             _einsum("nd,...d->...n", X_tr, q)) / n_tr
             + 2.0 * e_u(p)[..., None] * q),
         jvp_uv_g=lambda p, q: 2.0 * e_u(p)[..., None]
-        * np.sum(p.v * q, axis=-1, keepdims=True),
-        hess_vv_g=lambda p: (2.0 * X_tr.T @ X_tr / n_tr
-                             + 2.0 * e_u(p) * np.eye(d)),
-        jac_uv_g=lambda p: (2.0 * e_u(p) * p.v)[None, :])
+        * np.sum(p.v * q, axis=-1, keepdims=True))
 
     u_star = ridge_grid_optimum(X_tr, y_tr, X_val, y_val)
 

@@ -99,7 +99,8 @@ def attach_counters(oracle: ProblemOracle,
             return fn(*args)
         return wrapped
 
-    kw = dict(
+    return replace(
+        oracle,
         eval_f=cf(oracle.eval_f, "n_f"),
         eval_g=cf(oracle.eval_g, "n_g"),
         grad_u_f=cf(oracle.grad_u_f, "n_grad_u_f"),
@@ -107,12 +108,8 @@ def attach_counters(oracle: ProblemOracle,
         grad_v_g=cf(oracle.grad_v_g, "n_grad_v_g"),
         hvp_vv_g=cf(oracle.hvp_vv_g, "n_hvp"),
         jvp_uv_g=cf(oracle.jvp_uv_g, "n_jvp"),
-    )
-    if oracle.hess_vv_g is not None:
-        kw["hess_vv_g"] = cf(oracle.hess_vv_g, "n_dense_hess")
-    if oracle.jac_uv_g is not None:
-        kw["jac_uv_g"] = cf(oracle.jac_uv_g, "n_dense_jac")
-    return replace(oracle, **kw)
+        hess_vv_g=cf(oracle.hess_vv_g, "n_dense_hess"),
+        jac_uv_g=cf(oracle.jac_uv_g, "n_dense_jac"))
 
 
 @dataclass
@@ -196,20 +193,6 @@ class SolverTrace:
 
     def column(self, name) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
-
-
-def traces_equal(a: SolverTrace, b: SolverTrace) -> bool:
-    """Bitwise equality of two traces, timing columns excluded."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a.rows, b.rows):
-        for name in ra.__dataclass_fields__:
-            if name == "wall_seconds":
-                continue
-            va, vb = getattr(ra, name), getattr(rb, name)
-            if va != vb and not (np.isnan(va) and np.isnan(vb)):
-                return False
-    return True
 
 
 class _Recorder:
@@ -549,18 +532,17 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
 
     Maintains the dense U-by-V sensitivity P via
     P <- P (I - rho H) - rho J with dense H, J at each step; the result
-    is grad_u f + P grad_v f at v_T. Needs the dense capability and is
-    gated to U * V <= 1e6; single (unbatched) points only. Uses exactly
-    T hess_vv_g and T jac_uv_g calls of ``oracle``.
+    is grad_u f + P grad_v f at v_T. u and v0 are one point or a batch,
+    which gives P the shape (..., U, V); its entries, over the whole
+    batch, are gated to 1e6. Uses exactly T hess_vv_g and T jac_uv_g
+    calls of ``oracle``.
     """
-    oracle.require_dense("fmd_hypergrad")
     _check_estimator(oracle, "fmd_hypergrad", T, rho)
-    if np.ndim(u) != 1:
-        raise ContractViolationError("fmd_hypergrad is single-point only")
-    if oracle.dim_u * oracle.dim_v > 10**6:
-        raise CapabilityError("dense sensitivity would exceed 1e6 entries")
     v = np.asarray(v0, dtype=np.float64)
-    P = np.zeros((oracle.dim_u, oracle.dim_v))
+    shape = v.shape[:-1] + (oracle.dim_u, oracle.dim_v)
+    if math.prod(shape) > 10**6:
+        raise CapabilityError("dense sensitivity would exceed 1e6 entries")
+    P = np.zeros(shape)
     eye = np.eye(oracle.dim_v)
     for _ in range(T):
         pt = Point(u, v)
@@ -569,7 +551,7 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
         P = P @ A + Bm
         v = v - rho * oracle.grad_v_g(pt)
     pt_T = Point(u, v)
-    hg = oracle.grad_u_f(pt_T) + P @ oracle.grad_v_f(pt_T)
+    hg = oracle.grad_u_f(pt_T) + (P @ oracle.grad_v_f(pt_T)[..., None])[..., 0]
     if not np.isfinite(hg).all():
         raise NumericError("non-finite forward-mode hypergradient")
     return hg, v
@@ -629,28 +611,20 @@ def outer_loop(oracle: ProblemOracle, estimator: str, cfg: PenaltyConfig,
     configured stepper (Adam by default) at rho0 for both the v-steps and
     the T linear-system iterations, with ridge cfg.approx_reg. The u-step
     uses the configured stepper at sigma0 and box projection if set. p0
-    is a (B, ·) batch, with B = 1 for fmd; returns the final Point batch
-    and B traces.
+    is a (B, ·) batch; returns the final Point batch and B traces.
     """
     if estimator not in ESTIMATORS:
         raise ContractViolationError(
             f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     _require_unconstrained(oracle, f"outer_loop({estimator})")
-    if estimator == "fmd":
-        oracle.require_dense("outer_loop(fmd)")
 
     def method(alg, v):
-        if estimator == "rmd":
-            def step(u, v):
-                hg, v = rmd_hypergrad(alg, u, v, cfg.T, cfg.rho0)
-                return hg, v, None
-        elif estimator == "fmd":
-            if v.shape[0] != 1:
-                raise ContractViolationError("fmd runs unbatched")
+        if estimator in ("rmd", "fmd"):
+            unroll = rmd_hypergrad if estimator == "rmd" else fmd_hypergrad
 
             def step(u, v):
-                hg, v = fmd_hypergrad(alg, u[0], v[0], cfg.T, cfg.rho0)
-                return hg[None, :], v[None, :], None
+                hg, v = unroll(alg, u, v, cfg.T, cfg.rho0)
+                return hg, v, None
         else:
             q = np.zeros_like(v)
             st_v = make_stepper(cfg.stepper, v.shape)

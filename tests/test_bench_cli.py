@@ -22,8 +22,8 @@ from bilevel.core import derive_seed
 from bilevel.errors import ConfigError, ConvergenceError, NumericError
 from bilevel.problems import (PROBLEMS, ProblemSpec, get_problem,
                               make_synthetic)
-from bilevel.solvers import (OracleCounters, SolverTrace, TraceRow,
-                             traces_equal)
+from bilevel.solvers import OracleCounters, SolverTrace, TraceRow
+from helpers import traces_equal
 
 
 def write_config(path, text):

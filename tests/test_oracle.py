@@ -9,10 +9,10 @@ from bilevel.errors import ContractViolationError, NumericError
 from bilevel.oracle import (PenaltyParams, Point, ProblemOracle,
                             central_diff, fd_check_oracle, initial_slacks,
                             penalty_grad_u,
-                            penalty_grad_v, penalty_value,
-                            penalty_value_full, slackify, with_zero_f)
+                            penalty_grad_v, penalty_value, slackify)
 from bilevel.problems import (PROBLEMS, make_constrained_toy, make_quadratic,
                               make_synthetic)
+from helpers import with_zero_f
 
 
 @pytest.fixture
@@ -123,6 +123,24 @@ def test_penalty_grads_match_fd(name, gamma):
     scale = max(1.0, np.linalg.norm(fd_v), np.linalg.norm(fd_u))
     assert np.linalg.norm(gv - fd_v) / scale < 1e-5
     assert np.linalg.norm(gu - fd_u) / scale < 1e-5
+
+
+def penalty_value_full(oracle, p, params):
+    """Penalty value plus the multiplier and regularization terms.
+
+    Finite-difference counterpart of penalty_grad_v/penalty_grad_u when
+    nu or lam are nonzero (the lam g term only enters the v-gradient, so
+    differentiate this along v for grad_v and along u with lam = 0 for
+    grad_u).
+    """
+    out = penalty_value(oracle, p, params)
+    if params.nu is not None:
+        out = out + np.sum(oracle.grad_v_g(p) * params.nu, axis=-1)
+    if params.nu_h is not None and oracle.has_constraints:
+        out = out + np.sum(oracle.eval_h(p) * params.nu_h, axis=-1)
+    if params.lam_v is not None:
+        out = out + np.asarray(params.lam) * oracle.eval_g(p)
+    return out
 
 
 def test_augmented_grads_match_fd():

@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError
-from bilevel.oracle import Point, fd_check_oracle
+from bilevel.oracle import Point, fd_check_oracle, slackify
 from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               fit_logistic, importance_values, make_blobs,
                               make_constrained_toy, make_hyperparam_ridge,
                               make_importance_toy, make_poison_toy,
                               make_synthetic, ridge_closed_form,
-                              logistic_losses, _augment, _memo)
+                              _augment, _memo, _neg_margin, _signed)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
+
+
+def logistic_losses(Xb, y, w):
+    """Per-example cross-entropy log(1 + exp(-z)), stable."""
+    return np.logaddexp(0.0, _neg_margin(_signed(Xb, y), w))
 
 
 def test_registry_defaults_are_the_config_keys():
@@ -42,6 +47,40 @@ def test_every_oracle_passes_fd_check(name):
               p0.v + 0.1 * rng.standard_normal(o.dim_v))
     rep = fd_check_oracle(o, p)
     assert rep.max_error < 1e-4, str(rep)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS) + ["constrained_toy+slack"])
+def test_dense_pair_applies_as_the_products(name):
+    # the derived matrices times q are the products at q
+    inst = PROBLEMS[name.removesuffix("+slack")].factory(3)
+    o = slackify(inst.oracle) if name.endswith("+slack") else inst.oracle
+    rng = make_rng(3, 0xDE5)
+    p = Point(rng.uniform(-2.0, 2.0, o.dim_u), rng.uniform(-2.0, 2.0, o.dim_v))
+    H, J = o.hess_vv_g(p), o.jac_uv_g(p)
+    assert H.shape == (o.dim_v, o.dim_v) and J.shape == (o.dim_u, o.dim_v)
+    for _ in range(3):
+        q = rng.standard_normal(o.dim_v)
+        for got, want in ((H @ q, o.hvp_vv_g(p, q)), (J @ q, o.jvp_uv_g(p, q))):
+            assert got.shape == want.shape
+            assert (np.linalg.norm(got - want)
+                    <= 1e-13 * np.linalg.norm(want)), name
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, s in PROBLEMS.items() if s.batch_factory))
+def test_stacked_dense_pair_is_each_trials_pair_bitwise(name):
+    spec = PROBLEMS[name]
+    seeds = [11, 12, 13]
+    binst = spec.batch_factory(seeds)
+    o, p = binst.oracle, binst.init_sampler(seeds)
+    H, J = o.hess_vv_g(p), o.jac_uv_g(p)
+    assert H.shape == (3, o.dim_v, o.dim_v)
+    assert J.shape == (3, o.dim_u, o.dim_v)
+    for i, s in enumerate(seeds):
+        single = spec.factory(s).oracle
+        ps = Point(p.u[i], p.v[i])
+        assert H[i].tobytes() == single.hess_vv_g(ps).tobytes()
+        assert J[i].tobytes() == single.jac_uv_g(ps).tobytes()
 
 
 class TestSynthetics:
@@ -99,7 +138,6 @@ class TestSynthetics:
     def test_batch_matches_single(self, sid):
         seeds = [11, 12, 13]
         binst = make_synthetic(sid, 10, seeds)
-        assert not binst.oracle.has_dense
         p = binst.init_sampler(seeds)
         for i, s in enumerate(seeds):
             sinst = make_synthetic(sid, dim=10, seed=s)
@@ -294,19 +332,9 @@ def importance_formulas(inst):
         xq = np.einsum("nd,...d->...n", Xb, q)
         return dW * (a * xq - mq[..., None]) / S[..., None]
 
-    def hess(p):
-        W, _, S, _, r, _ = terms(p)
-        return (Xb * (W * r)[:, None]).T @ Xb / S + 2.0 * reg * np.eye(3)
-
-    def jac(p):
-        W, dW, S, a, _, _ = terms(p)
-        m = mean_grad(W, S, a)
-        return (dW / S)[:, None] * (a[:, None] * Xb - m[None, :])
-
     eval_f, grad_v_f = val_formulas(inst, 1.0)
     return dict(eval_f=eval_f, grad_v_f=grad_v_f, eval_g=eval_g,
-                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp,
-                hess_vv_g=hess, jac_uv_g=jac)
+                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp)
 
 
 def poison_formulas(inst):
@@ -356,23 +384,9 @@ def poison_formulas(inst):
                + (ap * y_p)[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 
-    def hess(p):
-        Xbp, _, rc, _, rp = coeffs(p)[:5]
-        H = (Xb_c * rc[:, None]).T @ Xb_c + (Xbp * rp[:, None]).T @ Xbp
-        return H / n_total + 2.0 * reg * np.eye(3)
-
-    def jac(p):
-        Xbp, _, _, ap, rp = coeffs(p)[:5]
-        blocks = (rp[:, None] * p.v[None, :2])[:, :, None] * Xbp[:, None, :]
-        eye = np.zeros((2, 3))
-        eye[0, 0] = eye[1, 1] = 1.0
-        blocks = blocks + (ap * y_p)[:, None, None] * eye[None]
-        return blocks.reshape(2 * n_poison, 3) / n_total
-
     eval_f, grad_v_f = val_formulas(inst, -1.0)
     return dict(eval_f=eval_f, grad_v_f=grad_v_f, eval_g=eval_g,
-                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp,
-                hess_vv_g=hess, jac_uv_g=jac)
+                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp)
 
 
 TOY_FORMULAS = {
@@ -387,8 +401,8 @@ TOY_FORMULAS = {
 @pytest.mark.parametrize("name", sorted(TOY_FORMULAS))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_toy_callbacks_equal_formulas_bitwise(name, seed):
-    # at random points, on a batch of 4 (the dense pair is single-point
-    # only), and at v = 0, where every margin is exactly zero
+    # at random points, on a batch of 4, and at v = 0, where every margin
+    # is exactly zero
     make, formulas = TOY_FORMULAS[name]
     inst = make(seed)
     o = inst.oracle
@@ -405,9 +419,6 @@ def test_toy_callbacks_equal_formulas_bitwise(name, seed):
         for cb in ("hvp_vv_g", "jvp_uv_g"):
             assert (getattr(o, cb)(p, q).tobytes()
                     == want[cb](p, q).tobytes()), cb
-        if p.v.ndim == 1:
-            for cb in ("hess_vv_g", "jac_uv_g"):
-                assert getattr(o, cb)(p).tobytes() == want[cb](p).tobytes(), cb
 
     for batch in [()] * 3 + [(4,)]:
         u, v = draw(*batch)
@@ -509,8 +520,7 @@ MEMO_PROBLEMS = {
     "example4": lambda: make_synthetic(4, dim=6, seed=4),
 }
 BATCH_CALLBACKS = ("eval_f", "eval_g", "grad_u_f", "grad_v_f", "grad_v_g",
-                   "hvp_vv_g", "jvp_uv_g")
-DENSE_CALLBACKS = ("hess_vv_g", "jac_uv_g")
+                   "hvp_vv_g", "jvp_uv_g", "hess_vv_g", "jac_uv_g")
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
@@ -538,8 +548,7 @@ def test_shared_terms_match_a_fresh_instance_bitwise(name):
         elif move == 3:
             p = (Point(p.u[None], p.v[None]) if p.u.ndim == 1
                  else Point(p.u[0], p.v[0]))
-        names = BATCH_CALLBACKS + (DENSE_CALLBACKS if p.u.ndim == 1 else ())
-        cb = names[rng.integers(len(names))]
+        cb = BATCH_CALLBACKS[rng.integers(len(BATCH_CALLBACKS))]
         args = (p,)
         if cb in ("hvp_vv_g", "jvp_uv_g"):
             args = (p, rng.standard_normal(p.v.shape))

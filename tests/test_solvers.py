@@ -8,14 +8,15 @@ from bilevel.core import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BoxBounds, make_rng
 from bilevel.errors import (CapabilityError, ContractViolationError,
                             NumericError)
 from bilevel.oracle import (Point, ProblemOracle, sample_in_box, slackify,
-                            sqnorm, with_zero_f)
+                            sqnorm)
 from bilevel.problems import (make_constrained_toy, make_quadratic,
                               make_synthetic)
 from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                              TraceRow, approxgrad_hypergrad, attach_counters,
                              fmd_hypergrad, gd_alternating, outer_loop,
                              penalty_aug_solve, penalty_solve, rmd_hypergrad,
-                             stored_vecs, traces_equal)
+                             stored_vecs)
+from helpers import traces_equal, with_zero_f
 
 
 def ex1(dim=10, seed=0):
@@ -37,9 +38,7 @@ def decoupled_oracle(dim=4):
         grad_v_f=lambda p: 2.0 * p.v,
         grad_v_g=lambda p: 2.0 * p.v,
         hvp_vv_g=lambda p, q: 2.0 * q,
-        jvp_uv_g=lambda p, q: np.zeros_like(p.u),
-        hess_vv_g=lambda p: 2.0 * np.eye(dim),
-        jac_uv_g=lambda p: np.zeros((dim, dim)))
+        jvp_uv_g=lambda p, q: np.zeros_like(p.u))
 
 
 class TestPenaltyConfig:
@@ -274,11 +273,33 @@ class TestFmd:
         hg, _ = fmd_hypergrad(o, u, rng.standard_normal(4), T=5, rho=0.1)
         np.testing.assert_allclose(hg, 2.0 * u, atol=1e-12)
 
-    def test_requires_dense(self):
-        from dataclasses import replace
-        o = replace(make_quadratic(0).oracle, hess_vv_g=None, jac_uv_g=None)
+    @pytest.mark.parametrize("dim", [10, 64])
+    @pytest.mark.parametrize("sid", [1, 2, 3, 4])
+    def test_batch_equals_single_points_bitwise(self, sid, dim):
+        seeds = list(range(20))
+        inst = make_synthetic(sid, dim, seeds)
+        p = inst.init_sampler(seeds)
+        hg, vT = fmd_hypergrad(inst.oracle, p.u, p.v, T=4, rho=0.01)
+        assert hg.shape == vT.shape == (20, dim)
+        for i, s in enumerate(seeds):
+            o = make_synthetic(sid, dim, s).oracle
+            hg_i, vT_i = fmd_hypergrad(o, p.u[i], p.v[i], T=4, rho=0.01)
+            assert hg[i].tobytes() == hg_i.tobytes()
+            assert vT[i].tobytes() == vT_i.tobytes()
+
+    def test_size_gate_counts_the_batch(self):
+        # U V = 10^4 per trial: 100 trials fill the 10^6 entries of the
+        # gate, 101 exceed it before any oracle call
+        o = make_synthetic(1, dim=100).oracle
+        counters = OracleCounters()
+        co = attach_counters(o, counters)
+        fmd_hypergrad(co, np.zeros((100, 100)), np.zeros((100, 100)), T=1,
+                      rho=0.1)
+        before = counters.snapshot()
         with pytest.raises(CapabilityError):
-            fmd_hypergrad(o, np.zeros(5), np.zeros(5), T=2, rho=0.1)
+            fmd_hypergrad(co, np.zeros((101, 100)), np.zeros((101, 100)),
+                          T=1, rho=0.1)
+        assert counters.snapshot() == before
 
     def test_counters_and_storage(self):
         o = make_quadratic(0).oracle
@@ -340,16 +361,20 @@ class TestApproxGrad:
 
 
 class TestOuterLoop:
-    def test_fmd_without_dense_fails_before_iterating(self):
-        from dataclasses import replace
-        inst = ex1()
-        o = replace(inst.oracle, hess_vv_g=None, jac_uv_g=None)
-        counters = OracleCounters()
-        cfg = PenaltyConfig(K=10, T=2, box=inst.box)
-        with pytest.raises(CapabilityError):
-            outer_loop(o, "fmd", cfg, drawn(o, inst.box, 0),
-                       counters=counters)
-        assert counters.n_f == 0 and counters.n_hvp == 0
+    def test_fmd_batch_equals_single_runs(self):
+        inst = ex1(dim=6)
+        cfg = PenaltyConfig(K=25, T=3, box=inst.box)
+        seeds = [3, 4, 5]
+        pt, traces = outer_loop(
+            inst.oracle, "fmd", cfg,
+            sample_in_box(6, 6, inst.box, seeds), metric=inst.metric)
+        for i, s in enumerate(seeds):
+            pt_i, (trace_i,) = outer_loop(
+                inst.oracle, "fmd", cfg, drawn(inst.oracle, inst.box, s),
+                metric=inst.metric)
+            assert traces_equal(traces[i], trace_i)
+            assert pt.u[i].tobytes() == pt_i.u[0].tobytes()
+            assert pt.v[i].tobytes() == pt_i.v[0].tobytes()
 
     def test_unknown_estimator(self):
         inst = ex1()
@@ -406,6 +431,11 @@ def test_attach_counters_counts_every_surface():
     counters = OracleCounters()
     co = attach_counters(o, counters)
     p = Point(np.zeros(5), np.zeros(5))
+    co.hess_vv_g(p)
+    co.jac_uv_g(p)
+    # the derived pair calls the raw products, which the view leaves
+    # uncounted
+    assert counters.n_hvp == counters.n_jvp == 0
     co.eval_f(p)
     co.eval_g(p)
     co.grad_u_f(p)
@@ -413,8 +443,6 @@ def test_attach_counters_counts_every_surface():
     co.grad_v_g(p)
     co.hvp_vv_g(p, np.ones(5))
     co.jvp_uv_g(p, np.ones(5))
-    co.hess_vv_g(p)
-    co.jac_uv_g(p)
     snap = counters.snapshot()
     for key in ("n_f", "n_g", "n_grad_u_f", "n_grad_v_f", "n_grad_v_g",
                 "n_hvp", "n_jvp", "n_dense_hess", "n_dense_jac"):
@@ -520,8 +548,7 @@ class TestColumnarRecorder:
     @pytest.mark.parametrize("solver", list(RECORDED_SOLVERS))
     def test_matches_row_recorder(self, monkeypatch, solver, K, every):
         inst = ex1(dim=4)
-        # fmd runs a batch of one; every other solver a batch of three
-        p0 = stacked_points(inst, (3,) if solver == "fmd" else (3, 4, 5))
+        p0 = stacked_points(inst, (3, 4, 5))
         cfg = PenaltyConfig(K=K, T=2, box=inst.box)
 
         def run():
