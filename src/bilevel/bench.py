@@ -384,7 +384,7 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     Returns a list of TrialResult in trial order. cfg is a dict of the
     PenaltyConfig fields the solver reads (SOLVER_KEYS[solver]; the
     problem supplies box, and p0 is drawn per trial). trials and
-    record_every must be >= 1.
+    record_every must be >= 1, and seed >= 0.
     """
     pparams = dict(pparams or {})
     cfgkw = dict(cfg or {})
@@ -393,9 +393,10 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     unread = sorted(set(cfgkw) - SOLVER_KEYS[solver])
     if unread:
         raise ConfigError(f"solver {solver!r} does not read key(s) {unread}")
-    for key, n in (("trials", trials), ("record_every", record_every)):
-        if n < 1:
-            raise ConfigError(f"{key} must be >= 1, got {n!r}")
+    for key, n, least in (("trials", trials, 1), ("seed", seed, 0),
+                          ("record_every", record_every, 1)):
+        if n < least:
+            raise ConfigError(f"{key} must be >= {least}, got {n!r}")
     workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:
@@ -628,6 +629,8 @@ def cmd_check(problem: str, level: str, seed: int = 0, quiet=False) -> int:
 
 
 def _check(problem: str, level: str, seed: int, say) -> int:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     instance = get_problem(problem).factory(seed)
     oracle = instance.oracle
     p0 = instance.init_sampler(seed)

@@ -27,7 +27,10 @@ The driver and the callbacks look up stepper_step, project_box, the
 penalty gradients, the estimators, attach_counters and _Recorder as module
 globals at call time, so a timing harness can wrap them in place. The box
 clamps each stepper output in place (``out=``), since a step always
-returns a fresh array.
+returns a fresh array. The driver tests the per-trial |du|^2 with the
+stepper's one-call finite test (see ``core``), and the estimators turn
+their step size and ridge into 0-d float64 arrays once per call, the
+cheaper operand at desk scale.
 
 Every solver takes p0 as a lockstep batch of independent trials (u:
 (B, U), v: (B, V); a lone trial is a batch of one) and returns the final
@@ -294,6 +297,8 @@ def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
     st_u = make_stepper(cfg.stepper, u.shape)
     box = cfg.box
     rec = _Recorder(oracle, metric, counters, u.shape[0], record_every, cfg.K)
+    # the stepper's one-call finite test, per trial
+    zeros = np.zeros(u.shape[0])
 
     for k in range(cfg.K):
         try:
@@ -305,10 +310,10 @@ def _drive(oracle: ProblemOracle, cfg: PenaltyConfig, p0: Point,
             u = project_box(u, box, out=u)
         gu_sq = sqnorm(du)
         tol_sq = gu_sq if gv_sq is None else gu_sq + gv_sq
-        finite = np.isfinite(tol_sq)
-        if not finite.all():
+        if not np.vdot(tol_sq, zeros) == 0.0:
+            bad = np.flatnonzero(~np.isfinite(tol_sq)).tolist()
             _abort(f"non-finite gradient at u-iteration {k}, "
-                   f"trial(s) {np.flatnonzero(~finite).tolist()}", rec)
+                   f"trial(s) {bad}", rec)
         gamma, eps, lam = schedule(u, v, tol_sq)
         if rec.due(k):
             rec.record(k, Point(u, v), gu_sq, gv_sq, gamma, eps, lam)
@@ -508,6 +513,7 @@ def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     hvp and T jvp calls of ``oracle``; u and v0 are one point or a batch.
     """
     _check_estimator(oracle, "rmd_hypergrad", T, rho)
+    rho = np.array(rho, dtype=np.float64)
     v = np.asarray(v0, dtype=np.float64)
     traj = np.empty((T + 1,) + v.shape)
     traj[0] = v
@@ -538,6 +544,10 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     calls of ``oracle``.
     """
     _check_estimator(oracle, "fmd_hypergrad", T, rho)
+    # negated before the conversion: a ufunc on a 0-d array returns a
+    # NumPy scalar
+    neg_rho = np.array(-rho, dtype=np.float64)
+    rho = np.array(rho, dtype=np.float64)
     v = np.asarray(v0, dtype=np.float64)
     shape = v.shape[:-1] + (oracle.dim_u, oracle.dim_v)
     if math.prod(shape) > 10**6:
@@ -547,7 +557,7 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     for _ in range(T):
         pt = Point(u, v)
         A = eye - rho * oracle.hess_vv_g(pt)
-        Bm = -rho * oracle.jac_uv_g(pt)
+        Bm = neg_rho * oracle.jac_uv_g(pt)
         P = P @ A + Bm
         v = v - rho * oracle.grad_v_g(pt)
     pt_T = Point(u, v)
@@ -577,6 +587,7 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     _check_estimator(oracle, "approxgrad_hypergrad", T, rho)
     if reg_lambda < 0:
         raise ContractViolationError("reg_lambda must be >= 0")
+    reg = np.array(reg_lambda, dtype=np.float64)
     v = np.asarray(v0, dtype=np.float64)
     if v_stepper is None:
         v_stepper = make_stepper("plain-gd", v.shape)
@@ -590,8 +601,8 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     if q_stepper is None:
         q_stepper = make_stepper("plain-gd", q.shape)
     for _ in range(T):
-        r = oracle.hvp_vv_g(pt, q) + reg_lambda * q - b
-        gq = oracle.hvp_vv_g(pt, r) + reg_lambda * r
+        r = oracle.hvp_vv_g(pt, q) + reg * q - b
+        gq = oracle.hvp_vv_g(pt, r) + reg * r
         q = stepper_step(q_stepper, q, gq, rho)
     hg = oracle.grad_u_f(pt) - oracle.jvp_uv_g(pt, q)
     if not np.isfinite(hg).all():

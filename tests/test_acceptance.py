@@ -338,6 +338,21 @@ def test_criterion_11_second_order_call_totals():
     assert crit("11", ok, "second-order calls per run: " + "; ".join(lines))
 
 
+def _criterion_11c_runs():
+    """Penalty and RMD on example3 at dim 512, where oracle calls dominate
+    the cost: mean wall per trial at each T."""
+    out = {}
+    for T in (5, 10):
+        for sol, cfg in (
+                ("penalty", dict(K=300, T=T, sigma0=1e-3, rho0=1e-4,
+                                 gamma0=1.0, eps0=1.0, lambda0=10.0)),
+                ("rmd", dict(K=300, T=T, sigma0=1e-3, rho0=1e-4))):
+            out[T, sol] = mean_wall(cached_run(
+                "example3", sol, cfg, trials=10, seed=5,
+                pparams={"dim": 512}))
+    return out
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="on 10-dimensional problems with microsecond oracle calls the "
@@ -346,8 +361,8 @@ def test_criterion_11_second_order_call_totals():
            "an optimizer update and a projection) costs more per step "
            "than the bare unrolled-GD steps of reverse mode, so the wall "
            "ordering reverses; in the oracle-cost-dominated regime "
-           "(example3 at dim 512) the ordering holds, see the printed "
-           "supplementary measurement")
+           "(example3 at dim 512) the ordering holds, as criterion 11c "
+           "asserts")
 def test_criterion_11_wall_clock_ordering_desk_scale():
     runs = _criterion_11_runs()
     ok = True
@@ -359,20 +374,34 @@ def test_criterion_11_wall_clock_ordering_desk_scale():
             ok &= wp < wr
             lines.append(f"T={T} {prob[-1]}: {1000 * wp:.0f}ms vs "
                          f"{1000 * wr:.0f}ms")
-    # supplementary: same comparison where oracle calls dominate the cost
+    # supplementary: the same comparison where oracle calls dominate the
+    # cost, the runs criterion 11c asserts on
+    walls = _criterion_11c_runs()
     for T in (5, 10):
-        wp = mean_wall(run_trials("example3", "penalty",
-                                  pparams={"dim": 512},
-                                  cfg=dict(K=300, T=T, sigma0=1e-3,
-                                           rho0=1e-4, gamma0=1.0, eps0=1.0,
-                                           lambda0=10.0),
-                                  trials=10, seed=5, record_every=300))
-        wr = mean_wall(run_trials("example3", "rmd", pparams={"dim": 512},
-                                  cfg=dict(K=300, T=T, sigma0=1e-3,
-                                           rho0=1e-4),
-                                  trials=10, seed=5, record_every=300))
+        wp, wr = walls[T, "penalty"], walls[T, "rmd"]
         print(f"[criterion 11 supplement] dim-512 example3 T={T}: penalty "
               f"{1000 * wp:.0f}ms vs rmd {1000 * wr:.0f}ms -> "
               f"{'PASS' if wp < wr else 'FAIL'}")
     assert crit("11b", ok, "desk-scale wall ordering penalty<rmd: "
                 + "; ".join(lines))
+
+
+def test_criterion_11c_wall_clock_ordering_oracle_bound():
+    # Per u-iteration penalty makes (4T+4)/6T as many A^T A products as
+    # RMD: 0.73 of them at T=10, 0.80 at T=5. Measured penalty/RMD mean
+    # wall: 0.65-0.76 at T=10, 0.80-0.93 at T=5. Each run is one lockstep
+    # batch, so each side is one wall measurement. T=10's margin of
+    # 25-35% holds against the spread of two runs on a shared host, and
+    # is asserted. T=5's margin of 7-20% does not: a busy neighbour
+    # during one of the two runs can close it, and a median over repeats
+    # would add about 10 s of runs per repeat to tier-1. So T=5 is
+    # printed, not asserted.
+    walls = _criterion_11c_runs()
+    lines = [f"T={T}: penalty {1000 * walls[T, 'penalty']:.0f}ms vs rmd "
+             f"{1000 * walls[T, 'rmd']:.0f}ms (ratio "
+             f"{walls[T, 'penalty'] / walls[T, 'rmd']:.2f})"
+             for T in (5, 10)]
+    print(f"[criterion 11c] T=5 not asserted: {lines[0]}")
+    ok = walls[10, "penalty"] < walls[10, "rmd"]
+    assert crit("11c", ok, "dim-512 example3 wall ordering penalty<rmd: "
+                + lines[1])

@@ -350,6 +350,22 @@ class TestCmdRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, where):
+        # np.random.SeedSequence takes no negative entropy
+        text = BASE_CONFIG if where == "flag" else BASE_CONFIG.replace(
+            "seed = 3", "seed = -3")
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "out.csv"
+        argv = ["run", "--config", cfg, "--out", str(out), "--quiet"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be >= 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_numeric_abort_exit_3(self, tmp_path):
         # plain-gd with an absurd step on an unboxed problem overflows
         text = """
@@ -589,8 +605,17 @@ class TestCmdCheck:
     def test_unknown_problem(self):
         assert main(["check", "nonexistent", "oracle"]) == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["check", "example1", "oracle", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be >= 0, got -1\n"
+
 
 class TestRunTrialsApi:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            run_trials("example1", "penalty", cfg=dict(K=2, T=1), seed=-1)
+
     def test_trial_order_and_seeds(self):
         res = run_trials("example1", "penalty_plain", pparams={"dim": 4},
                          cfg=dict(K=10, T=1), trials=3, seed=0,

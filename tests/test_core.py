@@ -309,6 +309,81 @@ class TestRateRule:
         assert not np.shares_memory(outs[0][0], outs[1][0])
 
 
+def gradient_views(g):
+    """g itself and three non-contiguous arrays equal to it: negative
+    strides, a transposed (F-ordered) copy and every other element of a
+    larger buffer."""
+    reversed_ = g[(slice(None, None, -1),) * g.ndim].copy()
+    reversed_ = reversed_[(slice(None, None, -1),) * g.ndim]
+    transposed = np.ascontiguousarray(g.T).T
+    wide = np.zeros(g.shape[:-1] + (2 * g.shape[-1],))
+    wide[..., ::2] = g
+    return g, reversed_, transposed, wide[..., ::2]
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+@pytest.mark.parametrize("kind", ["adam", "plain-gd"])
+class TestFiniteTest:
+    # the one-call test np.vdot(grad, zeros) == 0.0 is exact: any inf or
+    # NaN anywhere raises before the state moves, and no finite value does
+
+    def test_any_non_finite_entry_raises_before_any_state_change(self, kind,
+                                                                  shape):
+        rng = make_rng(17, len(shape))
+        st_ = make_stepper(kind, shape)
+        p = stepper_step(st_, np.zeros(shape), rng.standard_normal(shape),
+                         0.1)
+        before = (st_.step_count, st_.moments.tobytes())
+        base = rng.standard_normal(shape)
+        for bad in (np.inf, -np.inf, np.nan):
+            for i in range(base.size):
+                g = base.copy()
+                g.flat[i] = bad
+                for grad in gradient_views(g):
+                    assert grad.shape == shape
+                    with pytest.raises(NumericError, match="non-finite"):
+                        stepper_step(st_, p, grad, 0.1)
+                    assert (st_.step_count, st_.moments.tobytes()) == before
+
+    @pytest.mark.parametrize("value", [1.7976931348623157e308,
+                                       -1.7976931348623157e308, 5e-324,
+                                       -5e-324, -0.0])
+    def test_extreme_finite_entries_step(self, kind, shape, value):
+        mixed = np.resize(np.array([1.7976931348623157e308, 5e-324, -0.0,
+                                    -1.7976931348623157e308, -5e-324]),
+                          shape)
+        for g in (np.full(shape, value), mixed):
+            st_ = make_stepper(kind, shape)
+            for grad in gradient_views(g):
+                # Adam's moments overflow on the largest double
+                with np.errstate(all="ignore"):
+                    stepper_step(st_, np.zeros(shape), grad, 0.1)
+            assert st_.step_count == 4
+
+
+@pytest.mark.parametrize("lr", [1, 0.1, np.float64(0.1), frozen(0.1),
+                                frozen(np.full((3, 4), 0.1))],
+                         ids=["int", "float", "np-float64", "frozen-0d",
+                              "frozen-full"])
+def test_rate_operands_match_formula_bitwise(lr):
+    # a Python number is stepped through its 0-d float64 copy, a frozen
+    # array as itself; every form gives the formula's bytes
+    rng = make_rng(5, 6)
+    params = rng.standard_normal((3, 4))
+    grads = list(rng.standard_normal((30, 3, 4)))
+    want, m, s = formula_adam(params, grads, lr, 0.9, 0.999, 1e-8)
+    adam, gd = make_stepper("adam", (3, 4)), make_stepper("plain-gd", (3, 4))
+    p = q = params
+    for g, expect in zip(grads, want):
+        p = adam_step(adam, p, g, lr)
+        assert p.tobytes() == expect.tobytes()
+        q_next = stepper_step(gd, q, g, lr)
+        assert q_next.tobytes() == (q - lr * g).tobytes()
+        q = q_next
+    assert adam.m.tobytes() == m.tobytes()
+    assert adam.s.tobytes() == s.tobytes()
+
+
 class TestProjectBox:
     def test_clamp(self):
         out = project_box(np.array([6.0, -7.0, 0.0]), BoxBounds(-5, 5))
@@ -354,6 +429,17 @@ class TestProjectBox:
         assert fresh is not x and x.tobytes() == kept.tobytes()
         assert project_box(x, BoxBounds(-5, 5), out=x) is x
         assert x.tobytes() == want.tobytes() == fresh.tobytes()
+
+    def test_integer_bounds_clip_as_float64(self):
+        # the bounds are stored as 0-d float64 arrays; the int fields stay
+        box = BoxBounds(-5, 5)
+        assert (box.lo, box.hi) == (-5, 5)
+        x = np.array([[6.0, -7.0, np.nan, np.inf], [-np.inf, -0.0, 0.0,
+                                                     4.5]])
+        for arr in gradient_views(x):
+            got = project_box(arr, box)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.clip(arr, -5, 5).tobytes()
 
     def test_invalid_box(self):
         with pytest.raises(ContractViolationError):

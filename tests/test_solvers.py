@@ -631,24 +631,25 @@ def test_record_every_below_one_rejected(solver, every):
 @pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd", "rmd",
                                     "approxgrad"])
 def test_abort_names_k_and_trials(solver):
-    # trial 1's u-gradient is finite, but its squared norm overflows
+    # the u-gradients of trials 0 and 2 of three are finite, but their
+    # squared norms overflow; the abort names both
     from dataclasses import replace
     inst = ex1(dim=3)
 
     def grad_u_f(p):
         out = inst.oracle.grad_u_f(p)
-        out[1] = 1e200
+        out[0] = 1e200
+        out[2, 1] = -1e200
         return out
 
     o = replace(inst.oracle, grad_u_f=grad_u_f)
     cfg = PenaltyConfig(K=5, T=2, box=inst.box)
     with np.errstate(all="ignore"), \
             pytest.raises(NumericError) as err:
-        RECORDED_SOLVERS[solver](o, cfg, stacked_points(inst, (1, 2)),
+        RECORDED_SOLVERS[solver](o, cfg, stacked_points(inst, (1, 2, 3)),
                                  metric=inst.metric)
-    assert "u-iteration 0" in str(err.value)
-    assert "trial(s) [1]" in str(err.value)
-    assert [len(trace) for trace in err.value.traces] == [0, 0]
+    assert "u-iteration 0, trial(s) [0, 2]" in str(err.value)
+    assert [len(trace) for trace in err.value.traces] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("solver", ["penalty", "gd"])
@@ -876,3 +877,55 @@ def test_approxgrad_default_steppers_are_plain_gd():
     for a, w in zip(got, (hg, v, q)):
         assert a.tobytes() == w.tobytes()
 
+
+
+@pytest.mark.parametrize("reg", [0.0, 1e-4])
+def test_estimators_match_python_float_loops_bitwise(reg):
+    # rho, -rho and reg enter the estimators as 0-d arrays; the textbook
+    # loops below multiply by the Python floats
+    inst = make_synthetic(3, dim=10, seed=4)
+    o = inst.oracle
+    p0 = stacked_points(inst, (6, 7))
+    u, v0 = p0.u, p0.v
+    rho, T = 1e-4, 6
+    v = v0
+    traj = [v]
+    for _ in range(T):
+        v = v - rho * o.grad_v_g(Point(u, v))
+        traj.append(v)
+    q = o.grad_v_f(Point(u, v))
+    p = o.grad_u_f(Point(u, v))
+    for t in range(T - 1, -1, -1):
+        pt = Point(u, traj[t])
+        p = p - rho * o.jvp_uv_g(pt, q)
+        q = q - rho * o.hvp_vv_g(pt, q)
+    got = rmd_hypergrad(o, u, v0, T, rho)
+    assert got[0].tobytes() == p.tobytes()
+    assert got[1].tobytes() == v.tobytes()
+
+    v = v0
+    P = np.zeros((2, o.dim_u, o.dim_v))
+    for _ in range(T):
+        pt = Point(u, v)
+        A = np.eye(o.dim_v) - rho * o.hess_vv_g(pt)
+        P = P @ A + -rho * o.jac_uv_g(pt)
+        v = v - rho * o.grad_v_g(pt)
+    pt = Point(u, v)
+    hg = o.grad_u_f(pt) + (P @ o.grad_v_f(pt)[..., None])[..., 0]
+    got = fmd_hypergrad(o, u, v0, T, rho)
+    assert got[0].tobytes() == hg.tobytes()
+    assert got[1].tobytes() == v.tobytes()
+
+    v = v0
+    for _ in range(T):
+        v = v - rho * o.grad_v_g(Point(u, v))
+    pt = Point(u, v)
+    b = o.grad_v_f(pt)
+    q = np.zeros_like(v)
+    for _ in range(T):
+        r = o.hvp_vv_g(pt, q) + reg * q - b
+        q = q - rho * (o.hvp_vv_g(pt, r) + reg * r)
+    hg = o.grad_u_f(pt) - o.jvp_uv_g(pt, q)
+    got = approxgrad_hypergrad(o, u, v0, T, rho=rho, reg_lambda=reg)
+    for a, w in zip(got, (hg, v, q)):
+        assert a.tobytes() == w.tobytes()
