@@ -384,7 +384,9 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     Returns a list of TrialResult in trial order. cfg is a dict of the
     PenaltyConfig fields the solver reads (SOLVER_KEYS[solver]; the
     problem supplies box, and p0 is drawn per trial). trials and
-    record_every must be >= 1, and seed >= 0.
+    record_every must be >= 1, and seed >= 0. A config PenaltyConfig
+    rejects (a mistyped number, say) raises ConfigError before any
+    instance is built.
     """
     pparams = dict(pparams or {})
     cfgkw = dict(cfg or {})
@@ -397,6 +399,10 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
                           ("record_every", record_every, 1)):
         if n < least:
             raise ConfigError(f"{key} must be >= {least}, got {n!r}")
+    try:
+        PenaltyConfig(**cfgkw)
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from None
     workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:

@@ -22,9 +22,10 @@ from .core import BoxBounds, RealVec, make_rng
 from .errors import ContractViolationError, NumericError
 
 
-@dataclass
+@dataclass(slots=True)
 class Point:
-    """Upper/lower variable pair (u, v)."""
+    """Upper/lower variable pair (u, v); slotted, as one is built per
+    callback on the step path."""
 
     u: np.ndarray
     v: np.ndarray
@@ -83,7 +84,9 @@ class ProblemOracle:
     ``hess_vv_g(p)`` (V-by-V) and ``jac_uv_g(p)`` (U-by-V) are derived
     from these two products at construction; the fields exist so that a
     view (``dataclasses.replace``) keeps or wraps the derived pair, and no
-    problem passes its own.
+    problem passes its own. ``has_constraints`` (``dim_c > 0``) is set
+    here too, so every penalty-gradient call reads a field, and a view
+    gets its own.
 
     Callbacks are pure functions of their argument values: equal bytes in
     give equal bytes out, whatever was called before, and an output is
@@ -108,12 +111,10 @@ class ProblemOracle:
     jtvp_v_h: Optional[Callable[[Point, np.ndarray], np.ndarray]] = None
     hess_vv_g: Optional[Callable[[Point], np.ndarray]] = None
     jac_uv_g: Optional[Callable[[Point], np.ndarray]] = None
-
-    @property
-    def has_constraints(self) -> bool:
-        return self.dim_c > 0
+    has_constraints: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.has_constraints = self.dim_c > 0
         if self.hess_vv_g is None:
             self.hess_vv_g = dense_matrix(self.hvp_vv_g, self.dim_v)
         if self.jac_uv_g is None:

@@ -616,6 +616,31 @@ class TestRunTrialsApi:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             run_trials("example1", "penalty", cfg=dict(K=2, T=1), seed=-1)
 
+    @pytest.mark.parametrize("cfg, key, what", [
+        ({"K": 2.5}, "K", "an integer"), ({"K": 3.0}, "K", "an integer"),
+        ({"T": "3"}, "T", "an integer"), ({"K": True}, "K", "an integer"),
+        ({"rho0": True}, "rho0", "a real number"),
+        ({"sigma0": "0.1"}, "sigma0", "a real number")],
+        ids=["K-2.5", "K-3.0", "T-str", "K-bool", "rho0-bool", "sigma0-str"])
+    def test_mistyped_number_rejected_before_any_build(self, monkeypatch,
+                                                       cfg, key, what):
+        # before, K=2.5 and T="3" died with a raw TypeError, and the bools
+        # ran as 1 u-iteration or at rate 1.0
+        def no_build(*args):
+            raise AssertionError("an instance was built")
+        monkeypatch.setattr(bench, "_built", no_build)
+        with pytest.raises(ConfigError,
+                           match=f"^{key} must be {what}, got {cfg[key]!r}$"):
+            run_trials("example1", "penalty", cfg=dict(cfg))
+
+    def test_numpy_numbers_accepted(self):
+        res = run_trials("example1", "penalty", pparams={"dim": 4},
+                         cfg={"K": np.int64(3), "T": np.int32(2),
+                              "rho0": np.float64(1e-3)})
+        want = run_trials("example1", "penalty", pparams={"dim": 4},
+                          cfg={"K": 3, "T": 2, "rho0": 1e-3})
+        assert traces_equal(res[0].trace, want[0].trace)
+
     def test_trial_order_and_seeds(self):
         res = run_trials("example1", "penalty_plain", pparams={"dim": 4},
                          cfg=dict(K=10, T=1), trials=3, seed=0,

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bilevel.core import (BoxBounds, adam_step, gaussian_matrix, make_rng,
-                          make_stepper, project_box, stepper_step)
+from bilevel.core import (ADAM_SPENT_M, BoxBounds, adam_step,
+                          gaussian_matrix, make_rng, make_stepper,
+                          project_box, stepper_step)
 from bilevel.errors import ContractViolationError, NumericError
 
 
@@ -367,10 +368,11 @@ class TestFiniteTest:
                               "frozen-full"])
 def test_rate_operands_match_formula_bitwise(lr):
     # a Python number is stepped through its 0-d float64 copy, a frozen
-    # array as itself; every form gives the formula's bytes
+    # array as itself; every form gives the formula's bytes, also past
+    # t = ADAM_SPENT_M, from where the m divide is skipped
     rng = make_rng(5, 6)
     params = rng.standard_normal((3, 4))
-    grads = list(rng.standard_normal((30, 3, 4)))
+    grads = list(rng.standard_normal((420, 3, 4)))
     want, m, s = formula_adam(params, grads, lr, 0.9, 0.999, 1e-8)
     adam, gd = make_stepper("adam", (3, 4)), make_stepper("plain-gd", (3, 4))
     p = q = params
@@ -380,8 +382,18 @@ def test_rate_operands_match_formula_bitwise(lr):
         q_next = stepper_step(gd, q, g, lr)
         assert q_next.tobytes() == (q - lr * g).tobytes()
         q = q_next
+    assert adam.step_count == 420 > ADAM_SPENT_M
     assert adam.m.tobytes() == m.tobytes()
     assert adam.s.tobytes() == s.tobytes()
+
+
+def test_spent_bias_correction_pinned():
+    # the first step count whose m bias correction rounds to exactly 1.0,
+    # from where Adam skips the m divide; it stays 1.0 after
+    assert ADAM_SPENT_M == 356
+    assert 1.0 - 0.9**(ADAM_SPENT_M - 1) < 1.0
+    assert all(1.0 - 0.9**t == 1.0
+               for t in range(ADAM_SPENT_M, ADAM_SPENT_M + 100_000))
 
 
 class TestProjectBox:
@@ -411,15 +423,23 @@ class TestProjectBox:
                            -5e-324, 1.0, -1.0, 3.0, -7.0])
                       | st.floats(-10, 10)),
            st.sampled_from([(-5.0, 5.0), (-0.0, 1.0), (0.0, 2.0),
-                            (-1.0, -0.0), (-3.0, 0.0), (-np.inf, 0.0),
-                            (0.0, np.inf), (-np.inf, np.inf)]))
+                            (-1.0, -0.0), (0.0, 1.0), (-3.0, 0.0),
+                            (-np.inf, 0.0), (0.0, np.inf),
+                            (-np.inf, np.inf)]))
     @settings(max_examples=200, deadline=None)
     def test_bitwise_equal_to_clip(self, x, bounds):
+        # into a fresh array and in place, equal to np.clip and to a
+        # maximum then a minimum with the bound first
         box = BoxBounds(*bounds)
+        lo, hi = bounds
         for arr in (x, x[0], x.T):
-            got = project_box(arr, box)
             want = np.clip(arr, box.lo, box.hi)
-            assert got.tobytes() == want.tobytes()
+            assert want.tobytes() == np.minimum(
+                hi, np.maximum(lo, arr)).tobytes()
+            assert project_box(arr, box).tobytes() == want.tobytes()
+            inplace = arr.copy()
+            assert project_box(inplace, box, out=inplace) is inplace
+            assert inplace.tobytes() == want.tobytes()
 
     def test_out_clamps_in_place(self):
         x = np.array([[6.0, -7.0], [0.5, -0.0]])

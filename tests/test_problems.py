@@ -427,6 +427,76 @@ def test_toy_callbacks_equal_formulas_bitwise(name, seed):
         check(Point(u, np.zeros_like(v)), q)
 
 
+def synthetic_formulas(sid, A):
+    """Examples 1-4 written with Python-float constants and np.einsum."""
+    def sq(x):
+        return np.sum(x * x, axis=-1)
+
+    def ax(x):
+        return np.einsum("...ij,...j->...i", A, x)
+
+    def ata(q):
+        return np.einsum("...ij,...i->...j", A, ax(q))
+
+    if sid == 1:
+        return dict(eval_f=lambda p: sq(p.u) + sq(p.v),
+                    eval_g=lambda p: sq(1.0 - p.u - p.v),
+                    grad_u_f=lambda p: 2.0 * p.u,
+                    grad_v_f=lambda p: 2.0 * p.v,
+                    grad_v_g=lambda p: 2.0 * (p.u + p.v - 1.0),
+                    hvp_vv_g=lambda p, q: 2.0 * q,
+                    jvp_uv_g=lambda p, q: 2.0 * q)
+    if sid == 2:
+        return dict(eval_f=lambda p: sq(p.v) - sq(p.u - p.v),
+                    eval_g=lambda p: sq(p.u - p.v),
+                    grad_u_f=lambda p: -2.0 * (p.u - p.v),
+                    grad_v_f=lambda p: 2.0 * p.v + 2.0 * (p.u - p.v),
+                    grad_v_g=lambda p: -2.0 * (p.u - p.v),
+                    hvp_vv_g=lambda p, q: 2.0 * q,
+                    jvp_uv_g=lambda p, q: -2.0 * q)
+    if sid == 3:
+        return dict(eval_f=lambda p: sq(p.u) + sq(p.v),
+                    eval_g=lambda p: sq(ax(1.0 - p.u - p.v)),
+                    grad_u_f=lambda p: 2.0 * p.u,
+                    grad_v_f=lambda p: 2.0 * p.v,
+                    grad_v_g=lambda p: -2.0 * ata(1.0 - p.u - p.v),
+                    hvp_vv_g=lambda p, q: 2.0 * ata(q),
+                    jvp_uv_g=lambda p, q: 2.0 * ata(q))
+    return dict(eval_f=lambda p: sq(p.v) - sq(ax(p.u - p.v)),
+                eval_g=lambda p: sq(ax(p.u - p.v)),
+                grad_u_f=lambda p: -2.0 * ata(p.u - p.v),
+                grad_v_f=lambda p: 2.0 * p.v + 2.0 * ata(p.u - p.v),
+                grad_v_g=lambda p: -2.0 * ata(p.u - p.v),
+                hvp_vv_g=lambda p, q: 2.0 * ata(q),
+                jvp_uv_g=lambda p, q: -2.0 * ata(q))
+
+
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [10, 64])
+def test_synthetic_callbacks_equal_python_float_formulas_bitwise(sid, dim):
+    # the 0-d constants give the Python floats' bytes, on a single point
+    # and on a stacked batch of 3; the vector callbacks return float64
+    # arrays of the point's shape, never NumPy scalars
+    rng = make_rng(sid, dim, 0xF10A7)
+    for seed, batch in ((3, ()), ([3, 4, 5], (3,))):
+        inst = make_synthetic(sid, dim, seed)
+        want = synthetic_formulas(sid, inst.info["A"])
+        o = inst.oracle
+        for _ in range(3):
+            p = Point(rng.uniform(-5.0, 5.0, batch + (dim,)),
+                      rng.uniform(-5.0, 5.0, batch + (dim,)))
+            q = rng.standard_normal(batch + (dim,))
+            for cb, f in want.items():
+                args = (p, q) if cb in ("hvp_vv_g", "jvp_uv_g") else (p,)
+                got, expect = getattr(o, cb)(*args), f(*args)
+                assert type(got) is type(expect), cb
+                assert got.dtype == np.float64, cb
+                assert got.tobytes() == expect.tobytes(), cb
+                if cb not in ("eval_f", "eval_g"):
+                    assert isinstance(got, np.ndarray), cb
+                    assert got.shape == batch + (dim,), cb
+
+
 def textbook_fit_logistic(X, y, reg):
     """fit_logistic's Newton loop with the margin z = y (w . x), in the
     order the library first computed it."""
