@@ -17,7 +17,11 @@ and quartiles, the change/parent ratio of the medians, the pairs the
 change won, and whether the change stays within the metric's bound of
 the parent. `crossover_dim` (oracle_bound's dim from which penalty beats
 RMD on wall time; null on other workloads) is reported for both sides.
-A Markdown table of the metrics goes to stdout.
+Per case, `cases` gives each side's median over its runs of the case's
+`median_scaled_wall_s` and the change/parent ratio, so a change that
+moves one case shows where. Each run entry keeps its
+`reference_digests` status. A Markdown table of the metrics and one of
+the cases go to stdout.
 """
 
 from __future__ import annotations
@@ -88,6 +92,25 @@ def summarize(metric, parent, change):
     }
 
 
+def case_summary(parent, change):
+    """Per case: each side's median over its runs of the case's
+    `median_scaled_wall_s`, and the change/parent ratio. `parent` and
+    `change` are lists of run records (perfbench's full JSON record)."""
+    walls = {}
+    for side, records in (("parent", parent), ("change", change)):
+        for rec in records:
+            for case, row in rec["diagnostics"].get("cases", {}).items():
+                walls.setdefault(case, {"parent": [], "change": []})[
+                    side].append(row["median_scaled_wall_s"])
+    out = {}
+    for case, w in walls.items():
+        if not (w["parent"] and w["change"]):
+            continue
+        p, c = statistics.median(w["parent"]), statistics.median(w["change"])
+        out[case] = {"parent_s": p, "change_s": c, "ratio": c / p}
+    return out
+
+
 def crossover(records):
     dims = [r["diagnostics"].get("oracle_bound", {}).get("crossover_dim")
             for r in records]
@@ -105,6 +128,15 @@ def markdown(workload, metrics):
                     f"{side['change']} | {m['ratio']:.3f} | "
                     f"{m['wins']}/{m['pairs']} | "
                     f"{'pass' if m['within_bound'] else 'FAIL'} |")
+    return "\n".join(rows)
+
+
+def case_markdown(workload, cases):
+    rows = ["| workload | case | parent ms | change ms | change/parent |",
+            "|---|---|---|---|---|"]
+    for name, c in cases.items():
+        rows.append(f"| {workload} | {name} | {c['parent_s'] * 1e3:.4g} | "
+                    f"{c['change_s'] * 1e3:.4g} | {c['ratio']:.3f} |")
     return "\n".join(rows)
 
 
@@ -168,9 +200,14 @@ def main(argv=None):
         "metrics": metrics,
         "crossover_dim": {side: crossover([r["record"] for r in runs[side]])
                           for side in sides},
+        "cases": case_summary([r["record"] for r in runs["parent"]],
+                              [r["record"] for r in runs["change"]]),
         "runs": {side: [{"seed": r["seed"], "first": r["first"],
                          "correct": r["result"]["correct"],
                          "failed": r["result"]["failed"],
+                         "reference_digests":
+                             r["record"]["diagnostics"].get(
+                                 "reference_digests"),
                          "cases": r["record"]["diagnostics"].get("cases")}
                         for r in runs[side]] for side in sides},
     }
@@ -178,6 +215,8 @@ def main(argv=None):
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(markdown(args.workload, metrics))
+    print()
+    print(case_markdown(args.workload, out["cases"]))
     print(f"all correct: {out['all_correct']}; all within bound: "
           f"{out['all_within_bound']}; written to {path}")
     return 0 if out["all_correct"] else 1

@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import BoxBounds, derive_seed, gaussian_matrix, make_rng
 from .errors import ContractViolationError
-from .oracle import Point, ProblemOracle, sample_in_box, spread, sqnorm
+from .oracle import (_HALF, _NEG_TWO, _ONE, _TWO, _ZERO, Point,
+                     ProblemOracle, sample_in_box, spread, sqnorm)
 
 LOGISTIC_REG = 0.05  # ridge coefficient on lower-level classifier weights
 
@@ -110,14 +111,6 @@ def _row_space_projector(A):
     return np.swapaxes(A, -1, -2) @ np.linalg.solve(AAT, A)
 
 
-# 0-d float64 operands of the synthetic callbacks: a ufunc takes one in
-# about 0.39 µs at desk scale, against 0.56 µs for a Python float, which
-# it converts on every call to the same bits
-_ONE = np.array(1.0)
-_TWO = np.array(2.0)
-_NEG_TWO = np.array(-2.0)
-
-
 def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
     if sid == 1:
         # f = |u|^2 + |v|^2, g = |1 - u - v|^2
@@ -181,13 +174,13 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
 
 def _synthetic_metric(sid: int, A):
     if sid == 1:
-        return lambda p: np.sqrt(sqnorm(p.u - 0.5) + sqnorm(p.v - 0.5))
+        return lambda p: np.sqrt(sqnorm(p.u - _HALF) + sqnorm(p.v - _HALF))
     if sid == 2:
         return lambda p: np.sqrt(sqnorm(p.u) + sqnorm(p.v))
     P = _row_space_projector(A)
     if sid == 3:
-        return lambda p: np.sqrt(sqnorm(_mat_vec(P, p.u - 0.5))
-                                 + sqnorm(_mat_vec(P, p.v - 0.5)))
+        return lambda p: np.sqrt(sqnorm(_mat_vec(P, p.u - _HALF))
+                                 + sqnorm(_mat_vec(P, p.v - _HALF)))
     return lambda p: np.sqrt(sqnorm(_mat_vec(P, p.u)) + sqnorm(p.v))
 
 
@@ -199,9 +192,9 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     projects onto the row space of A. A list of seeds gives the stacked
     instance, one independent trial per seed run in lockstep: ids 3-4
     stack one A per seed along the leading axis. The callbacks scale and
-    shift by 0-d float64 constants (``_TWO``, ``_NEG_TWO``, ``_ONE``),
-    the same bits as the Python floats 2.0, -2.0 and 1.0 for less per
-    call, and return float64 arrays.
+    shift by 0-d float64 constants (``_TWO``, ``_NEG_TWO``, ``_ONE``, and
+    ``_HALF`` in the metric), the same bits as the Python floats 2.0,
+    -2.0, 1.0 and 0.5 for less per call, and return float64 arrays.
     """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
@@ -277,23 +270,28 @@ def make_constrained_toy(seed: int = 0) -> ProblemInstance:
     On the lower-level solution v = u the constraint binds at u = 0.5;
     the optimum is (0.5, 0.5) with f = 0.5. The seed only draws initial
     points, and every callback broadcasts over a leading batch axis, so
-    a list of seeds gives the stacked instance.
+    a list of seeds gives the stacked instance. Like the synthetic
+    examples, the callbacks and the metric scale and shift by the 0-d
+    float64 constants ``_TWO``, ``_NEG_TWO``, ``_ONE`` and ``_HALF``: at
+    its usual batch of one or two trials a call is nearly all fixed cost,
+    and a Python float operand adds a conversion to each ufunc call for
+    the same bits.
     """
     oracle = ProblemOracle(
         name="constrained_toy", dim_u=1, dim_v=1, dim_c=1,
         eval_f=lambda p: sqnorm(p.u) + sqnorm(p.v),
         eval_g=lambda p: sqnorm(p.v - p.u),
-        grad_u_f=lambda p: 2.0 * p.u,
-        grad_v_f=lambda p: 2.0 * p.v,
-        grad_v_g=lambda p: 2.0 * (p.v - p.u),
-        hvp_vv_g=lambda p, q: 2.0 * q,
-        jvp_uv_g=lambda p, q: -2.0 * q,
-        eval_h=lambda p: 1.0 - p.u - p.v,
+        grad_u_f=lambda p: _TWO * p.u,
+        grad_v_f=lambda p: _TWO * p.v,
+        grad_v_g=lambda p: _TWO * (p.v - p.u),
+        hvp_vv_g=lambda p, q: _TWO * q,
+        jvp_uv_g=lambda p, q: _NEG_TWO * q,
+        eval_h=lambda p: _ONE - p.u - p.v,
         jtvp_u_h=lambda p, mu: -mu,
         jtvp_v_h=lambda p, mu: -mu)
 
     def metric(p):
-        return np.sqrt(sqnorm(p.u[..., :1] - 0.5) + sqnorm(p.v - 0.5))
+        return np.sqrt(sqnorm(p.u[..., :1] - _HALF) + sqnorm(p.v - _HALF))
 
     return ProblemInstance(
         name="constrained_toy", oracle=oracle, metric=metric,
@@ -321,9 +319,14 @@ def _augment(X):
 
 
 def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    return _HALF * (_ONE + np.tanh(_HALF * z))
 
 
+# The logistic callbacks take every float operand as a 0-d float64 array
+# (0.5, 1.0, the ridge terms reg and 2 reg, the counts n_val and n_total,
+# the upper cost's sign), the same bits as the Python numbers for less
+# per call: importance_toy and poison_toy step one trial at a time.
+#
 # The logistic terms are written on signed data: NXy, the rows -(y_i x_i)
 # of a data block, turns every margin z_i = y_i (w . x_i) into its
 # negation -z = NXy w in one contraction, and every slope contraction
@@ -343,18 +346,23 @@ def _neg_margin(NXy, w):
 
 
 def _margin_terms(nz):
-    """(-z, sigma(-z)), the form in which a margin is shared: the
-    cross-entropy log(1 + exp(-z)) is logaddexp(0, -z), its slope
-    contraction sigma(-z) NXy, and its curvature _curvature of the pair."""
-    return nz, _sigmoid(nz)
+    """(-z, sigma(-z), t) with t = tanh(-z / 2), the form in which a
+    margin is shared: the cross-entropy log(1 + exp(-z)) is
+    logaddexp(0, -z), its slope contraction sigma(-z) NXy, and its
+    curvature _curvature of the triple. sigma(-z) is 0.5 (1 + t), the
+    bytes of _sigmoid(-z)."""
+    t = np.tanh(_HALF * nz)
+    return nz, _HALF * (_ONE + t), t
 
 
 def _curvature(terms):
     """d2/dz2 of the cross-entropy, sigma(z) sigma(-z), from a
-    (-z, sigma(-z)) pair; -0.5 (-z) is 0.5 z to the bit, so the first
-    factor is _sigmoid(z) exactly."""
-    nz, s = terms
-    return 0.5 * (1.0 + np.tanh(-0.5 * nz)) * s
+    (-z, sigma(-z), t) triple, with no second tanh: sigma(z) is
+    0.5 (1 - t). That is _sigmoid(z) to the bit: -0.5 (-z) is
+    -(0.5 (-z)) exactly, numpy's float64 tanh is odd to the bit, so
+    tanh(0.5 z) is -t, and 1 + (-t) is 1 - t."""
+    _, s, t = terms
+    return _HALF * (_ONE - t) * s
 
 
 def fit_logistic(X, y, sample_weight=None) -> np.ndarray:
@@ -430,11 +438,12 @@ def make_blobs(seed: int, n_train: int, n_val: int) -> DatasetSplit:
 
 def _val_upper(Xb_val, y_val, sign=1.0):
     """Mean validation CE as the upper cost (sign=-1 for attackers)."""
-    n_val = len(y_val)
+    n_val = np.array(float(len(y_val)))
+    sign = np.array(sign)
     NXy = _signed(Xb_val, y_val)
 
     def eval_f(p):
-        return sign * np.mean(np.logaddexp(0.0, _neg_margin(NXy, p.v)),
+        return sign * np.mean(np.logaddexp(_ZERO, _neg_margin(NXy, p.v)),
                               axis=-1)
 
     def grad_v_f(p):
@@ -478,6 +487,7 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     NXy = _signed(Xb, split.y_train)
     Xb_val = _augment(split.X_val)
     reg = LOGISTIC_REG
+    reg_c, two_reg = np.array(reg), np.array(2.0 * reg)
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val)
 
     # terms the callbacks share at one point, each computed once per
@@ -493,7 +503,7 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     margin = _memo(lambda v: _margin_terms(_neg_margin(NXy, v)))
 
     def d_weights(u):
-        return 0.5 / np.cosh(u) ** 2
+        return _HALF / np.cosh(u) ** 2
 
     @_memo
     def mean_grad(u, v):
@@ -502,17 +512,17 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
 
     def eval_g(p):
         W, S, _ = weights(p.u)
-        l = np.logaddexp(0.0, margin(p.v)[0])
-        return np.sum(W * l, axis=-1) / S + reg * sqnorm(p.v)
+        l = np.logaddexp(_ZERO, margin(p.v)[0])
+        return np.sum(W * l, axis=-1) / S + reg_c * sqnorm(p.v)
 
     def grad_v_g(p):
-        return mean_grad(p.u, p.v) + 2.0 * reg * p.v
+        return mean_grad(p.u, p.v) + two_reg * p.v
 
     def hvp(p, q):
         W, _, S_v = weights(p.u)
         t = _einsum("nd,...d->...n", Xb, q)
         return (_einsum("...n,nd->...d", W * _curvature(margin(p.v)) * t,
-                        Xb) / S_v + 2.0 * reg * q)
+                        Xb) / S_v + two_reg * q)
 
     def jvp(p, q):
         # row i of the mixed matrix: (dW_i/du_i)(grad l_i - m)/S
@@ -541,7 +551,7 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
 
 
 def importance_values(u):
-    return 0.5 * (np.tanh(u) + 1.0)
+    return _HALF * (np.tanh(u) + _ONE)
 
 
 def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
@@ -570,8 +580,9 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
     NXy_clean = _signed(Xb_clean, y_clean)
     ny_poison = -y_poison
     Xb_val = _augment(split.X_val)
-    n_total = n_train + n_poison
+    n_total = np.array(float(n_train + n_poison))
     reg = LOGISTIC_REG
+    reg_c, two_reg = np.array(reg), np.array(2.0 * reg)
     eval_f, grad_v_f = _val_upper(Xb_val, split.y_val, sign=-1.0)
 
     # terms the callbacks share at one point, each computed once per
@@ -588,10 +599,10 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         _einsum("...nd,...d->...n", poison_block(u)[1], v)))
 
     def eval_g(p):
-        lc = np.logaddexp(0.0, clean_margin(p.v)[0])
-        lp = np.logaddexp(0.0, poison_margin(p.u, p.v)[0])
+        lc = np.logaddexp(_ZERO, clean_margin(p.v)[0])
+        lp = np.logaddexp(_ZERO, poison_margin(p.u, p.v)[0])
         return ((np.sum(lc, axis=-1) + np.sum(lp, axis=-1)) / n_total
-                + reg * sqnorm(p.v))
+                + reg_c * sqnorm(p.v))
 
     def grad_v_g(p):
         NXyp = poison_block(p.u)[1]
@@ -599,7 +610,7 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         sp = poison_margin(p.u, p.v)[1]
         out = _einsum("...n,nd->...d", sc, NXy_clean)
         out = out + _einsum("...n,...nd->...d", sp, NXyp)
-        return out / n_total + 2.0 * reg * p.v
+        return out / n_total + two_reg * p.v
 
     def hvp(p, q):
         Xbp = poison_block(p.u)[0]
@@ -609,7 +620,7 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
         tp = _einsum("...nd,...d->...n", Xbp, q)
         out = _einsum("...n,nd->...d", rc * tc, Xb_clean)
         out = out + _einsum("...n,...nd->...d", rp * tp, Xbp)
-        return out / n_total + 2.0 * reg * q
+        return out / n_total + two_reg * q
 
     def jvp(p, q):
         # d(grad_w l_j)/dx_j = r_j w_f xb_j^T + a_j E; rows (j,b) dot q

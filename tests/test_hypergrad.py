@@ -86,6 +86,14 @@ class TestInnerGradIdentity:
         assert all(e < 1e-6 for e in errs)
         assert abs(errs[0] - errs[1]) < 1e-6
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_refused(self, gamma):
+        # refused when the penalty weights are built, before the inner
+        # solve, which would otherwise stall on a NaN residual
+        inst = make_synthetic(1, dim=10)
+        with pytest.raises(ContractViolationError, match="^gamma must"):
+            verify_lemma3(inst.oracle, np.zeros(10), gamma=gamma)
+
     def test_requires_unconstrained(self):
         inst = make_constrained_toy()
         with pytest.raises(ContractViolationError):

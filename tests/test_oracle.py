@@ -93,6 +93,31 @@ class TestPenaltyGrads:
         assert calls["hvp"] == 1
 
 
+class TestPenaltyParamsRejects:
+    # a NaN or infinite weight would turn every penalty gradient into NaN
+    # or inf; it is refused at construction, naming the field
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("field", ["gamma", "lam"])
+    def test_scalar(self, field, bad):
+        kw = {"gamma": 1.0, field: bad}
+        with pytest.raises(ContractViolationError,
+                           match=f"^{field} must be finite and >= 0"):
+            PenaltyParams(**kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["gamma", "lam"])
+    def test_one_batch_entry(self, field, bad):
+        kw = {"gamma": np.ones(3), "lam": np.zeros(3), "v_shape": (3, 2)}
+        kw[field] = np.array([1.0, bad, 2.0])
+        with pytest.raises(ContractViolationError, match=f"^{field} must"):
+            PenaltyParams(**kw)
+
+    def test_bounds_accepted(self):
+        # zero and the schedule's largest weight are finite and >= 0
+        for w in (0.0, 1e100, np.array([0.0, 1e100])):
+            PenaltyParams(gamma=w, lam=w)
+
+
 def _fd(fun, x, eps=1e-6):
     out = np.empty_like(x)
     for i in range(x.size):

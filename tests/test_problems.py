@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError
-from bilevel.oracle import Point, fd_check_oracle, slackify
+from bilevel.oracle import Point, dense_matrix, fd_check_oracle, slackify
 from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               fit_logistic, importance_values, make_blobs,
                               make_constrained_toy, make_hyperparam_ridge,
                               make_importance_toy, make_poison_toy,
                               make_synthetic, ridge_closed_form,
-                              _augment, _memo, _neg_margin, _signed)
+                              _augment, _curvature, _margin_terms, _memo,
+                              _neg_margin, _sigmoid, _signed)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
 
 
@@ -274,6 +275,17 @@ def _sig(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def assert_same_result(got, expect, shape, what):
+    """Same type, float64, same bytes; a vector result is an ndarray of
+    the given shape, never a NumPy scalar."""
+    assert type(got) is type(expect), what
+    assert got.dtype == np.float64, what
+    assert got.tobytes() == expect.tobytes(), what
+    if shape is not None:
+        assert isinstance(got, np.ndarray), what
+        assert got.shape == shape, what
+
+
 def val_formulas(inst, sign):
     """The validation cross-entropy upper cost and its v-gradient of a
     logistic toy, with the margin z = y (w . x) and the slope
@@ -333,8 +345,9 @@ def importance_formulas(inst):
         return dW * (a * xq - mq[..., None]) / S[..., None]
 
     eval_f, grad_v_f = val_formulas(inst, 1.0)
-    return dict(eval_f=eval_f, grad_v_f=grad_v_f, eval_g=eval_g,
-                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp)
+    return dict(eval_f=eval_f, grad_u_f=lambda p: np.zeros_like(p.u),
+                grad_v_f=grad_v_f, eval_g=eval_g, grad_v_g=grad_v_g,
+                hvp_vv_g=hvp, jvp_uv_g=jvp)
 
 
 def poison_formulas(inst):
@@ -385,8 +398,9 @@ def poison_formulas(inst):
         return out.reshape(p.u.shape) / n_total
 
     eval_f, grad_v_f = val_formulas(inst, -1.0)
-    return dict(eval_f=eval_f, grad_v_f=grad_v_f, eval_g=eval_g,
-                grad_v_g=grad_v_g, hvp_vv_g=hvp, jvp_uv_g=jvp)
+    return dict(eval_f=eval_f, grad_u_f=lambda p: np.zeros_like(p.u),
+                grad_v_f=grad_v_f, eval_g=eval_g, grad_v_g=grad_v_g,
+                hvp_vv_g=hvp, jvp_uv_g=jvp)
 
 
 TOY_FORMULAS = {
@@ -414,11 +428,18 @@ def test_toy_callbacks_equal_formulas_bitwise(name, seed):
                 rng.standard_normal(batch + (o.dim_v,)))
 
     def check(p, q):
-        for cb in ("eval_f", "grad_v_f", "eval_g", "grad_v_g"):
-            assert getattr(o, cb)(p).tobytes() == want[cb](p).tobytes(), cb
-        for cb in ("hvp_vv_g", "jvp_uv_g"):
-            assert (getattr(o, cb)(p, q).tobytes()
-                    == want[cb](p, q).tobytes()), cb
+        # same type and bytes as the Python-float formulas; the vector
+        # callbacks return float64 arrays of the point's shape
+        batch = p.v.shape[:-1]
+        for cb in ("eval_f", "eval_g"):
+            assert_same_result(getattr(o, cb)(p), want[cb](p), None, cb)
+        for cb, dim in (("grad_u_f", o.dim_u), ("grad_v_f", o.dim_v),
+                        ("grad_v_g", o.dim_v)):
+            assert_same_result(getattr(o, cb)(p), want[cb](p),
+                               batch + (dim,), cb)
+        for cb, dim in (("hvp_vv_g", o.dim_v), ("jvp_uv_g", o.dim_u)):
+            assert_same_result(getattr(o, cb)(p, q), want[cb](p, q),
+                               batch + (dim,), cb)
 
     for batch in [()] * 3 + [(4,)]:
         u, v = draw(*batch)
@@ -699,3 +720,205 @@ def test_fd_check_at_random_points(name, seed, scale):
               rng.uniform(-scale, scale, o.dim_v))
     rep = fd_check_oracle(o, p)
     assert rep.max_error < 1e-4, str(rep)
+
+
+def constrained_formulas():
+    """constrained_toy's callbacks, metric and slack lift written with
+    Python-float constants."""
+    def sq(x):
+        return np.sum(x * x, axis=-1)
+
+    def base_u(p):
+        return p.u[..., :1]
+
+    return dict(
+        eval_f=lambda p: sq(p.u) + sq(p.v),
+        eval_g=lambda p: sq(p.v - p.u),
+        grad_u_f=lambda p: 2.0 * p.u,
+        grad_v_f=lambda p: 2.0 * p.v,
+        grad_v_g=lambda p: 2.0 * (p.v - p.u),
+        hvp_vv_g=lambda p, q: 2.0 * q,
+        jvp_uv_g=lambda p, q: -2.0 * q,
+        eval_h=lambda p: 1.0 - p.u - p.v,
+        jtvp_u_h=lambda p, mu: -mu,
+        jtvp_v_h=lambda p, mu: -mu,
+        metric=lambda p: np.sqrt(sq(p.u[..., :1] - 0.5) + sq(p.v - 0.5)),
+        # the slack lift, on (u, s) with the slack s last
+        slack_eval_h=lambda p: ((1.0 - base_u(p) - p.v)
+                                + p.u[..., 1:] * p.u[..., 1:]),
+        slack_jtvp_u_h=lambda p, mu: np.concatenate(
+            [-mu, 2.0 * p.u[..., 1:] * mu], axis=-1))
+
+
+def test_constrained_toy_equals_python_float_formulas_bitwise():
+    # the 0-d constants give the Python floats' bytes, on a single point
+    # and on a stacked batch of 3, for the toy, its metric and its lift
+    rng = make_rng(0xC0, 0xF10A7)
+    want = constrained_formulas()
+    for seed, batch in ((3, ()), ([3, 4, 5], (3,))):
+        inst = make_constrained_toy(seed)
+        o, lifted = inst.oracle, slackify(inst.oracle)
+        for _ in range(20):
+            p = Point(rng.uniform(-5.0, 5.0, batch + (1,)),
+                      rng.uniform(-5.0, 5.0, batch + (1,)))
+            ps = Point(np.concatenate(
+                [p.u, rng.uniform(0.0, 2.0, batch + (1,))], axis=-1), p.v)
+            q = rng.standard_normal(batch + (1,))
+            for cb in ("eval_f", "eval_g"):
+                assert_same_result(getattr(o, cb)(p), want[cb](p), None, cb)
+            for cb in ("grad_u_f", "grad_v_f", "grad_v_g", "eval_h"):
+                assert_same_result(getattr(o, cb)(p), want[cb](p),
+                                   batch + (1,), cb)
+            for cb in ("hvp_vv_g", "jvp_uv_g", "jtvp_u_h", "jtvp_v_h"):
+                assert_same_result(getattr(o, cb)(p, q), want[cb](p, q),
+                                   batch + (1,), cb)
+            assert_same_result(inst.metric(ps), want["metric"](ps), None,
+                               "metric")
+            assert_same_result(lifted.eval_h(ps), want["slack_eval_h"](ps),
+                               batch + (1,), "slack eval_h")
+            assert_same_result(lifted.jtvp_u_h(ps, q),
+                               want["slack_jtvp_u_h"](ps, q), batch + (2,),
+                               "slack jtvp_u_h")
+
+
+def margin_grid():
+    """±0, subnormals, ±1e-300 to ±700 on a log scale, and 10^5 random
+    margins over the same range."""
+    tiny = np.array([0.0, 5e-324, 1e-320, 2.2250738585072e-308 / 3,
+                     2.2250738585072014e-308])
+    logs = np.geomspace(1e-300, 700.0, 20_000)
+    rng = make_rng(0, 0x7A4)
+    rand = (rng.standard_normal(100_000)
+            * np.exp(rng.uniform(np.log(1e-12), np.log(700.0), 100_000)))
+    half = np.concatenate([tiny, logs, np.abs(rand)])
+    return np.concatenate([half, -half])
+
+
+def test_margin_terms_equal_two_tanh_forms_bitwise():
+    # the logistic terms take one tanh per margin: sigma(z) = 0.5 (1 - t)
+    # from t = tanh(0.5 (-z)) equals 0.5 (1 + tanh(-0.5 (-z))) only
+    # because tanh is odd to the bit, which this pins; checked on the
+    # whole grid and in rows of 5, so short inner loops are covered too
+    grid = margin_grid()
+    for nz in (grid, grid[:grid.size // 5 * 5].reshape(-1, 5)):
+        assert np.tanh(-nz).tobytes() == (-np.tanh(nz)).tobytes()
+        two_tanh_s = 0.5 * (1.0 + np.tanh(0.5 * nz))
+        two_tanh_r = 0.5 * (1.0 + np.tanh(-0.5 * nz)) * two_tanh_s
+        terms = _margin_terms(nz)
+        assert terms[0] is nz
+        assert terms[1].tobytes() == two_tanh_s.tobytes()
+        assert _sigmoid(nz).tobytes() == two_tanh_s.tobytes()
+        assert _curvature(terms).tobytes() == two_tanh_r.tobytes()
+    # the signed zeros: -0.5 * -0.0 and -(0.5 * -0.0) are both +0.0
+    z = np.array([0.0, -0.0])
+    assert (-0.5 * z).tobytes() == (-(0.5 * z)).tobytes()
+
+
+def fresh_dense(prod, dim_v, p):
+    """The dense matrix of prod at p, from buffers made for this call
+    alone: the reference a slot-keeping closure must match."""
+    u = np.empty((dim_v,) + np.shape(p.u))
+    u[...] = p.u
+    v = np.empty((dim_v,) + np.shape(p.v))
+    v[...] = p.v
+    q = np.empty(v.shape)
+    q[...] = np.eye(dim_v).reshape((dim_v,) + (1,) * (v.ndim - 2) + (dim_v,))
+    out = prod(Point(u, v), q)
+    return np.ascontiguousarray(
+        out.transpose(tuple(range(1, out.ndim)) + (0,)))
+
+
+def slot_arrays(dense):
+    """Every array the closure of a dense callback holds."""
+    found = []
+    for cell in dense.__closure__:
+        x = cell.cell_contents
+        for y in x if isinstance(x, tuple) else (x,):
+            if isinstance(y, Point):
+                found += [y.u, y.v]
+            elif isinstance(y, np.ndarray):
+                found.append(y)
+    return found
+
+
+# (instance, batch shape of a single point): the stacked examples 3-4
+# carry one A per trial, so their single point is a (1, ·) row that
+# broadcasts against both
+DENSE_CASES = {
+    **{f"example{sid}": (lambda sid=sid: make_synthetic(sid, 6, 3), ())
+       for sid in (1, 2, 3, 4)},
+    **{f"example{sid}_stacked":
+       (lambda sid=sid: make_synthetic(sid, 6, [3, 4]), (1,))
+       for sid in (3, 4)},
+    "constrained_toy+slack": (lambda: make_constrained_toy(3), ()),
+    "importance_toy": (lambda: make_importance_toy(3, n_train=30, n_val=10),
+                       ()),
+    "poison_toy": (lambda: make_poison_toy(3, n_train=20, n_val=10,
+                                           n_poison=4), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_dense_slot_results_equal_a_fresh_build(name):
+    # single point, batch of 2, single point again: each result equals a
+    # build with fresh buffers, is a fresh writable C-contiguous array,
+    # shares memory with no buffer of the closure (the identity stack
+    # included) nor with an earlier result, and writing into it leaves
+    # the next result unchanged
+    make, single = DENSE_CASES[name]
+    o = make().oracle
+    if name.endswith("+slack"):
+        o = slackify(o)
+    rng = make_rng(3, 0xDE57)
+    results = []
+    for batch in (single, (2,), single, (2,), single):
+        p = Point(rng.uniform(-2.0, 2.0, batch + (o.dim_u,)),
+                  rng.uniform(-2.0, 2.0, batch + (o.dim_v,)))
+        for cb, prod in (("hess_vv_g", o.hvp_vv_g), ("jac_uv_g", o.jvp_uv_g)):
+            dense = getattr(o, cb)
+            got = dense(p)
+            want = fresh_dense(prod, o.dim_v, p)
+            assert got.shape == want.shape, cb
+            assert got.tobytes() == want.tobytes(), cb
+            assert got.flags.writeable and got.flags.c_contiguous, cb
+            assert got.flags.owndata and got.base is None, cb
+            for held in slot_arrays(dense) + results:
+                assert not np.shares_memory(got, held), cb
+            got[...] = np.nan
+            again = dense(p)
+            assert again.tobytes() == want.tobytes(), cb
+            results += [got, again]
+
+
+def test_dense_slot_never_returns_the_identity_stack():
+    # a product that hands back its q: the matrix is the identity, as a
+    # fresh array each call, and the stack stays read-only and intact
+    dense = dense_matrix(lambda p, q: q, 3)
+    p = Point(np.zeros(2), np.zeros(3))
+    first = dense(p)
+    assert first.tobytes() == np.eye(3).tobytes()
+    first[...] = 7.0
+    second = dense(p)
+    assert second.tobytes() == np.eye(3).tobytes()
+    assert not np.shares_memory(first, second)
+    stacks = [x for x in slot_arrays(dense) if x.shape == (3, 3)
+              and not x.flags.writeable]
+    assert len(stacks) == 1
+    for held in slot_arrays(dense):
+        assert not np.shares_memory(second, held)
+    pb = Point(np.zeros((2, 2)), np.zeros((2, 3)))
+    assert dense(pb).tobytes() == np.broadcast_to(np.eye(3),
+                                                  (2, 3, 3)).tobytes()
+
+
+def test_dense_slot_follows_the_shape_of_u_too():
+    # a (1, U) u broadcast against a (2, V) v, then a (2, U) u: the u
+    # copies are rebuilt for the new shape of u alone
+    o = make_synthetic(2, 4, 0).oracle
+    rng = make_rng(4, 0xDE58)
+    for ub in ((1,), (2,), (1,)):
+        p = Point(rng.uniform(-2.0, 2.0, ub + (4,)),
+                  rng.uniform(-2.0, 2.0, (2, 4)))
+        for cb, prod in (("hess_vv_g", o.hvp_vv_g), ("jac_uv_g", o.jvp_uv_g)):
+            assert (getattr(o, cb)(p).tobytes()
+                    == fresh_dense(prod, o.dim_v, p).tobytes()), cb
