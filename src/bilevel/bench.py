@@ -59,7 +59,7 @@ from .hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
 from .oracle import (Point, fd_check_oracle, initial_slacks, rel_err,
                      slackify)
 from .problems import ProblemInstance, get_problem
-from .solvers import (OracleCounters, PenaltyConfig, SolverTrace,
+from .solvers import (_INTS, OracleCounters, PenaltyConfig, SolverTrace,
                       approxgrad_hypergrad, fmd_hypergrad, gd_alternating,
                       outer_loop, penalty_aug_solve, penalty_solve,
                       rmd_hypergrad)
@@ -397,6 +397,8 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
         raise ConfigError(f"solver {solver!r} does not read key(s) {unread}")
     for key, n, least in (("trials", trials, 1), ("seed", seed, 0),
                           ("record_every", record_every, 1)):
+        if isinstance(n, bool) or not isinstance(n, _INTS):
+            raise ConfigError(f"{key} must be an integer, got {n!r}")
         if n < least:
             raise ConfigError(f"{key} must be >= {least}, got {n!r}")
     try:
@@ -635,6 +637,8 @@ def cmd_check(problem: str, level: str, seed: int = 0, quiet=False) -> int:
 
 
 def _check(problem: str, level: str, seed: int, say) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, _INTS):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
     instance = get_problem(problem).factory(seed)

@@ -19,9 +19,18 @@ box clamp is one call of numpy's ``clip`` ufunc (0.50 µs, against 0.98
 µs for a ``maximum`` and a ``minimum``).
 
 A stepper keeps Adam's two moments in one ``(2, *shape)`` buffer, so
-the decay and the increment update both halves in one call. It also
-owns scratch buffers for the moment increment, the corrected moments
-and the step, which every Adam update writes with ``out=``; only the
+the decay and the increment update both halves in one call. Its update
+is built once, with the state, as a closure (``StepperState.step``)
+over the moments, scratch buffers for the moment increment, the
+corrected moments and the step, the kind's constants and the numpy
+ufuncs it calls, bound to local names; every ufunc call passes ``out``
+positionally. ``stepper_step`` calls that closure, so a step runs in
+two Python frames where it took three (``stepper_step``, ``adam_step``
+and an argument check), and the update itself loads no attribute and
+parses no keyword. Measured at (10, 10) on one 2-vCPU host, best of 25
+alternating runs in one process: an Adam step 5.15 to 4.71 µs, a
+plain-gd step 1.50 to 1.46 µs. The closure holds no reference to its
+state, only cells the state shares (see ``StepperState``). Only the
 returned point is a fresh array, never ``params`` itself. The update
 keeps the textbook operation order element for element, so traces are
 bit-identical to separate per-moment arrays and freshly allocated
@@ -31,27 +40,30 @@ step uses m itself: x / 1.0 == x bit for bit, so this too leaves every
 trace unchanged.
 ``project_box(x, box, out=x)`` then clamps that fresh point in place.
 
-Every step checks the parameter and gradient shapes against the
-state's and that the gradient is finite, before it changes any state.
-The finite test is one call, ``vdot(grad, zeros) == 0.0`` (about 0.47
-µs, against 1.3-1.6 µs for ``isfinite`` plus a reduce), and it is exact:
-x * 0 is ±0 for every finite x, subnormals and the largest double
-included, and NaN for ±inf or NaN; a sum of ±0 is ±0 and a sum with a
-NaN is NaN, so no term can overflow and none can hide another. The
-rate is checked (positive, not NaN, broadcasting to the parameters) on
-its first use; a stepper skips that check only when it is handed the
-very rate object it last accepted and that object cannot change: a
-Python int or float (NumPy float64 scalars included), whose 0-d float64
-copy the step then multiplies by, or a read-only array that owns its
-data. Any other rate, a writable array say, is checked on every step. A
-rate may be any shape that broadcasts to the parameters, but one of
-their full shape keeps the rate multiply a same-shape call; the penalty
+Every step checks, before it changes any state and in this order, the
+parameter and gradient shapes against the state's, the rate (through
+this module's ``_check_rate``, looked up at call time) and that the
+gradient is finite. The finite test is one call, ``vdot(grad, zeros)
+== 0.0`` (about 0.47 µs, against 1.3-1.6 µs for ``isfinite`` plus a
+reduce), and it is exact: x * 0 is ±0 for every finite x, subnormals
+and the largest double included, and NaN for ±inf or NaN; a sum of ±0
+is ±0 and a sum with a NaN is NaN, so no term can overflow and none can
+hide another. The rate is checked by ``_check_rate`` (every entry
+positive and finite, not a bool, broadcasting to the parameters) on its
+first use; a stepper skips that check only when it is handed the very
+rate object it last accepted and that object cannot change: a Python
+int or float (NumPy float64 scalars included), whose 0-d float64 copy
+the step then multiplies by, or a read-only array that owns its data.
+Any other rate, a writable array say, is checked on every step. A rate
+may be any shape that broadcasts to the parameters, but one of their
+full shape keeps the rate multiply a same-shape call; the penalty
 solvers build each schedule phase's v-rate that way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,77 +143,79 @@ def project_box(params: RealVec, box: BoxBounds, out=None) -> RealVec:
     return _clip(params, box._lo, box._hi, out=out)
 
 
-@dataclass
 class StepperState:
     """State for one optimized variable (kind 'adam' or 'plain-gd').
 
     The first and second moments share one ``(2, *shape)`` buffer,
-    ``moments``, so a single ufunc call updates both; ``m`` and
-    ``s`` are writable views of its two halves. ``step_count`` advances
-    by exactly one per step. Plain-gd keeps the moments at zero. The
-    Adam constants are read once at construction into operands of the
-    moments' full shape (the decays, eps) or 0-d float64 arrays (1-b1,
-    1-b2, the bias corrections), never a broadcast one (see the module
-    docstring for the per-call costs). Next to them sit the zeros of the
-    finite test, the scratch an Adam step writes, and the last rate
-    accepted with its 0-d copy when it is a Python number.
+    ``moments``, so a single ufunc call updates both; ``m`` and ``s``
+    are writable views of its two halves. Plain-gd keeps the moments at
+    zero. ``step_count`` advances by exactly one per step and may be
+    written; it lives in a one-element list that the state shares with
+    ``step``.
+
+    ``step(params, grad, lr)`` is the state's bound step function, built
+    once here (see the module docstring): a closure over the moments,
+    the scratch, the kind's constants, the step-count cell and the
+    rate cell (the last rate accepted that cannot change, and the
+    operand a step multiplies by for it). It holds no reference to the
+    state. A closure that did would form a state-closure cycle, which
+    only the cyclic garbage collector frees: a prototype that kept one
+    raised oracle_bound's ``peak_rss_mb`` from 102.4 to 105.8 MB. As it
+    is, a state is freed by reference counting when its last name goes.
     """
 
-    kind: str
-    moments: np.ndarray
-    step_count: int = 0
-    m: np.ndarray = field(init=False, repr=False, compare=False)
-    s: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, kind: str, moments: np.ndarray):
+        self.kind = kind
+        self.moments = moments
+        self.m = moments[0, ...]
+        self.s = moments[1, ...]
+        self._count = [0]
+        self.step = _STEP_BUILDERS[kind](moments, self._count,
+                                         [_NO_RATE, None])
 
-    def __post_init__(self):
-        self.m = self.moments[0, ...]
-        self.s = self.moments[1, ...]
-        self._shape = self.m.shape
-        self._zeros = np.zeros(self._shape)
-        col = (2,) + (1,) * (self.moments.ndim - 1)
-        self._decay = np.broadcast_to(
-            np.array((ADAM_BETA1, ADAM_BETA2)).reshape(col),
-            self.moments.shape).copy()
-        self._gain_m = np.array(1.0 - ADAM_BETA1)
-        self._gain_s = np.array(1.0 - ADAM_BETA2)
-        self._eps = np.full(self._shape, ADAM_EPS)
-        # bias corrections, rewritten every step (m's until it is spent)
-        self._corr_m = np.ones(())
-        self._corr_s = np.ones(())
-        # scratch: moment increment, corrected moments, step; the views
-        # of their halves are taken once here
-        self._inc = np.empty_like(self.moments)
-        self._inc_m = self._inc[0, ...]
-        self._inc_s = self._inc[1, ...]
-        self._hat = np.empty_like(self.moments)
-        self._hat_m = self._hat[0, ...]
-        self._hat_s = self._hat[1, ...]
-        self._step = np.empty_like(self.m)
-        # the last rate accepted that cannot change, else None, and the
-        # operand a step multiplies by for it
-        self._rate = None
-        self._rate_op = None
+    @property
+    def step_count(self) -> int:
+        return self._count[0]
+
+    @step_count.setter
+    def step_count(self, value: int):
+        self._count[0] = value
 
 
 def make_stepper(kind: str, shape) -> StepperState:
-    if kind not in ("adam", "plain-gd"):
+    if kind not in _STEP_BUILDERS:
         raise ContractViolationError(f"unknown stepper kind {kind!r}")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     moments = np.zeros((2,) + shape, dtype=np.float64)
     return StepperState(kind, moments)
 
 
-def _check_rate(state: StepperState, shape, lr):
+# the rate cell's first entry before any rate is accepted; no caller's
+# rate is this object
+_NO_RATE = object()
+
+
+def _check_rate(cache, shape, lr):
     """Check a rate not accepted before; return the operand a step
-    multiplies by."""
-    if isinstance(lr, (int, float)):
-        lr_ok = lr > 0
+    multiplies by.
+
+    ``cache`` is the stepper's ``[rate, operand]`` cell. A rate that
+    cannot change is kept there, so its next use skips this check; any
+    other rate empties the cell.
+    """
+    if isinstance(lr, (int, float)) and not isinstance(lr, bool):
+        # NaN fails both comparisons
+        lr_ok = 0 < lr < math.inf
         frozen = True
         op = np.array(lr, dtype=np.float64)
     else:
         arr = np.asarray(lr)
-        # a NaN rate propagates through the minimum and fails the test
-        lr_ok = arr.size == 0 or np.minimum.reduce(arr, axis=None) > 0
+        # a NaN entry propagates through both reductions and fails both
+        # tests; a bool array is not a rate
+        lr_ok = arr.dtype.kind != "b" and (
+            arr.size == 0
+            or (np.minimum.reduce(arr, axis=None) > 0
+                and np.maximum.reduce(arr, axis=None) < math.inf))
         try:
             fits = np.broadcast_shapes(arr.shape, shape) == shape
         except ValueError:
@@ -213,27 +227,98 @@ def _check_rate(state: StepperState, shape, lr):
                   and not lr.flags.writeable)
         op = lr
     if not lr_ok:
-        raise ContractViolationError("lr must be positive")
-    state._rate, state._rate_op = (lr, op) if frozen else (None, None)
+        raise ContractViolationError("lr must be positive and finite")
+    cache[0], cache[1] = (lr, op) if frozen else (_NO_RATE, None)
     return op
 
 
-def _check_step_args(state, params, grad, lr):
-    """Every check of a step, made before any state changes; returns the
-    rate operand."""
-    shape = state._shape
-    if params.shape != shape:
-        raise ContractViolationError(
-            f"stepper state shape {shape} != params {params.shape}")
-    if grad.shape != shape:
-        raise ContractViolationError(
-            f"params shape {params.shape} != grad shape {grad.shape}")
-    op = (state._rate_op if lr is state._rate
-          else _check_rate(state, shape, lr))
-    # exact: every finite x gives x * 0 == ±0, inf and NaN give NaN
-    if not _vdot(grad, state._zeros) == 0.0:
-        raise NumericError("non-finite gradient passed to stepper")
-    return op
+def _adam_step_fn(moments, count, cache):
+    """The bound step function of an Adam state (see ``adam_step``)."""
+    m, s = moments[0, ...], moments[1, ...]
+    shape = m.shape
+    zeros = np.zeros(shape)
+    col = (2,) + (1,) * (moments.ndim - 1)
+    decay = np.broadcast_to(np.array((ADAM_BETA1, ADAM_BETA2)).reshape(col),
+                            moments.shape).copy()
+    gain_m = np.array(1.0 - ADAM_BETA1)
+    gain_s = np.array(1.0 - ADAM_BETA2)
+    eps = np.full(shape, ADAM_EPS)
+    # bias corrections, rewritten every step (m's until it is spent)
+    corr_m = np.ones(())
+    corr_s = np.ones(())
+    # scratch: moment increment, corrected moments, step
+    inc = np.empty_like(moments)
+    inc_m, inc_s = inc[0, ...], inc[1, ...]
+    hat = np.empty_like(moments)
+    hat_m, hat_s = hat[0, ...], hat[1, ...]
+    out = np.empty(shape)
+    b1, b2, spent = ADAM_BETA1, ADAM_BETA2, ADAM_SPENT_M
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    divide, sqrt, vdot = np.divide, np.sqrt, _vdot
+
+    def step(params, grad, lr):
+        if params.shape != shape:
+            raise ContractViolationError(
+                f"stepper state shape {shape} != params {params.shape}")
+        if grad.shape != shape:
+            raise ContractViolationError(
+                f"params shape {params.shape} != grad shape {grad.shape}")
+        op = cache[1] if lr is cache[0] else _check_rate(cache, shape, lr)
+        # exact: every finite x gives x * 0 == ±0, inf and NaN give NaN
+        if not vdot(grad, zeros) == 0.0:
+            raise NumericError("non-finite gradient passed to stepper")
+        t = count[0] + 1
+        count[0] = t
+        multiply(moments, decay, moments)
+        multiply(gain_m, grad, inc_m)
+        multiply(gain_s, grad, inc_s)
+        multiply(inc_s, grad, inc_s)
+        add(moments, inc, moments)
+        # Python float pow: numpy's vector pow may differ in the last ulp
+        mt = m
+        if t < spent:
+            corr_m[()] = 1.0 - b1**t
+            mt = divide(m, corr_m, hat_m)
+        corr_s[()] = 1.0 - b2**t
+        divide(s, corr_s, hat_s)
+        sqrt(hat_s, hat_s)
+        add(hat_s, eps, hat_s)
+        multiply(op, mt, out)
+        divide(out, hat_s, out)
+        return subtract(params, out)
+
+    return step
+
+
+def _gd_step_fn(moments, count, cache):
+    """The bound step function of a plain-gd state: params - lr * grad.
+
+    Its checks repeat Adam's inline: a shared helper would cost the
+    Python frame that binding the step saves.
+    """
+    shape = moments.shape[1:]
+    zeros = np.zeros(shape)
+    out = np.empty(shape)
+    subtract, multiply, vdot = np.subtract, np.multiply, _vdot
+
+    def step(params, grad, lr):
+        if params.shape != shape:
+            raise ContractViolationError(
+                f"stepper state shape {shape} != params {params.shape}")
+        if grad.shape != shape:
+            raise ContractViolationError(
+                f"params shape {params.shape} != grad shape {grad.shape}")
+        op = cache[1] if lr is cache[0] else _check_rate(cache, shape, lr)
+        if not vdot(grad, zeros) == 0.0:
+            raise NumericError("non-finite gradient passed to stepper")
+        count[0] += 1
+        multiply(op, grad, out)
+        return subtract(params, out)
+
+    return step
+
+
+_STEP_BUILDERS = {"adam": _adam_step_fn, "plain-gd": _gd_step_fn}
 
 
 def adam_step(state: StepperState, params: RealVec, grad: RealVec,
@@ -249,34 +334,14 @@ def adam_step(state: StepperState, params: RealVec, grad: RealVec,
     Every intermediate lives in the state's scratch; ``params`` is only
     read.
     """
-    lr = _check_step_args(state, params, grad, lr)
-    state.step_count += 1
-    t = state.step_count
-    mom = state.moments
-    mom *= state._decay
-    np.multiply(state._gain_m, grad, out=state._inc_m)
-    inc_s = np.multiply(state._gain_s, grad, out=state._inc_s)
-    inc_s *= grad
-    mom += state._inc
-    # Python float pow: numpy's vector pow may differ in the last ulp
-    m = state.m
-    if t < ADAM_SPENT_M:
-        state._corr_m[()] = 1.0 - ADAM_BETA1**t
-        m = np.divide(m, state._corr_m, out=state._hat_m)
-    state._corr_s[()] = 1.0 - ADAM_BETA2**t
-    den = np.divide(state.s, state._corr_s, out=state._hat_s)
-    np.sqrt(den, out=den)
-    den += state._eps
-    step = np.multiply(lr, m, out=state._step)
-    step /= den
-    return params - step
+    if state.kind != "adam":
+        raise ContractViolationError(
+            f"adam_step needs an adam stepper, got {state.kind!r}")
+    return state.step(params, grad, lr)
 
 
 def stepper_step(state: StepperState, params: RealVec, grad: RealVec,
                  lr: float) -> RealVec:
-    """Dispatch on state.kind; plain-gd still advances step_count."""
-    if state.kind == "adam":
-        return adam_step(state, params, grad, lr)
-    lr = _check_step_args(state, params, grad, lr)
-    state.step_count += 1
-    return params - lr * grad
+    """One step of the state's kind (plain-gd: params - lr*grad, into a
+    fresh array); either kind advances step_count by one."""
+    return state.step(params, grad, lr)

@@ -29,8 +29,9 @@ globals at call time, so a timing harness can wrap them in place. The box
 clamps each stepper output in place (``out=``), since a step always
 returns a fresh array. The driver tests the per-trial |du|^2, and each
 estimator its result, with the stepper's one-call finite test (see
-``core``), and the estimators turn their step size and ridge into 0-d
-float64 arrays once per call, the cheaper operand at desk scale. The
+``core``), and the estimators turn their step size and a non-zero ridge
+into 0-d float64 arrays once per call, the cheaper operand at desk
+scale; ApproxGrad skips a zero ridge (see ``approxgrad_hypergrad``). The
 counting view wraps each callback in a wrapper of its own arity, ``(p)``
 or ``(p, q)``: about 150 ns a call against 220 ns for a ``*args`` one,
 on the 67,200 counted calls of a desk pass.
@@ -124,7 +125,8 @@ def attach_counters(oracle: ProblemOracle,
         jac_uv_g=cf(oracle.jac_uv_g, "n_dense_jac"))
 
 
-# the number types PenaltyConfig accepts (bool aside), as concrete classes:
+# the number types PenaltyConfig, the estimators and bench.run_trials
+# accept (bool aside), as concrete classes:
 # an isinstance test against numbers.Real costs about three times as much
 _INTS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
@@ -521,14 +523,28 @@ def _all_finite(x):
     return _vdot(x, np.zeros(x.shape)) == 0.0
 
 
-def _check_estimator(oracle, who, T, rho):
-    """The estimators' common input rules: no constraints, T >= 1 and
-    rho > 0 (`not > 0` also rejects NaN)."""
+def _check_estimator(oracle, who, T, rho, reg_lambda=0.0):
+    """The estimators' common input rules, checked before any oracle
+    call: no constraints, an integer T >= 1, a real rho in (0, inf) and
+    a real reg_lambda in [0, inf), PenaltyConfig's types (a bool is not
+    a number). NaN fails each range test."""
     _require_unconstrained(oracle, who)
+    # written out, not looped: this runs once per estimator call
+    if isinstance(T, bool) or not isinstance(T, _INTS):
+        raise ContractViolationError(f"T must be an integer, got {T!r}")
     if T < 1:
         raise ContractViolationError("T must be >= 1")
-    if not rho > 0:
-        raise ContractViolationError("rho must be positive")
+    if isinstance(rho, bool) or not isinstance(rho, _REALS):
+        raise ContractViolationError(f"rho must be a real number, got {rho!r}")
+    if not 0 < rho < math.inf:
+        raise ContractViolationError(
+            f"rho must be positive and finite, got {rho!r}")
+    if isinstance(reg_lambda, bool) or not isinstance(reg_lambda, _REALS):
+        raise ContractViolationError(
+            f"reg_lambda must be a real number, got {reg_lambda!r}")
+    if not 0 <= reg_lambda < math.inf:
+        raise ContractViolationError(
+            f"reg_lambda must be finite and >= 0, got {reg_lambda!r}")
 
 
 def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
@@ -612,11 +628,24 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     returned hypergradient is grad_u f - jvp(q), one jvp call; v and q
     are returned for warm starts. u and v0 are one point or a batch.
     rho and every later parameter are keyword-only.
+
+    With a zero ridge (+0 or -0; every benchmark case runs one) the two
+    ridge additions are skipped: r = hvp(q) - b and the step is along
+    hvp(r), two multiplies and two adds fewer per iteration. That is
+    exact. For a finite y, x + 0*y differs from x only where x is -0,
+    so r and the step direction differ from their ridge-kept values at
+    most in the sign of exact-zero entries (hvp, a sum of products, maps
+    such inputs to such outputs); an inf or NaN in r makes the direction
+    non-finite in both loops, which the stepper refuses at the same
+    step. A step whose direction differs only so moves no entry that
+    is not -0: Adam's (1-b2)*g*g is +0 for either zero, b1*m + (1-b1)*g
+    keeps m's bits (m starts at +0 and is never -0), and x - rho*(±0)
+    is x unless x is -0. And q never holds -0: it starts at +0, or at a
+    q this function returned, and x - y is -0 only when x is -0. The one
+    exception is a caller's q0 that holds -0, stepped by plain gd:
+    there -0 - rho*(-0) is +0, where the ridge-kept loop keeps -0.
     """
-    _check_estimator(oracle, "approxgrad_hypergrad", T, rho)
-    if reg_lambda < 0:
-        raise ContractViolationError("reg_lambda must be >= 0")
-    reg = np.array(reg_lambda, dtype=np.float64)
+    _check_estimator(oracle, "approxgrad_hypergrad", T, rho, reg_lambda)
     v = np.asarray(v0, dtype=np.float64)
     if v_stepper is None:
         v_stepper = make_stepper("plain-gd", v.shape)
@@ -629,10 +658,17 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
          else np.asarray(q0, dtype=np.float64))
     if q_stepper is None:
         q_stepper = make_stepper("plain-gd", q.shape)
-    for _ in range(T):
-        r = oracle.hvp_vv_g(pt, q) + reg * q - b
-        gq = oracle.hvp_vv_g(pt, r) + reg * r
-        q = stepper_step(q_stepper, q, gq, rho)
+    if reg_lambda == 0:
+        # the ridge terms dropped: exact, see the docstring
+        for _ in range(T):
+            r = oracle.hvp_vv_g(pt, q) - b
+            q = stepper_step(q_stepper, q, oracle.hvp_vv_g(pt, r), rho)
+    else:
+        reg = np.array(reg_lambda, dtype=np.float64)
+        for _ in range(T):
+            r = oracle.hvp_vv_g(pt, q) + reg * q - b
+            gq = oracle.hvp_vv_g(pt, r) + reg * r
+            q = stepper_step(q_stepper, q, gq, rho)
     hg = oracle.grad_u_f(pt) - oracle.jvp_uv_g(pt, q)
     if not _all_finite(hg):
         raise NumericError("non-finite approximate hypergradient")

@@ -633,6 +633,38 @@ class TestRunTrialsApi:
                            match=f"^{key} must be {what}, got {cfg[key]!r}$"):
             run_trials("example1", "penalty", cfg=dict(cfg))
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5), ("seed", True), ("trials", 2.0), ("trials", True),
+        ("record_every", 2.5), ("record_every", True)],
+        ids=["seed-1.5", "seed-bool", "trials-2.0", "trials-bool",
+             "record_every-2.5", "record_every-bool"])
+    def test_mistyped_count_rejected_before_any_build(self, monkeypatch,
+                                                      key, value):
+        # before, seed=1.5 ran seed 1 (derive_seed truncates), trials=2.0
+        # and record_every=2.5 died with a raw TypeError, and True ran as 1
+        def no_build(*args):
+            raise AssertionError("an instance was built")
+        monkeypatch.setattr(bench, "_built", no_build)
+        with pytest.raises(ConfigError,
+                           match=f"^{key} must be an integer, got {value!r}$"):
+            run_trials("example1", "penalty", cfg=dict(K=2, T=1),
+                       **{key: value})
+
+    def test_numpy_counts_accepted(self):
+        kw = dict(pparams={"dim": 4}, cfg=dict(K=3, T=1))
+        res = run_trials("example1", "penalty", trials=np.int64(2),
+                         seed=np.int32(3), record_every=np.int64(1), **kw)
+        want = run_trials("example1", "penalty", trials=2, seed=3, **kw)
+        assert [traces_equal(a.trace, b.trace)
+                for a, b in zip(res, want)] == [True, True]
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_check_mistyped_seed_rejected(self, monkeypatch, seed):
+        monkeypatch.setattr(bench, "get_problem", lambda name: 1 / 0)
+        with pytest.raises(ConfigError,
+                           match=f"^seed must be an integer, got {seed!r}$"):
+            bench.cmd_check("example1", "oracle", seed=seed, quiet=True)
+
     def test_numpy_numbers_accepted(self):
         res = run_trials("example1", "penalty", pparams={"dim": 4},
                          cfg={"K": np.int64(3), "T": np.int32(2),

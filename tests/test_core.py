@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,16 +206,23 @@ class TestRateRule:
     # the very object it last accepted, when that object cannot change
 
     @pytest.mark.parametrize("kind", ["adam", "plain-gd"])
-    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan,
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf,
                                     frozen([[0.1], [-0.1]]),
-                                    frozen([[np.nan], [0.1]])],
-                             ids=["zero", "negative", "nan", "neg-frozen",
-                                  "nan-frozen"])
+                                    frozen([[np.nan], [0.1]]),
+                                    frozen([[0.1], [np.inf]]), True,
+                                    np.True_, np.ones((2, 1), dtype=bool)],
+                             ids=["zero", "negative", "nan", "inf",
+                                  "neg-frozen", "nan-frozen", "inf-frozen",
+                                  "bool", "np-bool", "bool-array"])
     def test_bad_rate_rejected_on_first_use(self, kind, lr):
+        # before, an inf rate stepped to -inf and True stepped at 1.0
         st_ = make_stepper(kind, (2, 2))
-        with pytest.raises(ContractViolationError, match="lr"):
+        moments = st_.moments.tobytes()
+        with pytest.raises(ContractViolationError,
+                           match="^lr must be positive and finite$"):
             stepper_step(st_, np.zeros((2, 2)), np.ones((2, 2)), lr)
         assert st_.step_count == 0
+        assert st_.moments.tobytes() == moments
 
     @pytest.mark.parametrize("kind", ["adam", "plain-gd"])
     @pytest.mark.parametrize("good, bad", [
@@ -233,9 +243,11 @@ class TestRateRule:
         lr[1] = -0.1
         with pytest.raises(ContractViolationError, match="lr"):
             stepper_step(st_, p, np.ones((2, 2)), lr)
-        lr[1] = np.nan
-        with pytest.raises(ContractViolationError, match="lr"):
-            stepper_step(st_, p, np.ones((2, 2)), lr)
+        for bad in (np.nan, np.inf):
+            lr[1] = bad
+            with pytest.raises(ContractViolationError, match="lr"):
+                stepper_step(st_, p, np.ones((2, 2)), lr)
+        assert st_.step_count == 1
 
     def test_read_only_view_of_writable_rate_checked_on_every_call(self):
         # the view cannot be written, but its base can
@@ -308,6 +320,48 @@ class TestRateRule:
         for out, before in outs:
             assert out.tobytes() == before
         assert not np.shares_memory(outs[0][0], outs[1][0])
+
+
+@pytest.mark.parametrize("kind", ["adam", "plain-gd"])
+def test_state_freed_without_the_cyclic_collector(kind):
+    # the bound step function closes over the state's buffers and cells,
+    # never over the state: with the cyclic collector off, the state and
+    # its step function go when the last name does
+    gc.disable()
+    try:
+        st_ = make_stepper(kind, (2, 3))
+        stepper_step(st_, np.zeros((2, 3)), np.ones((2, 3)),
+                     frozen(np.full((2, 3), 0.1)))
+        refs = weakref.ref(st_), weakref.ref(st_.step)
+        del st_
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["adam", "plain-gd"])
+def test_step_count_is_shared_with_the_step_function(kind):
+    # step_count may be written; the next step counts on from the value
+    # written, and Adam's bias corrections use it
+    st_ = make_stepper(kind, 3)
+    g = np.array([1.0, -2.0, 0.5])
+    p = stepper_step(st_, np.zeros(3), g, 0.1)
+    st_.step_count = 9
+    out = stepper_step(st_, p, g, 0.1)
+    assert st_.step_count == 10
+    if kind == "adam":
+        m = 0.9 * ((1.0 - 0.9) * g) + (1.0 - 0.9) * g
+        s = 0.999 * (((1.0 - 0.999) * g) * g) + ((1.0 - 0.999) * g) * g
+        want = p - (0.1 * (m / (1.0 - 0.9**10))) / (
+            np.sqrt(s / (1.0 - 0.999**10)) + 1e-8)
+        assert out.tobytes() == want.tobytes()
+
+
+def test_adam_step_needs_an_adam_state():
+    st_ = make_stepper("plain-gd", 2)
+    with pytest.raises(ContractViolationError, match="adam"):
+        adam_step(st_, np.zeros(2), np.ones(2), 0.1)
+    assert st_.step_count == 0
 
 
 def gradient_views(g):

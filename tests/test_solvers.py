@@ -1,10 +1,12 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
 from bilevel import solvers
-from bilevel.core import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BoxBounds, make_rng
+from bilevel.core import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BoxBounds,
+                          make_rng, make_stepper)
 from bilevel.errors import (CapabilityError, ContractViolationError,
                             NumericError)
 from bilevel.oracle import (Point, ProblemOracle, sample_in_box, slackify,
@@ -849,6 +851,51 @@ def test_estimators_reject_bad_rho(estimator, rho):
         call()
 
 
+ESTIMATOR_CALLS = {
+    "rmd": lambda o, T, rho: rmd_hypergrad(o, np.zeros(2), np.ones(2), T,
+                                           rho),
+    "fmd": lambda o, T, rho: fmd_hypergrad(o, np.zeros(2), np.ones(2), T,
+                                           rho),
+    "approxgrad": lambda o, T, rho, **kw: approxgrad_hypergrad(
+        o, np.zeros(2), np.ones(2), T, rho=rho, **kw)}
+
+
+UNUSABLE_ARGS = [(dict(T=2.5), "T"), (dict(T=2.0), "T"), (dict(T=True), "T"),
+                 (dict(T="3"), "T"), (dict(rho=True), "rho"),
+                 (dict(rho="0.1"), "rho"), (dict(rho=float("inf")), "rho"),
+                 (dict(rho=float("nan")), "rho")]
+UNUSABLE_RIDGES = [(dict(reg_lambda=float("nan")), "reg_lambda"),
+                   (dict(reg_lambda=float("inf")), "reg_lambda"),
+                   (dict(reg_lambda=True), "reg_lambda"),
+                   (dict(reg_lambda="0"), "reg_lambda")]
+
+
+@pytest.mark.parametrize("estimator, kw, key", [
+    pytest.param(est, kw, key, id=f"{est}-{key}={kw[key]!r}")
+    for est, cases in (("rmd", UNUSABLE_ARGS), ("fmd", UNUSABLE_ARGS),
+                       ("approxgrad", UNUSABLE_ARGS + UNUSABLE_RIDGES))
+    for kw, key in cases])
+def test_estimators_reject_unusable_arguments_before_any_call(estimator, kw,
+                                                              key):
+    # before, T=2.5 died with a raw TypeError, T=True ran one step, and an
+    # inf rho or a NaN/inf ridge ended in a NumericError after warnings
+    counters = OracleCounters()
+    o = attach_counters(make_synthetic(1, dim=2).oracle, counters)
+    args = dict(T=3, rho=0.1) | kw
+    with pytest.raises(ContractViolationError, match=f"^{key} must be"):
+        ESTIMATOR_CALLS[estimator](o, **args)
+    assert counters == OracleCounters()
+
+
+@pytest.mark.parametrize("estimator", ["rmd", "fmd", "approxgrad"])
+def test_estimators_accept_numpy_integer_horizons(estimator):
+    o = make_synthetic(1, dim=2).oracle
+    got = ESTIMATOR_CALLS[estimator](o, np.int64(3), np.float64(0.1))
+    want = ESTIMATOR_CALLS[estimator](o, 3, 0.1)
+    for a, w in zip(got, want):
+        assert a.tobytes() == w.tobytes()
+
+
 def test_approxgrad_rho_is_keyword_only():
     # the old (T_v, T_lin, rho) positional form would bind rho to a horizon
     o = make_synthetic(1, dim=2).oracle
@@ -928,4 +975,71 @@ def test_estimators_match_python_float_loops_bitwise(reg):
     hg = o.grad_u_f(pt) - o.jvp_uv_g(pt, q)
     got = approxgrad_hypergrad(o, u, v0, T, rho=rho, reg_lambda=reg)
     for a, w in zip(got, (hg, v, q)):
+        assert a.tobytes() == w.tobytes()
+
+
+def zero_sign_oracle(b):
+    """An elementwise oracle whose hvp_vv_g(p, q) is -q, so hvp(+0) is
+    -0, and whose grad_v_f is the constant b."""
+    return ProblemOracle(
+        name="zero_sign", dim_u=b.shape[-1], dim_v=b.shape[-1], dim_c=0,
+        eval_f=lambda p: sqnorm(p.v), eval_g=lambda p: sqnorm(p.v),
+        grad_u_f=lambda p: 0.5 * p.u, grad_v_f=lambda p: b.copy(),
+        grad_v_g=lambda p: 0.5 * p.v, hvp_vv_g=lambda p, q: -q,
+        jvp_uv_g=lambda p, q: 0.25 * q)
+
+
+def python_float_step(kind, rho):
+    """One element's stepper in Python floats, in the library's order."""
+    m = s = 0.0
+    t = 0
+
+    def step(x, g):
+        nonlocal m, s, t
+        t += 1
+        if kind == "plain-gd":
+            return x - rho * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        s = ADAM_BETA2 * s + ((1.0 - ADAM_BETA2) * g) * g
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        shat = s / (1.0 - ADAM_BETA2**t)
+        return x - (rho * mhat) / (math.sqrt(shat) + ADAM_EPS)
+    return step
+
+
+@pytest.mark.parametrize("kind", ["plain-gd", "adam"])
+@pytest.mark.parametrize("reg", [0.0, -0.0], ids=["+0", "-0"])
+def test_approxgrad_zero_ridge_equals_the_ridge_kept_bitwise(kind, reg):
+    # with no ridge the q-loop skips + reg * q and + reg * r, which can
+    # only flip the sign of an exact-zero entry of r and gq. Here
+    # hvp(+0) is -0 and b has +0 entries, so with reg = +0.0 r does flip
+    # (-0 - 0 is -0, -0 + 0*0 - 0 is +0); v, q and the hypergradient must
+    # still equal, byte for byte, an element-by-element Python-float loop
+    # that keeps the ridge terms
+    b = np.array([[0.0, 1.5, 0.0, -2.0], [0.0, 0.0, 0.25, 0.0]])
+    u = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 4.0, -1.0, 2.5]])
+    v0 = np.array([[0.5, -1.0, 2.0, 0.0], [3.0, -0.25, 1.0, -4.0]])
+    T, rho = 6, 0.1
+    got = approxgrad_hypergrad(zero_sign_oracle(b), u, v0, T, rho=rho,
+                               reg_lambda=reg,
+                               v_stepper=make_stepper(kind, v0.shape),
+                               q_stepper=make_stepper(kind, v0.shape))
+    hg, v, q = (np.empty_like(v0) for _ in range(3))
+    flips = 0
+    for i in np.ndindex(v0.shape):
+        step_v, step_q = python_float_step(kind, rho), python_float_step(
+            kind, rho)
+        x = float(v0[i])
+        for _ in range(T):
+            x = step_v(x, 0.5 * x)
+        y = 0.0
+        for _ in range(T):
+            r = -y + reg * y - float(b[i])
+            flips += math.copysign(1.0, r) != math.copysign(1.0,
+                                                           -y - float(b[i]))
+            y = step_q(y, -r + reg * r)
+        v[i], q[i], hg[i] = x, y, 0.5 * float(u[i]) - 0.25 * y
+    assert (flips > 0) == (math.copysign(1.0, reg) > 0)
+    for a, w in zip(got, (hg, v, q)):
+        assert a.dtype == np.float64 and a.shape == w.shape
         assert a.tobytes() == w.tobytes()
