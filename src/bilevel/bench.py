@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import derive_seed, make_rng
+from .core import _INTS, _REALS, derive_seed, make_rng
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      NumericError)
 from .hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
@@ -59,7 +59,7 @@ from .hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
 from .oracle import (Point, fd_check_oracle, initial_slacks, rel_err,
                      slackify)
 from .problems import ProblemInstance, get_problem
-from .solvers import (_INTS, OracleCounters, PenaltyConfig, SolverTrace,
+from .solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                       approxgrad_hypergrad, fmd_hypergrad, gd_alternating,
                       outer_loop, penalty_aug_solve, penalty_solve,
                       rmd_hypergrad)
@@ -137,11 +137,24 @@ class TrialResult:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+# the classes a value may have to stand for a default of each type
+_KINDS = {int: _INTS, float: _REALS}
+
+
+def _of_type(value, default) -> bool:
+    """Whether value has the type of its default: an integer may stand
+    for a float, and a NumPy number for a Python one; a bool is not a
+    number."""
+    want = type(default)
+    return (not isinstance(value, bool)
+            and isinstance(value, _KINDS.get(want, want)))
+
+
 def _typed(section, key, raw: str, default):
     """Config value raw, cast to the type of its default.
 
     raw reads as an int, else a float, else text; it must then have the
-    default's type, except that an int may stand for a float.
+    default's type (``_of_type``).
     """
     want = type(default)
     value = raw
@@ -151,8 +164,7 @@ def _typed(section, key, raw: str, default):
             break
         except ValueError:
             pass
-    if not (isinstance(value, want)
-            or (want is float and isinstance(value, int))):
+    if not _of_type(value, default):
         raise ConfigError(f"[{section}] bad value for {key!r}: {raw!r} "
                           f"is not {want.__name__}")
     return want(value)
@@ -384,8 +396,10 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
     Returns a list of TrialResult in trial order. cfg is a dict of the
     PenaltyConfig fields the solver reads (SOLVER_KEYS[solver]; the
     problem supplies box, and p0 is drawn per trial). trials and
-    record_every must be >= 1, and seed >= 0. A config PenaltyConfig
-    rejects (a mistyped number, say) raises ConfigError before any
+    record_every must be >= 1, and seed >= 0. pparams holds keys of the
+    problem's ``defaults``, each of its default's type (``_of_type``). A
+    pparams or config that breaks these rules, or that PenaltyConfig
+    rejects (a mistyped number, say), raises ConfigError before any
     instance is built.
     """
     pparams = dict(pparams or {})
@@ -405,6 +419,14 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
         PenaltyConfig(**cfgkw)
     except ContractViolationError as exc:
         raise ConfigError(str(exc)) from None
+    known = get_problem(problem).defaults
+    for key, value in pparams.items():
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} for problem {problem!r}; "
+                              f"known: {sorted(known)}")
+        if not _of_type(value, known[key]):
+            raise ConfigError(f"{key} must be {type(known[key]).__name__}, "
+                              f"got {value!r}")
     workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:

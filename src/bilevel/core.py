@@ -73,6 +73,12 @@ from .errors import ContractViolationError, NumericError
 # per row.
 RealVec = np.ndarray
 
+# the number types the package's checks accept (bool aside), as concrete
+# classes: an isinstance test against numbers.Real costs about three
+# times as much
+_INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -106,11 +112,15 @@ def derive_seed(*keys) -> int:
     return int(np.random.SeedSequence(flat).generate_state(1, np.uint64)[0])
 
 
-def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normals, deterministic in seed."""
+def gaussian_matrix(rows: int, cols: int, seed, out=None) -> np.ndarray:
+    """rows x cols matrix of i.i.d. standard normals, deterministic in seed.
+
+    Drawn into ``out`` when given (a C-contiguous float64 rows x cols
+    array), with the same bytes as a fresh draw.
+    """
     if rows < 1 or cols < 1:
         raise ContractViolationError("gaussian_matrix needs rows, cols >= 1")
-    return make_rng(seed, 0x6D61).standard_normal((rows, cols))
+    return make_rng(seed, 0x6D61).standard_normal((rows, cols), out=out)
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,10 @@ class BoxBounds:
     hi: float
 
     def __post_init__(self):
+        for bound in (self.lo, self.hi):
+            if isinstance(bound, bool) or not isinstance(bound, _REALS):
+                raise ContractViolationError(
+                    f"box bounds must be real numbers, got {bound!r}")
         if not self.lo < self.hi:
             raise ContractViolationError("box requires lo < hi")
         object.__setattr__(self, "_lo", np.array(self.lo, dtype=np.float64))
@@ -186,6 +200,10 @@ def make_stepper(kind: str, shape) -> StepperState:
     if kind not in _STEP_BUILDERS:
         raise ContractViolationError(f"unknown stepper kind {kind!r}")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    for n in shape:
+        if isinstance(n, bool) or not isinstance(n, _INTS) or n < 0:
+            raise ContractViolationError(
+                f"stepper shape must be integers >= 0, got {shape!r}")
     moments = np.zeros((2,) + shape, dtype=np.float64)
     return StepperState(kind, moments)
 
@@ -204,10 +222,14 @@ def _check_rate(cache, shape, lr):
     other rate empties the cell.
     """
     if isinstance(lr, (int, float)) and not isinstance(lr, bool):
-        # NaN fails both comparisons
-        lr_ok = 0 < lr < math.inf
+        # NaN fails both comparisons; an int beyond the float range fails
+        # the conversion
+        try:
+            op = np.array(lr, dtype=np.float64)
+        except OverflowError:
+            op = None
+        lr_ok = op is not None and 0 < lr < math.inf
         frozen = True
-        op = np.array(lr, dtype=np.float64)
     else:
         arr = np.asarray(lr)
         # a NaN entry propagates through both reductions and fails both

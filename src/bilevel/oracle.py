@@ -70,24 +70,24 @@ def dense_matrix(prod, dim_v: int):
 
     The closure keeps one buffer set, for the shapes of the last p: the
     V copies of u and of v, rewritten in place on every call, and the
-    identity stack, built once and read-only. A call on a point of the
-    same shapes then allocates only the product and its transposed copy:
-    a ``hess_vv_g`` call at example1's dim 10, one point, took about 2.1
-    µs against 4.3 µs with fresh buffers and broadcast fills on every
-    call (one 2-vCPU host). The products see the same values either way
-    (callbacks are pure), so the matrix has the same bytes. The buffers
-    are shared by every caller of the closure, so one closure is not for
-    concurrent threads; worker processes each have their own.
+    identity stack, read-only. The set is built on the first call and
+    again when the shapes change, never before: an oracle whose dense
+    pair is never called allocates nothing of size V^2 for it. A call on
+    a point of the same shapes then allocates only the product and its
+    transposed copy. The products see the same values as with fresh
+    buffers (callbacks are pure), so the matrix has the same bytes. The
+    buffers are shared by every caller of the closure, so one closure is
+    not for concurrent threads; worker processes each have their own.
     """
-    eye = np.eye(dim_v)
     slot = None     # (u shape, v shape, Point of the copies, identity)
 
     def dense(p):
         nonlocal slot
         if slot is None or slot[0] != p.u.shape or slot[1] != p.v.shape:
             v = np.empty((dim_v,) + p.v.shape)
-            q = np.empty(v.shape)
-            q[...] = eye.reshape((dim_v,) + (1,) * (v.ndim - 2) + (dim_v,))
+            q = np.zeros(v.shape)
+            i = np.arange(dim_v)
+            q[i, ..., i] = 1.0
             q.setflags(write=False)
             slot = (p.u.shape, p.v.shape,
                     Point(np.empty((dim_v,) + p.u.shape), v), q)
@@ -108,7 +108,8 @@ class ProblemOracle:
     linear in q and symmetric as a bilinear form. ``jvp_uv_g(p, q)``
     applies the U-by-V mixed second-derivative matrix to q. The dense
     ``hess_vv_g(p)`` (V-by-V) and ``jac_uv_g(p)`` (U-by-V) are derived
-    from these two products at construction; the fields exist so that a
+    from these two products at construction, as ``dense_matrix`` closures
+    that allocate nothing until first called; the fields exist so that a
     view (``dataclasses.replace``) keeps or wraps the derived pair, and no
     problem passes its own. ``has_constraints`` (``dim_c > 0``) is set
     here too, so every penalty-gradient call reads a field, and a view

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BoxBounds, derive_seed, gaussian_matrix, make_rng
+from .core import (_INTS, BoxBounds, derive_seed, gaussian_matrix,
+                   make_rng)
 from .errors import ContractViolationError
 from .oracle import (_HALF, _NEG_TWO, _ONE, _TWO, _ZERO, Point,
                      ProblemOracle, sample_in_box, spread, sqnorm)
@@ -106,9 +107,20 @@ SYNTHETIC_BOX = BoxBounds(-5.0, 5.0)
 
 
 def _row_space_projector(A):
-    """P = A^T (A A^T)^-1 A, orthogonal projector onto the row space."""
-    AAT = A @ np.swapaxes(A, -1, -2)
-    return np.swapaxes(A, -1, -2) @ np.linalg.solve(AAT, A)
+    """P = A^T (A A^T)^-1 A, orthogonal projector onto the row space.
+
+    A stacked A (one matrix per trial) is projected one trial at a time
+    into slices of one preallocated P, so the build holds P and A plus
+    one trial's A A^T and solve, not a batch of each. The bytes are those
+    of the batched expression: numpy's stacked matmul and solve make the
+    same per-matrix BLAS and LAPACK calls as the per-trial ones. A 2-D A
+    takes the same path, as a stack of one.
+    """
+    P = np.empty(A.shape[:-2] + (A.shape[-1],) * 2)
+    for a, out in zip(A.reshape((-1,) + A.shape[-2:]),
+                      P.reshape((-1,) + P.shape[-2:])):
+        np.matmul(a.T, np.linalg.solve(a @ a.T, a), out=out)
+    return P
 
 
 def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
@@ -191,20 +203,30 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     drawn from ``seed``; their solution sets are affine, so the metric
     projects onto the row space of A. A list of seeds gives the stacked
     instance, one independent trial per seed run in lockstep: ids 3-4
-    stack one A per seed along the leading axis. The callbacks scale and
+    stack one A per seed along the leading axis, each drawn in place into
+    its slice of the stack, so a build holds what it keeps (A and the
+    metric's projector) plus one trial's transients; the dim-512 build
+    sets the oracle_bound benchmark's ``peak_rss_mb``. ``dim`` is an
+    integer >= 1 (a bool is not). The callbacks scale and
     shift by 0-d float64 constants (``_TWO``, ``_NEG_TWO``, ``_ONE``, and
     ``_HALF`` in the metric), the same bits as the Python floats 2.0,
     -2.0, 1.0 and 0.5 for less per call, and return float64 arrays.
     """
+    if isinstance(dim, bool) or not isinstance(dim, _INTS):
+        raise ContractViolationError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
-    stacked = not isinstance(seed, (int, np.integer))
     A = None
     if sid in (3, 4):
         if dim % 2:
             raise ContractViolationError("ids 3-4 need an even dim")
-        A = (np.stack([_synthetic_a(dim, s) for s in seed]) if stacked
-             else _synthetic_a(dim, seed))
+        if isinstance(seed, _INTS):
+            A = _synthetic_a(dim, seed)
+        else:
+            seeds = list(seed)
+            A = np.empty((len(seeds), dim // 2, dim))
+            for a, s in zip(A, seeds):
+                _synthetic_a(dim, s, out=a)
     oracle = _synthetic_oracle(sid, dim, A)
     return ProblemInstance(
         name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A),
@@ -212,8 +234,8 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
         box=SYNTHETIC_BOX, expects_singular=sid in (3, 4), info={"A": A})
 
 
-def _synthetic_a(dim: int, seed: int) -> np.ndarray:
-    return gaussian_matrix(dim // 2, dim, derive_seed(seed, 0xA))
+def _synthetic_a(dim: int, seed: int, out=None) -> np.ndarray:
+    return gaussian_matrix(dim // 2, dim, derive_seed(seed, 0xA), out=out)
 
 
 # ---------------------------------------------------------------------------

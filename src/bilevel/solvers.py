@@ -55,8 +55,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BoxBounds, StepperState, _vdot, make_stepper,
-                   project_box, stepper_step)
+from .core import (_INTS, _REALS, BoxBounds, StepperState, _vdot,
+                   make_stepper, project_box, stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
                      penalty_grad_v, spread, sqnorm)
@@ -125,13 +125,6 @@ def attach_counters(oracle: ProblemOracle,
         jac_uv_g=cf(oracle.jac_uv_g, "n_dense_jac"))
 
 
-# the number types PenaltyConfig, the estimators and bench.run_trials
-# accept (bool aside), as concrete classes:
-# an isinstance test against numbers.Real costs about three times as much
-_INTS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
-
-
 @dataclass
 class PenaltyConfig:
     """Solver hyperparameters; defaults follow the synthetic protocol."""
@@ -177,6 +170,9 @@ class PenaltyConfig:
             raise ContractViolationError("c_gamma must be >= 1")
         if not (0.0 < self.c_eps <= 1.0 and 0.0 < self.c_lambda <= 1.0):
             raise ContractViolationError("c_eps, c_lambda must be in (0, 1]")
+        if self.box is not None and not isinstance(self.box, BoxBounds):
+            raise ContractViolationError(
+                f"box must be None or a BoxBounds, got {self.box!r}")
         if self.stepper not in ("adam", "plain-gd"):
             raise ContractViolationError(f"unknown stepper {self.stepper!r}")
         if self.lambda0 < 0 or self.approx_reg < 0:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib.util
 import os
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -632,6 +633,46 @@ class TestRunTrialsApi:
         with pytest.raises(ConfigError,
                            match=f"^{key} must be {what}, got {cfg[key]!r}$"):
             run_trials("example1", "penalty", cfg=dict(cfg))
+
+    @pytest.mark.parametrize("problem, pparams, message", [
+        ("example1", {"bogus": 1},
+         "unknown key 'bogus' for problem 'example1'; known: ['dim']"),
+        ("example1", {"dim": "x"}, "dim must be int, got 'x'"),
+        ("example1", {"dim": 4.0}, "dim must be int, got 4.0"),
+        ("example1", {"dim": True}, "dim must be int, got True"),
+        ("ridge", {"reg_true": "2"}, "reg_true must be float, got '2'"),
+        ("ridge", {"reg_true": False}, "reg_true must be float, got False")],
+        ids=["unknown-key", "dim-str", "dim-float", "dim-bool",
+             "float-str", "float-bool"])
+    def test_mistyped_problem_param_rejected_before_any_build(
+            self, monkeypatch, problem, pparams, message):
+        # before, {"bogus": 1} and {"dim": "x"} raised a raw TypeError
+        # from the factory; the rule is the one config files follow
+        def no_build(*args):
+            raise AssertionError("an instance was built")
+        monkeypatch.setattr(bench, "_built", no_build)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_trials(problem, "penalty", pparams=pparams,
+                       cfg=dict(K=2, T=1))
+
+    def test_problem_params_of_their_default_type_accepted(self):
+        # an int stands for a float, and a NumPy number for a Python one
+        kw = dict(cfg=dict(K=2, T=1))
+        for problem, pparams, same in (
+                ("example1", {"dim": np.int64(4)}, {"dim": 4}),
+                ("ridge", {"reg_true": 2}, {"reg_true": 2.0}),
+                ("ridge", {"reg_true": np.int32(2)}, {"reg_true": 2.0})):
+            got = run_trials(problem, "penalty", pparams=pparams, **kw)
+            want = run_trials(problem, "penalty", pparams=same, **kw)
+            assert traces_equal(got[0].trace, want[0].trace)
+
+    def test_large_dim_builds_no_dense_pair(self):
+        # example1 at dim 10**5: an eager V x V identity (75 GiB) made
+        # this a memory error, though penalty never calls the dense pair
+        res = run_trials("example1", "penalty", pparams={"dim": 10**5},
+                         cfg=dict(K=2, T=1))
+        assert [r.final_point.v.shape for r in res] == [(10**5,)]
+        assert [len(r.trace.rows) for r in res] == [2]
 
     @pytest.mark.parametrize("key, value", [
         ("seed", 1.5), ("seed", True), ("trials", 2.0), ("trials", True),

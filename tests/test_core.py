@@ -96,6 +96,15 @@ class TestAdam:
         with pytest.raises(ContractViolationError):
             make_stepper("rmsprop", 2)
 
+    @pytest.mark.parametrize("shape", [-1, 2.5, (2, -1), (2, True), "a"],
+                             ids=["negative", "float", "negative-axis",
+                                  "bool-axis", "str"])
+    def test_bad_shape_rejected(self, shape):
+        # before, -1 raised numpy's ValueError and 2.5 a TypeError
+        with pytest.raises(ContractViolationError,
+                           match="^stepper shape must be integers >= 0"):
+            make_stepper("adam", shape)
+
 
 def formula_adam(params, grads, lr, b1, b2, eps):
     """Adam written out per element, in the library's operation order."""
@@ -210,12 +219,15 @@ class TestRateRule:
                                     frozen([[0.1], [-0.1]]),
                                     frozen([[np.nan], [0.1]]),
                                     frozen([[0.1], [np.inf]]), True,
-                                    np.True_, np.ones((2, 1), dtype=bool)],
+                                    np.True_, np.ones((2, 1), dtype=bool),
+                                    10**400],
                              ids=["zero", "negative", "nan", "inf",
                                   "neg-frozen", "nan-frozen", "inf-frozen",
-                                  "bool", "np-bool", "bool-array"])
+                                  "bool", "np-bool", "bool-array",
+                                  "int-beyond-float"])
     def test_bad_rate_rejected_on_first_use(self, kind, lr):
-        # before, an inf rate stepped to -inf and True stepped at 1.0
+        # before, an inf rate stepped to -inf, True stepped at 1.0 and
+        # 10**400 raised OverflowError
         st_ = make_stepper(kind, (2, 2))
         moments = st_.moments.tobytes()
         with pytest.raises(ContractViolationError,
@@ -519,6 +531,15 @@ class TestProjectBox:
         with pytest.raises(ContractViolationError):
             BoxBounds(2.0, 2.0)
 
+    @pytest.mark.parametrize("lo, hi", [("a", "b"), (None, 1.0),
+                                        (False, True)],
+                             ids=["str", "none", "bool"])
+    def test_non_number_box_rejected(self, lo, hi):
+        # before, ("a", "b") passed lo < hi and raised numpy's ValueError
+        with pytest.raises(ContractViolationError,
+                           match="^box bounds must be real numbers"):
+            BoxBounds(lo, hi)
+
 
 class TestRandomness:
     def test_gaussian_matrix_deterministic(self):
@@ -538,6 +559,11 @@ class TestRandomness:
     def test_bad_shape(self):
         with pytest.raises(ContractViolationError):
             gaussian_matrix(0, 3, seed=0)
+
+    def test_draw_into_out_is_a_fresh_draw(self):
+        out = np.empty((7, 4))
+        assert gaussian_matrix(7, 4, seed=42, out=out) is out
+        assert out.tobytes() == gaussian_matrix(7, 4, seed=42).tobytes()
 
     def test_make_rng_streams(self):
         a = make_rng(1, 2).standard_normal(4)

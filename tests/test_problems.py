@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               make_importance_toy, make_poison_toy,
                               make_synthetic, ridge_closed_form,
                               _augment, _curvature, _margin_terms, _memo,
-                              _neg_margin, _sigmoid, _signed)
+                              _neg_margin, _row_space_projector, _sigmoid,
+                              _signed, _synthetic_a)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
 
 
@@ -158,6 +161,56 @@ class TestSynthetics:
         binst = make_synthetic(1, 10, [1, 2])
         p = binst.init_sampler([1, 2])
         assert not np.array_equal(p.u[0], p.u[1])
+
+    @pytest.mark.parametrize("sid", [1, 3])
+    @pytest.mark.parametrize("dim", [2.5, 4.0, True, "4"])
+    def test_non_integer_dim_rejected(self, sid, dim):
+        # before, 2.5 and True raised a raw TypeError from the dense
+        # pair's identity, which is now built on first use
+        for seed in (1, [1, 2]):
+            with pytest.raises(ContractViolationError,
+                               match="^dim must be an integer"):
+                make_synthetic(sid, dim, seed)
+
+    def test_numpy_integer_dim_accepted(self):
+        inst = make_synthetic(3, np.int64(4), [1, 2])
+        assert inst.info["A"].shape == (2, 2, 4)
+
+    @pytest.mark.parametrize("sid", [3, 4])
+    @pytest.mark.parametrize("dim", [2, 10, 64, 256])
+    @pytest.mark.parametrize("seed", [7, [7, 8, 9]], ids=["one", "three"])
+    def test_a_and_projector_equal_the_batched_build_bitwise(self, sid, dim,
+                                                             seed):
+        # A is drawn into its stack and P built one trial at a time; both
+        # are the bytes of stacking fresh draws and of the batched solve
+        A = make_synthetic(sid, dim, seed).info["A"]
+        if isinstance(seed, list):
+            want = np.stack([_synthetic_a(dim, s) for s in seed])
+        else:
+            want = _synthetic_a(dim, seed)
+        assert A.shape == want.shape and A.tobytes() == want.tobytes()
+        AT = np.swapaxes(want, -1, -2)
+        batched = AT @ np.linalg.solve(want @ AT, want)
+        P = _row_space_projector(A)
+        assert P.shape == batched.shape
+        assert P.tobytes() == batched.tobytes()
+
+    def test_stacked_build_holds_what_it_keeps_plus_one_trial(self):
+        # A and the metric's projector P stay; the rest of the build may
+        # hold one trial's worth at a time (the batched build reached
+        # about 1.6 times A + P)
+        dim, seeds = 256, list(range(10))
+        a_bytes = dim // 2 * dim * 8
+        p_bytes = dim * dim * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            inst = make_synthetic(3, dim, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.info["A"].nbytes == len(seeds) * a_bytes
+        assert peak <= (len(seeds) + 1) * (a_bytes + p_bytes)
 
 
 class TestConstrainedToy:
@@ -909,6 +962,18 @@ def test_dense_slot_never_returns_the_identity_stack():
     pb = Point(np.zeros((2, 2)), np.zeros((2, 3)))
     assert dense(pb).tobytes() == np.broadcast_to(np.eye(3),
                                                   (2, 3, 3)).tobytes()
+
+
+def test_dense_pair_holds_no_array_before_its_first_call():
+    # at dim 10**6 an eager identity would need 8 TB; the oracle builds
+    # and its dense callbacks allocate only when called
+    o = make_synthetic(2, 10**6, 0).oracle
+    for dense in (o.hess_vv_g, o.jac_uv_g):
+        assert slot_arrays(dense) == []
+    dense = dense_matrix(lambda p, q: q, 3)
+    assert slot_arrays(dense) == []
+    dense(Point(np.zeros(2), np.zeros(3)))
+    assert slot_arrays(dense) != []
 
 
 def test_dense_slot_follows_the_shape_of_u_too():

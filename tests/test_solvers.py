@@ -52,6 +52,9 @@ class TestPenaltyConfig:
         dict(c_gamma=0.9), dict(c_eps=0.0), dict(c_eps=1.5),
         dict(c_lambda=0.0), dict(approx_reg=-1.0), dict(stepper="sgd"),
         dict(lambda0=-1.0),
+        # before, a tuple box was accepted and the run died in the first
+        # projection with an AttributeError
+        dict(box=(-1, 1)),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ContractViolationError):
