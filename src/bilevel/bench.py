@@ -44,6 +44,7 @@ import operator
 import os
 import pickle
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -51,7 +52,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _INTS, _REALS, derive_seed, make_rng
+from .core import (_INTS, _REALS, AT_LEAST_0, AT_LEAST_1, check_number,
+                   derive_seed, make_rng)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      NumericError)
 from .hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
@@ -141,33 +143,35 @@ class TrialResult:
 _KINDS = {int: _INTS, float: _REALS}
 
 
-def _of_type(value, default) -> bool:
-    """Whether value has the type of its default: an integer may stand
-    for a float, and a NumPy number for a Python one; a bool is not a
-    number."""
+def _cast(key, value, default):
+    """value cast to the type of its default, else ConfigError: an integer
+    may stand for a float, and a NumPy number for a Python one; a bool is
+    not a number."""
     want = type(default)
-    return (not isinstance(value, bool)
-            and isinstance(value, _KINDS.get(want, want)))
+    try:
+        if (not isinstance(value, bool)
+                and isinstance(value, _KINDS.get(want, want))):
+            return want(value)
+    except OverflowError:             # an int beyond the float range
+        pass
+    raise ConfigError(f"{key} must be {want.__name__}, got {value!r}")
 
 
 def _typed(section, key, raw: str, default):
-    """Config value raw, cast to the type of its default.
-
-    raw reads as an int, else a float, else text; it must then have the
-    default's type (``_of_type``).
-    """
-    want = type(default)
+    """Config value raw, read as an int, else a float, else text, then
+    cast to the type of its default (``_cast``)."""
     value = raw
-    for cast in (int, float):
+    for parse in (int, float):
         try:
-            value = cast(raw)
+            value = parse(raw)
             break
         except ValueError:
             pass
-    if not _of_type(value, default):
+    try:
+        return _cast(key, value, default)
+    except ConfigError:
         raise ConfigError(f"[{section}] bad value for {key!r}: {raw!r} "
-                          f"is not {want.__name__}")
-    return want(value)
+                          f"is not {type(default).__name__}") from None
 
 
 def _parse_solver_section(label, items) -> SolverEntry:
@@ -183,10 +187,6 @@ def _parse_solver_section(label, items) -> SolverEntry:
         if key not in _SOLVER_DEFAULTS:
             raise ConfigError(f"[{label}] unknown key {key!r}")
         cfg[key] = _typed(label, key, val, _SOLVER_DEFAULTS[key])
-    unread = sorted(set(cfg) - SOLVER_KEYS[name])
-    if unread:
-        raise ConfigError(f"[{label}] solver {name!r} does not read "
-                          f"key(s) {unread}")
     return SolverEntry(label=label.split(".", 1)[-1], name=name, cfg=cfg)
 
 
@@ -244,10 +244,6 @@ def load_run_setup(path, overrides=None) -> RunSetup:
                               f"T/gamma0/lambda0/eps0, got {axis!r}")
         if not values or not values.strip():
             raise ConfigError("[sweep] values must be a non-empty list")
-        for entry in solvers:
-            if axis not in SOLVER_KEYS[entry.name]:
-                raise ConfigError(f"[sweep] axis {axis!r} is not read by "
-                                  f"solver {entry.name!r} ([{entry.label}])")
         setup.sweep_values = [
             _typed("sweep", axis, v.strip(), _SOLVER_DEFAULTS[axis])
             for v in values.split(",")]
@@ -257,22 +253,19 @@ def load_run_setup(path, overrides=None) -> RunSetup:
         if val is not None:
             setattr(setup, key, val)
 
-    if setup.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if setup.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
     for entry in setup.solvers:
+        # every request the run will make, checked before any trial runs
+        for value in setup.sweep_values or [None]:
+            cfg = dict(entry.cfg)
+            if value is not None:
+                cfg[setup.sweep_axis] = value
+            _check_request(setup.problem, entry.name, setup.problem_params,
+                           cfg, setup.trials, setup.seed, setup.record_every)
         k_budget = entry.cfg.get("K", _SOLVER_DEFAULTS["K"])
         if setup.record_every > k_budget:
             raise ConfigError(
                 f"record_every {setup.record_every} exceeds K {k_budget} "
                 f"for solver {entry.label!r}")
-        # every config a run will build, checked before any trial runs
-        for value in setup.sweep_values or [None]:
-            cfg = dict(entry.cfg)
-            if value is not None:
-                cfg[setup.sweep_axis] = value
-            PenaltyConfig(**cfg)
     return setup
 
 
@@ -326,10 +319,11 @@ def _built(factory, gseed, pparams):
     """factory(gseed, **pparams) and its p0, reusing the last group's.
 
     Factories are deterministic and oracles pure, so a group with the
-    same factory object, seed(s) and pparams (by type and value: 1 and
-    1.0, or 0.0 and -0.0, are different keys) gets the instance and p0
-    built last, whose arrays are read-only. A miss empties the slot
-    before building, so it never holds more than the loop does.
+    same factory object, seed(s) and pparams gets the instance and p0
+    built last, whose arrays are read-only. pparams arrive cast to their
+    defaults' types (``_check_request``), so 1 and 1.0 are one key for
+    a float default; 0.0 and -0.0 are different keys. A miss empties
+    the slot before building, so it never holds more than the loop does.
     """
     global _slot
     key = (factory, pickle.dumps((gseed, sorted(pparams.items()))))
@@ -389,44 +383,58 @@ def worker_count(trials: int) -> int:
     return min(requested, trials, os.cpu_count() or 1)
 
 
+def _as_dict(name, value) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _check_request(problem, solver, pparams, cfg, trials, seed,
+                   record_every):
+    """The rules of one run request, for run_trials, the config loader and
+    check: ConfigError for the first one broken. Returns pparams and cfg
+    as dicts, each value cast to its default's type."""
+    try:
+        if solver not in SOLVER_NAMES:
+            raise ConfigError(f"unknown solver {solver!r}")
+        cfg = _as_dict("cfg", cfg)
+        unread = sorted(set(cfg) - SOLVER_KEYS[solver])
+        if unread:
+            raise ConfigError(f"solver {solver!r} does not read key(s) "
+                              f"{unread}")
+        check_number("trials", trials, AT_LEAST_1)
+        check_number("seed", seed, AT_LEAST_0)
+        check_number("record_every", record_every, AT_LEAST_1)
+        PenaltyConfig(**cfg)
+        known = get_problem(problem).defaults
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from None
+    pparams = _as_dict("pparams", pparams)
+    for key in pparams:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} for problem {problem!r}; "
+                              f"known: {sorted(known)}")
+    return ({k: _cast(k, v, known[k]) for k, v in pparams.items()},
+            {k: _cast(k, v, _SOLVER_DEFAULTS[k]) for k, v in cfg.items()})
+
+
 def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
                seed=0, record_every=1):
     """Run `trials` independent trials of one solver on one problem.
 
     Returns a list of TrialResult in trial order. cfg is a dict of the
     PenaltyConfig fields the solver reads (SOLVER_KEYS[solver]; the
-    problem supplies box, and p0 is drawn per trial). trials and
-    record_every must be >= 1, and seed >= 0. pparams holds keys of the
-    problem's ``defaults``, each of its default's type (``_of_type``). A
-    pparams or config that breaks these rules, or that PenaltyConfig
-    rejects (a mistyped number, say), raises ConfigError before any
-    instance is built.
+    problem supplies box, and p0 is drawn per trial), and pparams one of
+    keys of the problem's ``defaults``; each value is cast to its
+    default's type (``_cast``). trials and record_every must be integers
+    >= 1, and seed an integer >= 0. A request that breaks these rules,
+    or whose cfg PenaltyConfig rejects (a mistyped number, say), raises
+    ConfigError before any instance is built (``_check_request``).
     """
-    pparams = dict(pparams or {})
-    cfgkw = dict(cfg or {})
-    if solver not in SOLVER_NAMES:
-        raise ConfigError(f"unknown solver {solver!r}")
-    unread = sorted(set(cfgkw) - SOLVER_KEYS[solver])
-    if unread:
-        raise ConfigError(f"solver {solver!r} does not read key(s) {unread}")
-    for key, n, least in (("trials", trials, 1), ("seed", seed, 0),
-                          ("record_every", record_every, 1)):
-        if isinstance(n, bool) or not isinstance(n, _INTS):
-            raise ConfigError(f"{key} must be an integer, got {n!r}")
-        if n < least:
-            raise ConfigError(f"{key} must be >= {least}, got {n!r}")
-    try:
-        PenaltyConfig(**cfgkw)
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from None
-    known = get_problem(problem).defaults
-    for key, value in pparams.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} for problem {problem!r}; "
-                              f"known: {sorted(known)}")
-        if not _of_type(value, known[key]):
-            raise ConfigError(f"{key} must be {type(known[key]).__name__}, "
-                              f"got {value!r}")
+    pparams, cfgkw = _check_request(problem, solver, pparams, cfg, trials,
+                                    seed, record_every)
     workers = worker_count(trials)
     trial_ids = list(range(trials))
     if workers == 1:
@@ -455,10 +463,6 @@ def run_trials(problem, solver, *, pparams=None, cfg=None, trials=1,
 
 def final_distances(results) -> np.ndarray:
     return np.array([r.trace.final.distance for r in results])
-
-
-def total_second_order(results) -> int:
-    return sum(r.counters.second_order_calls() for r in results)
 
 
 def mean_wall(results) -> float:
@@ -503,7 +507,8 @@ def summarize(label, solver, results, value="") -> dict:
         "final_median": float(np.median(finite)),
         "n_hvp_total": sum(r.counters.n_hvp for r in results),
         "n_jvp_total": sum(r.counters.n_jvp for r in results),
-        "second_order_total": total_second_order(results),
+        "second_order_total": sum(r.counters.second_order_calls()
+                                  for r in results),
         "peak_stored_vecs": max(r.counters.peak_stored_vecs
                                 for r in results),
         "wall_mean_seconds": mean_wall(results),
@@ -659,10 +664,7 @@ def cmd_check(problem: str, level: str, seed: int = 0, quiet=False) -> int:
 
 
 def _check(problem: str, level: str, seed: int, say) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, _INTS):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    _check_request(problem, "penalty", None, None, 1, seed, 1)
     instance = get_problem(problem).factory(seed)
     oracle = instance.oracle
     p0 = instance.init_sampler(seed)

@@ -82,6 +82,7 @@ def solve_lower_level(oracle: ProblemOracle, u, v0, tol=1e-10) -> np.ndarray:
     """Minimize g over v to |grad_v g| <= tol by Newton on the dense
     Hessian."""
     u = np.asarray(u, dtype=np.float64)
+    oracle.check_point(Point(u, np.asarray(v0)))
     return newton_root(lambda v: oracle.grad_v_g(Point(u, v)), v0, tol,
                        what="lower-level solve",
                        jacobian=lambda v: oracle.hess_vv_g(Point(u, v)))
@@ -102,7 +103,7 @@ def fd_hypergrad(oracle: ProblemOracle, u, v0) -> np.ndarray:
     Solves the lower level to INNER_TOL at u +- FD_EPS e_i (warm-started
     from the unperturbed solution) and differences f(u, v*(u)).
     Independent of the implicit-differentiation path: uses only eval_f
-    and lower solves.
+    and lower solves, the first of which checks the point's dims.
     """
     u = np.asarray(u, dtype=np.float64)
     v_star = solve_lower_level(oracle, u, v0, INNER_TOL)
@@ -128,6 +129,7 @@ def verify_lemma3(oracle: ProblemOracle, u, gamma: float,
     u = np.asarray(u, dtype=np.float64)
     if v0 is None:
         v0 = np.zeros(oracle.dim_v)
+    oracle.check_point(Point(u, np.asarray(v0)))
     params = PenaltyParams(gamma=gamma)
     v_hat = minimize_penalty_v(oracle, u, v0, params)
     p = Point(u, v_hat)

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (_INTS, BoxBounds, derive_seed, gaussian_matrix,
-                   make_rng)
+from .core import (_INTS, AT_LEAST_1, BoxBounds, check_number, derive_seed,
+                   gaussian_matrix, make_rng)
 from .errors import ContractViolationError
 from .oracle import (_HALF, _NEG_TWO, _ONE, _TWO, _ZERO, Point,
                      ProblemOracle, sample_in_box, spread, sqnorm)
@@ -212,10 +212,7 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     ``_HALF`` in the metric), the same bits as the Python floats 2.0,
     -2.0, 1.0 and 0.5 for less per call, and return float64 arrays.
     """
-    if isinstance(dim, bool) or not isinstance(dim, _INTS):
-        raise ContractViolationError(f"dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise ContractViolationError("dim must be >= 1")
+    check_number("dim", dim, AT_LEAST_1)
     A = None
     if sid in (3, 4):
         if dim % 2:

@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import (_INTS, _REALS, BoxBounds, StepperState, _vdot,
-                   make_stepper, project_box, stepper_step)
+from .core import (AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, BoxBounds,
+                   StepperState, _vdot, check_number, make_stepper,
+                   project_box, stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
                      penalty_grad_v, spread, sqnorm)
@@ -125,6 +126,18 @@ def attach_counters(oracle: ProblemOracle,
         jac_uv_g=cf(oracle.jac_uv_g, "n_dense_jac"))
 
 
+# PenaltyConfig's number fields, in field order, and their rules (see
+# core.check_number)
+_FRACTION = (False, lambda x: 0 < x <= 1, "in (0, 1]")
+_CONFIG_RULES = {
+    "K": AT_LEAST_1, "T": AT_LEAST_1,
+    "sigma0": POSITIVE, "rho0": POSITIVE, "gamma0": POSITIVE,
+    "eps0": POSITIVE, "lambda0": NON_NEGATIVE, "nu0": FINITE,
+    "c_gamma": (False, lambda x: 1 <= x < math.inf, ">= 1 and finite"),
+    "c_eps": _FRACTION, "c_lambda": _FRACTION, "approx_reg": NON_NEGATIVE,
+}
+
+
 @dataclass
 class PenaltyConfig:
     """Solver hyperparameters; defaults follow the synthetic protocol."""
@@ -146,43 +159,13 @@ class PenaltyConfig:
     approx_reg: float = 0.0          # ridge on the ApproxGrad linear system
 
     def __post_init__(self):
-        # types first, so a mistyped number is named rather than failing
-        # a comparison or a range() later; a bool is not a number here
-        for keys, kinds, what in ((("K", "T"), _INTS, "an integer"),
-                                  (FLOAT_KEYS, _REALS, "a real number")):
-            for key in keys:
-                value = getattr(self, key)
-                if isinstance(value, bool) or not isinstance(value, kinds):
-                    raise ContractViolationError(
-                        f"{key} must be {what}, got {value!r}")
-        if self.K < 1 or self.T < 1:
-            raise ContractViolationError("K and T must be >= 1")
-        for key in ("sigma0", "rho0", "gamma0", "eps0"):
-            # `not > 0` also rejects NaN
-            if not getattr(self, key) > 0:
-                raise ContractViolationError(
-                    f"{key} must be positive, got {getattr(self, key)!r}")
-        for key in FLOAT_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise ContractViolationError(
-                    f"{key} must be finite, got {getattr(self, key)!r}")
-        if self.c_gamma < 1.0:
-            raise ContractViolationError("c_gamma must be >= 1")
-        if not (0.0 < self.c_eps <= 1.0 and 0.0 < self.c_lambda <= 1.0):
-            raise ContractViolationError("c_eps, c_lambda must be in (0, 1]")
+        for key, rule in _CONFIG_RULES.items():
+            check_number(key, getattr(self, key), rule)
         if self.box is not None and not isinstance(self.box, BoxBounds):
             raise ContractViolationError(
                 f"box must be None or a BoxBounds, got {self.box!r}")
         if self.stepper not in ("adam", "plain-gd"):
             raise ContractViolationError(f"unknown stepper {self.stepper!r}")
-        if self.lambda0 < 0 or self.approx_reg < 0:
-            raise ContractViolationError("lambda0, approx_reg must be >= 0")
-
-
-# the float fields of PenaltyConfig (those with a float default), each of
-# which must be finite
-FLOAT_KEYS = tuple(f.name for f in fields(PenaltyConfig)
-                   if isinstance(f.default, float))
 
 
 @dataclass(slots=True)
@@ -519,28 +502,15 @@ def _all_finite(x):
     return _vdot(x, np.zeros(x.shape)) == 0.0
 
 
-def _check_estimator(oracle, who, T, rho, reg_lambda=0.0):
+def _check_estimator(oracle, who, u, v0, T, rho, reg_lambda=0.0):
     """The estimators' common input rules, checked before any oracle
-    call: no constraints, an integer T >= 1, a real rho in (0, inf) and
-    a real reg_lambda in [0, inf), PenaltyConfig's types (a bool is not
-    a number). NaN fails each range test."""
+    call: no constraints, PenaltyConfig's rules for T, rho0 and
+    approx_reg, and a point of the oracle's dims."""
     _require_unconstrained(oracle, who)
-    # written out, not looped: this runs once per estimator call
-    if isinstance(T, bool) or not isinstance(T, _INTS):
-        raise ContractViolationError(f"T must be an integer, got {T!r}")
-    if T < 1:
-        raise ContractViolationError("T must be >= 1")
-    if isinstance(rho, bool) or not isinstance(rho, _REALS):
-        raise ContractViolationError(f"rho must be a real number, got {rho!r}")
-    if not 0 < rho < math.inf:
-        raise ContractViolationError(
-            f"rho must be positive and finite, got {rho!r}")
-    if isinstance(reg_lambda, bool) or not isinstance(reg_lambda, _REALS):
-        raise ContractViolationError(
-            f"reg_lambda must be a real number, got {reg_lambda!r}")
-    if not 0 <= reg_lambda < math.inf:
-        raise ContractViolationError(
-            f"reg_lambda must be finite and >= 0, got {reg_lambda!r}")
+    check_number("T", T, _CONFIG_RULES["T"])
+    check_number("rho", rho, _CONFIG_RULES["rho0"])
+    check_number("reg_lambda", reg_lambda, _CONFIG_RULES["approx_reg"])
+    oracle.check_point(Point(np.asarray(u), np.asarray(v0)))
 
 
 def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
@@ -553,7 +523,7 @@ def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     Returns (p, v_T). Stores T+1 trajectory vectors and uses exactly T
     hvp and T jvp calls of ``oracle``; u and v0 are one point or a batch.
     """
-    _check_estimator(oracle, "rmd_hypergrad", T, rho)
+    _check_estimator(oracle, "rmd_hypergrad", u, v0, T, rho)
     rho = np.array(rho, dtype=np.float64)
     v = np.asarray(v0, dtype=np.float64)
     traj = np.empty((T + 1,) + v.shape)
@@ -584,7 +554,7 @@ def fmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     batch, are gated to 1e6. Uses exactly T hess_vv_g and T jac_uv_g
     calls of ``oracle``.
     """
-    _check_estimator(oracle, "fmd_hypergrad", T, rho)
+    _check_estimator(oracle, "fmd_hypergrad", u, v0, T, rho)
     # negated before the conversion: a ufunc on a 0-d array returns a
     # NumPy scalar
     neg_rho = np.array(-rho, dtype=np.float64)
@@ -641,7 +611,8 @@ def approxgrad_hypergrad(oracle: ProblemOracle, u: np.ndarray,
     exception is a caller's q0 that holds -0, stepped by plain gd:
     there -0 - rho*(-0) is +0, where the ridge-kept loop keeps -0.
     """
-    _check_estimator(oracle, "approxgrad_hypergrad", T, rho, reg_lambda)
+    _check_estimator(oracle, "approxgrad_hypergrad", u, v0, T, rho,
+                     reg_lambda)
     v = np.asarray(v0, dtype=np.float64)
     if v_stepper is None:
         v_stepper = make_stepper("plain-gd", v.shape)

@@ -23,7 +23,8 @@ from bilevel.core import derive_seed
 from bilevel.errors import ConfigError, ConvergenceError, NumericError
 from bilevel.problems import (PROBLEMS, ProblemSpec, get_problem,
                               make_synthetic)
-from bilevel.solvers import OracleCounters, SolverTrace, TraceRow
+from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
+                             TraceRow)
 from helpers import traces_equal
 
 
@@ -666,6 +667,37 @@ class TestRunTrialsApi:
             want = run_trials(problem, "penalty", pparams=same, **kw)
             assert traces_equal(got[0].trace, want[0].trace)
 
+    @pytest.mark.parametrize("problem, kw, same", [
+        ("ridge", dict(pparams={"reg_true": np.float32(0.5)}),
+         dict(pparams={"reg_true": 0.5})),
+        ("example1", dict(cfg=dict(K=5, T=2, gamma0=np.float32(1.0))),
+         dict(cfg=dict(K=5, T=2, gamma0=1.0)))],
+        ids=["pparams", "cfg"])
+    def test_numpy_float_cast_to_float(self, problem, kw, same):
+        # before, np.float32 reached the factory or solver uncast and
+        # float32 arithmetic leaked into the run, though 0.5 and 1.0 are
+        # exact in float32: f ended at 1.1776982889058403 against
+        # 1.1776983049499556 on ridge
+        base = dict(cfg=dict(K=2, T=1))
+        got = run_trials(problem, "penalty", **base | kw)
+        want = run_trials(problem, "penalty", **base | same)
+        assert traces_equal(got[0].trace, want[0].trace)
+
+    def test_unknown_problem_is_config_error(self):
+        # before, a ContractViolationError from get_problem
+        with pytest.raises(ConfigError, match="^unknown problem 'nope'"):
+            run_trials("nope", "penalty")
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(pparams=[1]), "pparams must be a mapping, got [1]"),
+        (dict(cfg="K"), "cfg must be a mapping, got 'K'")],
+        ids=["pparams-list", "cfg-str"])
+    def test_request_that_is_not_a_mapping_is_config_error(self, kw,
+                                                           message):
+        # before, a raw TypeError and a raw ValueError from dict()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_trials("example1", "penalty", **kw)
+
     def test_large_dim_builds_no_dense_pair(self):
         # example1 at dim 10**5: an eager V x V identity (75 GiB) made
         # this a memory error, though penalty never calls the dense pair
@@ -964,7 +996,8 @@ class TestInstanceSlot:
         assert builds() == 1
         assert builds(scale=-0.0) == 1
         assert builds(scale=1) == 1
-        assert builds(scale=1.0) == 1
+        # pparams are cast to their defaults' types: 1 is the request 1.0
+        assert builds(scale=1.0) == 0
         # fmd runs one group per trial; each evicts the one before
         assert builds(solver="fmd") == 2
         assert builds(solver="fmd") == 2
@@ -1162,3 +1195,117 @@ def test_config_fuzz_only_exits_0_to_3(case):
         except SystemExit as exc:       # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+class _Reached(Exception):
+    """Raised in place of the first instance build."""
+
+
+def _reached(*args):
+    raise _Reached
+
+
+# junk for any request value: bools, non-finite and mistyped numbers,
+# text, NumPy numbers, negative counts, an int beyond the float range
+JUNK = [True, False, float("nan"), float("inf"), -float("inf"), "abc", 2.5,
+        2.0, -1, 0, -3.0, np.float32(0.5), np.int64(-2), 10**400]
+# junk for a count; a huge trial count would allocate its trial ids
+COUNT_JUNK = JUNK[:-1]
+# every PenaltyConfig field and its default, box included
+SOLVER_DEFAULTS = {f.name: f.default
+                   for f in dataclasses.fields(PenaltyConfig)}
+
+
+def request_value(default):
+    if isinstance(default, str):
+        good = st.sampled_from(["adam", "plain-gd", "sgd"])
+    elif isinstance(default, int):
+        good = st.integers(1, 4) | st.integers(1, 4).map(np.int64)
+    else:
+        good = (st.sampled_from([1e-3, 0.5, 1.0, 1.5]) | st.integers(0, 2)
+                | st.sampled_from([0.5, 1.0]).map(np.float32))
+    return st.one_of(good, good, st.sampled_from(JUNK))
+
+
+@st.composite
+def run_requests(draw):
+    problem = draw(st.sampled_from(sorted(PROBLEMS)))
+    solver = draw(st.sampled_from(SOLVER_NAMES))
+    defaults = dict(get_problem(problem).defaults, bogus=1)
+    pkeys = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True,
+                          max_size=3))
+    ckeys = draw(st.lists(st.sampled_from(sorted(SOLVER_KEYS[solver])),
+                          unique=True, max_size=4))
+    if draw(st.integers(0, 3)) == 0:    # now and then a key it does not read
+        ckeys.append(draw(st.sampled_from(sorted(SOLVER_DEFAULTS))))
+    counts = {key: draw(st.one_of(st.integers(least, 3),
+                                  st.sampled_from(COUNT_JUNK)))
+              for key, least in (("trials", 1), ("seed", 0),
+                                 ("record_every", 1))}
+    return dict(problem=problem, solver=solver,
+                pparams={k: draw(request_value(defaults[k])) for k in pkeys},
+                cfg={k: draw(request_value(SOLVER_DEFAULTS[k]))
+                     for k in ckeys},
+                **counts)
+
+
+def as_text(value):
+    """value as a config file writes it, or None where text cannot."""
+    if isinstance(value, (bool, np.bool_)) or value is None:
+        return None
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
+def request_config(req):
+    """The request as config text, or None where text cannot express it."""
+    sections = {
+        "problem": dict(name=req["problem"], **req["pparams"]),
+        "solver": dict(name=req["solver"], **req["cfg"]),
+        "run": {k: req[k] for k in ("trials", "seed", "record_every")}}
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            text = as_text(value)
+            if text is None:
+                return None
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(req=run_requests())
+def test_run_trials_and_loader_refuse_the_same_requests(tmp_path_factory,
+                                                        req):
+    # run_trials either refuses a request with a ConfigError or reaches
+    # the first build; the loader refuses what config text expresses of
+    # it exactly when run_trials does (record_every <= K, no [sweep])
+    from unittest import mock
+    with mock.patch.object(bench, "_built", _reached):
+        try:
+            run_trials(req["problem"], req["solver"], pparams=req["pparams"],
+                       cfg=req["cfg"], trials=req["trials"], seed=req["seed"],
+                       record_every=req["record_every"])
+        except ConfigError:
+            refused = True
+        except _Reached:
+            refused = False
+    text = request_config(req)
+    try:
+        exceeds = req["record_every"] > req["cfg"].get("K", 1000)
+    except (TypeError, OverflowError):  # junk on one side: both refuse
+        exceeds = False
+    if text is None or exceeds:
+        return
+    path = tmp_path_factory.mktemp("request") / "run.cfg"
+    path.write_text(text)
+    try:
+        load_run_setup(path)
+        loader_refused = False
+    except ConfigError:
+        loader_refused = True
+    assert loader_refused == refused, text

@@ -13,6 +13,8 @@ from bilevel.oracle import (PenaltyParams, Point, penalty_grad_u, rel_err,
 from bilevel.problems import (make_constrained_toy, make_hyperparam_ridge,
                               make_quadratic, make_synthetic,
                               ridge_closed_form)
+from bilevel.solvers import (OracleCounters, approxgrad_hypergrad,
+                             attach_counters, fmd_hypergrad, rmd_hypergrad)
 from test_solvers import decoupled_oracle
 
 
@@ -175,3 +177,25 @@ class TestInnerSolvers:
         p0 = inst.init_sampler(0)
         v = solve_lower_level(o, p0.u, p0.v, tol=1e-10)
         assert np.linalg.norm(o.grad_v_g(Point(p0.u, v))) <= 1e-10
+
+
+MIS_SHAPED_CALLS = {
+    "rmd_hypergrad": lambda o, u, v: rmd_hypergrad(o, u, v, 3, 0.1),
+    "fmd_hypergrad": lambda o, u, v: fmd_hypergrad(o, u, v, 3, 0.1),
+    "approxgrad_hypergrad": lambda o, u, v: approxgrad_hypergrad(
+        o, u, v, 3, rho=0.1),
+    "solve_lower_level": solve_lower_level,
+    "verify_lemma3": lambda o, u, v: verify_lemma3(o, u, gamma=10.0, v0=v),
+    "fd_hypergrad": fd_hypergrad,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIS_SHAPED_CALLS))
+def test_mis_shaped_point_refused_before_any_call(name):
+    # before, a u of dim 2 on a dim-3 oracle raised a raw broadcast
+    # ValueError from inside the first oracle callback
+    counters = OracleCounters()
+    o = attach_counters(make_synthetic(1, dim=3).oracle, counters)
+    with pytest.raises(ContractViolationError, match="point dims"):
+        MIS_SHAPED_CALLS[name](o, np.zeros(2), np.ones(3))
+    assert counters == OracleCounters()
