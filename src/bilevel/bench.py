@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import operator
 import os
 import pickle
 import time
@@ -52,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (_INTS, _REALS, AT_LEAST_0, AT_LEAST_1, check_number,
-                   derive_seed, make_rng)
+from .core import (_INTS, _REALS, AT_LEAST_0, AT_LEAST_1, COUNT,
+                   check_number, derive_seed, make_rng)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      NumericError)
 from .hypergrad import (exact_hypergrad, fd_hypergrad, kkt_residual,
@@ -70,11 +69,12 @@ RUN_COLUMNS = ("trial", "k", "wall_seconds", "gamma", "eps", "lambda",
                "f", "g", "grad_u_norm", "grad_v_norm", "feas_norm",
                "distance", "n_hvp", "n_jvp", "peak_stored_vecs")
 
-# every column but `trial`, as TraceRow fields; ints %d, floats %.17g,
-# which for these values writes what _fmt does; CRLF as csv.writer ends rows
-_row_values = operator.attrgetter(*(
-    {"lambda": "lam"}.get(col, col) for col in RUN_COLUMNS[1:]))
-_RUN_ROW = "%d,%d," + "%.17g," * 10 + "%d,%d,%d\r\n"
+# a run CSV line is "trial," + _HEAD + _FLOATS + _TAIL, the parts a
+# trace keeps (SolverTrace): ints %d, floats %.17g, which for these
+# values writes what _fmt does; CRLF as csv.writer ends rows
+_HEAD = "%d,%.17g,"                   # k, wall_seconds
+_FLOATS = "%.17g," * 9                # gamma .. distance
+_TAIL = "%d,%d,%d\r\n"                # n_hvp, n_jvp, peak_stored_vecs
 
 # [solver] keys and their defaults
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(PenaltyConfig)
@@ -191,7 +191,9 @@ def _parse_solver_section(label, items) -> SolverEntry:
 
 
 def load_run_setup(path, overrides=None) -> RunSetup:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a value is its text, "%" included
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     cp.optionxform = str          # keys like K and T are case-sensitive
     try:
         with open(path) as fh:
@@ -404,7 +406,7 @@ def _check_request(problem, solver, pparams, cfg, trials, seed,
         if unread:
             raise ConfigError(f"solver {solver!r} does not read key(s) "
                               f"{unread}")
-        check_number("trials", trials, AT_LEAST_1)
+        check_number("trials", trials, COUNT)
         check_number("seed", seed, AT_LEAST_0)
         check_number("record_every", record_every, AT_LEAST_1)
         PenaltyConfig(**cfg)
@@ -474,15 +476,27 @@ def mean_wall(results) -> float:
 # ---------------------------------------------------------------------------
 
 def write_run_csv(path, results):
-    """One row per trace row, bytes as csv.writer with _fmt would write."""
+    """One row per trace row, bytes as csv.writer with _fmt would write.
+
+    Lines are formatted from each trace's stored values, building no
+    TraceRow. The traces of one batch share their list of (k, wall
+    time, counters) tuples, so those parts are formatted once per batch.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(RUN_COLUMNS) + "\r\n")
+        shared = None
         for res in results:
-            trial = (res.trial,)
-            fh.writelines(_RUN_ROW % (trial + _row_values(row))
-                          for row in res.trace.rows)
+            trace = res.trace
+            if trace.shared is not shared:
+                shared = trace.shared
+                ends = [(_HEAD % (k, wall), _TAIL % (n_hvp, n_jvp, peak))
+                        for k, wall, n_hvp, n_jvp, peak in shared]
+            trial = "%d," % res.trial
+            fh.writelines(trial + head + _FLOATS % tuple(vals) + tail
+                          for (head, tail), vals
+                          in zip(ends, trace.values.tolist()))
     return path
 
 

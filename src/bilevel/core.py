@@ -62,6 +62,7 @@ solvers build each schedule phase's v-rate that way.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,9 @@ _REALS = (int, float, np.integer, np.floating)
 # A real is tested as the Python float it runs as; NaN fails every test
 AT_LEAST_0 = (True, lambda x: x >= 0, ">= 0")
 AT_LEAST_1 = (True, lambda x: x >= 1, ">= 1")
+# a count sizes a range or an array axis, so it must fit an index too
+COUNT = (True, lambda x: 1 <= x <= sys.maxsize,
+         lambda x: ">= 1" if x < 1 else f"<= sys.maxsize ({sys.maxsize})")
 POSITIVE = (False, lambda x: 0 < x < math.inf, "positive and finite")
 NON_NEGATIVE = (False, lambda x: 0 <= x < math.inf, "finite and >= 0")
 FINITE = (False, math.isfinite, "finite")
@@ -122,7 +126,8 @@ def derive_seed(*keys) -> int:
 def check_number(name: str, value, rule):
     """Raise ContractViolationError unless value is a number of the rule's
     kind (an integer, or any real; NumPy numbers count, a bool does not)
-    that passes its range test."""
+    that passes its range test. A rule whose range has two ends may word
+    it as a function of the value refused."""
     integer, in_range, wording = rule
     if isinstance(value, bool) or not isinstance(
             value, _INTS if integer else _REALS):
@@ -133,6 +138,8 @@ def check_number(name: str, value, rule):
     except OverflowError:             # an int beyond the float range
         ok = False
     if not ok:
+        if callable(wording):
+            wording = wording(value)
         raise ContractViolationError(
             f"{name} must be {wording}, got {value!r}")
 

@@ -167,8 +167,10 @@ class PenaltyParams:
     scale: ``gamma_v`` and ``lam_v`` for the v-shaped grad_v_g,
     ``gamma_col`` (a column) for h. Given ``v_shape``, v's full (B, V)
     shape, gamma_v and lam_v are arrays of that shape: at desk scale a
-    same-shape multiply costs about half a (B, 1)-by-(B, V) broadcast
-    one, for the same bits. Build a new instance to change the weights.
+    same-shape multiply is cheaper than a (B, 1)-by-(B, V) broadcast
+    one, for the same bits. Given v_shape, a nu that does not broadcast
+    to it is a ContractViolationError too. Build a new instance to
+    change the weights.
     """
 
     gamma: float | np.ndarray
@@ -191,6 +193,13 @@ class PenaltyParams:
             if not ((x >= 0.0) & (x < np.inf)).all():
                 raise ContractViolationError(
                     f"{name} must be finite and >= 0, got {value!r}")
+        if self.nu is not None and self.v_shape is not None:
+            try:
+                np.broadcast_to(self.nu, self.v_shape)
+            except ValueError:
+                raise ContractViolationError(
+                    f"nu of shape {np.shape(self.nu)} does not broadcast "
+                    f"to v's shape {tuple(self.v_shape)}") from None
         self.gamma_col = _col(self.gamma)
         self.gamma_v = spread(self.gamma_col, self.v_shape)
         lam = self.lam

@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import (AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, BoxBounds,
+from .core import (COUNT, FINITE, NON_NEGATIVE, POSITIVE, BoxBounds,
                    StepperState, _vdot, check_number, make_stepper,
                    project_box, stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
@@ -130,7 +130,7 @@ def attach_counters(oracle: ProblemOracle,
 # core.check_number)
 _FRACTION = (False, lambda x: 0 < x <= 1, "in (0, 1]")
 _CONFIG_RULES = {
-    "K": AT_LEAST_1, "T": AT_LEAST_1,
+    "K": COUNT, "T": COUNT,
     "sigma0": POSITIVE, "rho0": POSITIVE, "gamma0": POSITIVE,
     "eps0": POSITIVE, "lambda0": NON_NEGATIVE, "nu0": FINITE,
     "c_gamma": (False, lambda x: 1 <= x < math.inf, ">= 1 and finite"),
@@ -188,29 +188,80 @@ class TraceRow:
     peak_stored_vecs: int
 
 
-@dataclass
+# TraceRow's fields as the recorder lays them out: the ones a batch
+# shares, one tuple per row, and the float columns of one trial
+_SHARED = ("k", "wall_seconds", "n_hvp", "n_jvp", "peak_stored_vecs")
+_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name not in _SHARED)
+
+
+def _row(shared, values):
+    """The TraceRow of one shared tuple and its list of column values."""
+    k, wall, n_hvp, n_jvp, peak = shared
+    return TraceRow(k, *values, wall, n_hvp, n_jvp, peak)
+
+
 class SolverTrace:
-    rows: list = field(default_factory=list)
+    """One trial's recorded rows, kept as the recorder holds them.
+
+    ``shared`` holds one (k, wall_seconds, n_hvp, n_jvp,
+    peak_stored_vecs) tuple per row, which a batch's traces share, and
+    ``values`` the trial's read-only (rows, 9) float64 array of the
+    other fields, in TraceRow order (``_COLUMNS``). TraceRow objects are
+    built on the first read of ``rows`` and then kept; ``final`` builds
+    only the last row, and ``column`` reads the stored values. A trace
+    built from rows, ``SolverTrace(rows)``, keeps them and lays their
+    values out the same way.
+    """
+
+    def __init__(self, rows=(), *, shared=None, values=None):
+        if shared is None:
+            rows = list(rows)
+            shared = [tuple(getattr(r, n) for n in _SHARED) for r in rows]
+            values = np.array([[getattr(r, n) for n in _COLUMNS]
+                               for r in rows], dtype=np.float64)
+            values = values.reshape(-1, len(_COLUMNS))
+            values.setflags(write=False)
+        else:
+            rows = None
+        self.shared = shared
+        self.values = values
+        self._rows = rows
+
+    def __setstate__(self, state):
+        # an unpickled array is writeable
+        self.__dict__.update(state)
+        self.values.setflags(write=False)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.shared)
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = list(map(_row, self.shared, self.values.tolist()))
+        return self._rows
 
     @property
     def final(self) -> TraceRow:
-        return self.rows[-1]
+        if self._rows is not None:
+            return self._rows[-1]
+        return _row(self.shared[-1], self.values[-1].tolist())
 
     def column(self, name) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+        if name in _SHARED:
+            i = _SHARED.index(name)
+            return np.array([s[i] for s in self.shared])
+        return self.values[:, _COLUMNS.index(name)].copy()
 
 
 class _Recorder:
     """Collects per-trial trace rows; uses the uncounted oracle.
 
     Each recorded u-iteration fills one (9, B) slab of a float64 buffer
-    (schedule, costs, norms, distance) plus one tuple of the scalars the
-    batch shares (k, wall time, counters); trace rows are built only when
-    the traces are handed back. ``_drive`` calls ``record`` once for each
-    k that is ``due``.
+    (the ``_COLUMNS``) plus one tuple of the values the batch shares
+    (``_SHARED``). ``traces`` hands each trial its read-only slice of
+    the buffer and the shared tuples; no TraceRow is built here.
+    ``_drive`` calls ``record`` once for each k that is ``due``.
     """
 
     def __init__(self, oracle, metric, counters, batch, record_every, total):
@@ -221,7 +272,7 @@ class _Recorder:
         self.every = record_every
         self.total = total
         due = total // self.every + (total % self.every != 0)
-        self.cols = np.empty((due, 9, batch))
+        self.cols = np.empty((due, len(_COLUMNS), batch))
         self.shared = []
         self.t0 = time.perf_counter()
 
@@ -254,14 +305,9 @@ class _Recorder:
     def traces(self):
         shared = self.shared
         cols = self.cols[:len(shared)]
-        # one trial's values at a time keeps the temporary lists small
-        return [SolverTrace([
-            TraceRow(k, ga, ep, la, f, g, gun, gvn, feas, dist, wall,
-                     n_hvp, n_jvp, peak)
-            for (k, wall, n_hvp, n_jvp, peak),
-                (ga, ep, la, f, g, gun, gvn, feas, dist)
-            in zip(shared, cols[:, :, i].tolist())])
-            for i in range(self.batch)]
+        cols.setflags(write=False)
+        return [SolverTrace(shared=shared, values=cols[:, :, i])
+                for i in range(self.batch)]
 
 
 def _abort(message, recorder):

@@ -1,11 +1,13 @@
 """Helpers several test modules share."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from bilevel.oracle import ProblemOracle
-from bilevel.solvers import SolverTrace
+from bilevel.solvers import SolverTrace, TraceRow
+
+FIELDS = [f.name for f in fields(TraceRow)]
 
 
 def traces_equal(a: SolverTrace, b: SolverTrace) -> bool:
@@ -20,6 +22,31 @@ def traces_equal(a: SolverTrace, b: SolverTrace) -> bool:
             if va != vb and not (np.isnan(va) and np.isnan(vb)):
                 return False
     return True
+
+
+def row_values(row):
+    """(type, repr) of every field of a row but its wall time: equal
+    exactly when the values are bitwise equal and of the same types."""
+    return tuple((type(getattr(row, name)), repr(getattr(row, name)))
+                 for name in FIELDS if name != "wall_seconds")
+
+
+def assert_reads_match(got: SolverTrace, want: SolverTrace):
+    """len, every column() and final of got, read before its rows, equal
+    what want's rows give row by row, bit for bit (the wall time in type
+    and shape only); then got's rows equal want's."""
+    rows = want.rows
+    assert len(got) == len(rows)
+    for name in FIELDS:
+        col = got.column(name)
+        ref = np.array([getattr(r, name) for r in rows])
+        assert (col.dtype, col.shape) == (ref.dtype, ref.shape), name
+        if name != "wall_seconds":
+            assert col.tobytes() == ref.tobytes(), name
+    if rows:
+        assert row_values(got.final) == row_values(rows[-1])
+        assert type(got.final.wall_seconds) is float
+    assert [row_values(r) for r in got.rows] == [row_values(r) for r in rows]
 
 
 def with_zero_f(oracle: ProblemOracle) -> ProblemOracle:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilevel import bench, hypergrad, problems
+from bilevel import bench, hypergrad, problems, solvers
 from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, SOLVER_NAMES,
                            TrialResult, _fmt,
                            _run_chunk,
@@ -25,7 +25,7 @@ from bilevel.problems import (PROBLEMS, ProblemSpec, get_problem,
                               make_synthetic)
 from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                              TraceRow)
-from helpers import traces_equal
+from helpers import assert_reads_match, traces_equal
 
 
 def write_config(path, text):
@@ -298,6 +298,28 @@ class TestConfigParsing:
     def test_shipped_configs_load(self, path):
         setup = load_run_setup(path)
         assert setup.solvers
+
+    def test_percent_in_a_value_exit_2(self, tmp_path, capsys):
+        # once a raw InterpolationSyntaxError: exit 1 and a traceback
+        cfg = write_config(tmp_path / "a.cfg",
+                           BASE_CONFIG.replace("K = 40", "K = 5%"))
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: [solver] bad value for 'K': '5%' is "
+                       "not int\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("K = 40", "K = 1" + "0" * 400), ("T = 2", "T = 1" + "0" * 400),
+        ("trials = 2", "trials = 1" + "0" * 400)], ids=["K", "T", "trials"])
+    def test_count_beyond_an_index_exit_2(self, tmp_path, capsys, monkeypatch,
+                                          old, new):
+        monkeypatch.setattr(bench, "_built", _reached)
+        cfg = write_config(tmp_path / "a.cfg", BASE_CONFIG.replace(old, new))
+        assert main(["run", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        key = old.split()[0]
+        assert err.startswith(f"config error: {key} must be <= sys.maxsize")
+        assert err.count("\n") == 1
 
     def test_sweep_empty_values(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg",
@@ -723,6 +745,22 @@ class TestRunTrialsApi:
             run_trials("example1", "penalty", cfg=dict(K=2, T=1),
                        **{key: value})
 
+    @pytest.mark.parametrize("key, kw", [
+        ("trials", dict(trials=10**400)),
+        ("K", dict(cfg=dict(K=10**400, T=1))),
+        ("T", dict(cfg=dict(K=2, T=10**400))),
+        ("trials", dict(trials=sys.maxsize + 1))],
+        ids=["trials", "K", "T", "trials-maxsize+1"])
+    def test_count_beyond_an_index_rejected_before_any_build(
+            self, monkeypatch, key, kw):
+        # trials=10**400 once raised a raw OverflowError, K=10**400
+        # numpy's "Maximum allowed dimension exceeded", and T=10**400 ran
+        # without end
+        monkeypatch.setattr(bench, "_built", _reached)
+        with pytest.raises(ConfigError,
+                           match=f"^{key} must be <= sys.maxsize"):
+            run_trials("example1", "penalty", **{"cfg": dict(K=2, T=1), **kw})
+
     def test_numpy_counts_accepted(self):
         kw = dict(pparams={"dim": 4}, cfg=dict(K=3, T=1))
         res = run_trials("example1", "penalty", trials=np.int64(2),
@@ -763,6 +801,36 @@ class TestRunTrialsApi:
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.final_point.u, b.final_point.u)
             assert a.trace.final.distance == b.trace.final.distance
+
+    @pytest.mark.parametrize("solver", ["penalty", "rmd", "fmd"])
+    def test_pickled_traces_read_as_serial(self, monkeypatch, solver):
+        # two workers send their traces back pickled
+        kw = dict(pparams={"dim": 4}, cfg=dict(K=6, T=2), trials=3, seed=7,
+                  record_every=1)
+        monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+        serial = run_trials("example1", solver, **kw)
+        monkeypatch.setenv("BILEVEL_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parallel = run_trials("example1", solver, **kw)
+        for a, b in zip(parallel, serial):
+            assert_reads_match(a.trace, b.trace)
+            with pytest.raises(ValueError, match="read-only"):
+                a.trace.values[0, 0] = 0.0
+
+    def test_pickled_partial_traces_read_as_serial(self, monkeypatch):
+        # trial 0 aborts at u-iteration 7 on either side
+        monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+        with pytest.raises(NumericError) as serial:
+            run_trials("quadratic", "penalty_plain", cfg=DIVERGING,
+                       trials=2, record_every=1)
+        monkeypatch.setenv("BILEVEL_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(NumericError) as parallel:
+            run_trials("quadratic", "penalty_plain", cfg=DIVERGING,
+                       trials=2, record_every=1)
+        assert_reads_match(parallel.value.results[0].trace,
+                           serial.value.results[0].trace)
+        assert len(parallel.value.results[1].trace) == 7
 
     @pytest.mark.parametrize("env, trials, cpus, want", [
         (None, 5, 4, 1), ("", 5, 4, 1), ("2", 5, 4, 2), ("8", 3, 4, 3),
@@ -913,6 +981,59 @@ def test_run_csv_bytes_match_csv_writer(tmp_path_factory, trials):
     write_run_csv(d / "got.csv", results)
     reference_run_csv(d / "want.csv", results)
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def recorded_results(problem, solver, every):
+    """Three trials of a short run, or the partial ones of an abort."""
+    if problem == "quadratic":
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            run_trials(problem, solver, cfg=DIVERGING, trials=3,
+                       record_every=every)
+        return err.value.results
+    pparams = {"dim": 4} if problem == "example1" else {}
+    return run_trials(problem, solver, pparams=pparams, cfg=dict(K=7, T=2),
+                      trials=3, record_every=every)
+
+
+RECORDED_RUNS = ([("example1", s) for s in SOLVER_NAMES]
+                 + [("constrained_toy", "penalty"),
+                    ("constrained_toy", "penalty_plain"),
+                    ("quadratic", "penalty_plain")])
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("problem, solver", RECORDED_RUNS)
+def test_run_csv_bytes_of_recorded_traces(tmp_path, monkeypatch, problem,
+                                          solver, every):
+    # the traces the recorder hands back, batched or one group per
+    # trial (fmd, the quadratic abort), as write_run_csv meets them
+    monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+    results = recorded_results(problem, solver, every)
+    write_run_csv(tmp_path / "got.csv", results)
+    reference_run_csv(tmp_path / "want.csv", results)
+    assert (tmp_path / "got.csv").read_bytes() \
+        == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("problem, solver", RECORDED_RUNS)
+def test_csv_and_summary_build_only_final_rows(tmp_path, monkeypatch,
+                                               problem, solver):
+    # the recorder, the run CSV and the summary build no TraceRow but
+    # each trial's final one (all of them, once)
+    built = []
+    real = solvers.TraceRow
+
+    def counted(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+    monkeypatch.setattr(solvers, "TraceRow", counted)
+    results = recorded_results(problem, solver, 1)
+    write_run_csv(tmp_path / "r.csv", results)
+    summarize(solver, solver, results)
+    assert len(built) <= len(results)
+    assert sum(len(r.trace) for r in results) > len(results)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
@@ -1209,8 +1330,6 @@ def _reached(*args):
 # text, NumPy numbers, negative counts, an int beyond the float range
 JUNK = [True, False, float("nan"), float("inf"), -float("inf"), "abc", 2.5,
         2.0, -1, 0, -3.0, np.float32(0.5), np.int64(-2), 10**400]
-# junk for a count; a huge trial count would allocate its trial ids
-COUNT_JUNK = JUNK[:-1]
 # every PenaltyConfig field and its default, box included
 SOLVER_DEFAULTS = {f.name: f.default
                    for f in dataclasses.fields(PenaltyConfig)}
@@ -1239,7 +1358,7 @@ def run_requests(draw):
     if draw(st.integers(0, 3)) == 0:    # now and then a key it does not read
         ckeys.append(draw(st.sampled_from(sorted(SOLVER_DEFAULTS))))
     counts = {key: draw(st.one_of(st.integers(least, 3),
-                                  st.sampled_from(COUNT_JUNK)))
+                                  st.sampled_from(JUNK)))
               for key, least in (("trials", 1), ("seed", 0),
                                  ("record_every", 1))}
     return dict(problem=problem, solver=solver,

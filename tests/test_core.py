@@ -1,4 +1,6 @@
 import gc
+import re
+import sys
 import weakref
 
 import numpy as np
@@ -7,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bilevel.core import (ADAM_SPENT_M, BoxBounds, gaussian_matrix,
-                          make_rng, make_stepper, project_box,
-                          stepper_step)
+from bilevel.core import (ADAM_SPENT_M, COUNT, BoxBounds, check_number,
+                          gaussian_matrix, make_rng, make_stepper,
+                          project_box, stepper_step)
 from bilevel.errors import ContractViolationError, NumericError
 
 
@@ -564,3 +566,17 @@ class TestRandomness:
         c = make_rng(1, 3).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("value, wording", [
+    (1, None), (sys.maxsize, None), (np.int64(sys.maxsize), None),
+    (0, ">= 1"), (sys.maxsize + 1, "<= sys.maxsize"),
+    (10**400, "<= sys.maxsize")])
+def test_count_is_at_least_one_and_fits_an_index(value, wording):
+    # a count past sys.maxsize cannot size a range or an array axis
+    if wording is None:
+        check_number("K", value, COUNT)
+    else:
+        with pytest.raises(ContractViolationError,
+                           match=f"^K must be {re.escape(wording)}"):
+            check_number("K", value, COUNT)

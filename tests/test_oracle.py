@@ -117,6 +117,17 @@ class TestPenaltyParamsRejects:
         for w in (0.0, 1e100, np.array([0.0, 1e100])):
             PenaltyParams(gamma=w, lam=w)
 
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 4), (4, 2), (2, 2, 4)])
+    def test_mis_shaped_nu(self, shape):
+        # once a broadcast ValueError in every penalty_grad_v call
+        with pytest.raises(ContractViolationError, match=r"^nu of shape"):
+            PenaltyParams(gamma=np.ones(2), nu=np.zeros(shape),
+                          v_shape=(2, 4))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 1), (1, 4)])
+    def test_nu_that_broadcasts_to_v_accepted(self, shape):
+        PenaltyParams(gamma=np.ones(2), nu=np.zeros(shape), v_shape=(2, 4))
+
 
 def _fd(fun, x, eps=1e-6):
     out = np.empty_like(x)

@@ -18,7 +18,7 @@ from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
                              fmd_hypergrad, gd_alternating, outer_loop,
                              penalty_aug_solve, penalty_solve, rmd_hypergrad,
                              stored_vecs)
-from helpers import traces_equal, with_zero_f
+from helpers import assert_reads_match, traces_equal, with_zero_f
 
 
 def ex1(dim=10, seed=0):
@@ -533,6 +533,8 @@ def row_reprs(trace):
 def assert_same_traces(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
+        # len, column() and final first, from the stored values
+        assert_reads_match(a, b)
         assert traces_equal(a, b)
         assert row_reprs(a) == row_reprs(b)
         for row in a.rows:
@@ -567,6 +569,19 @@ class TestColumnarRecorder:
         ks = [row.k for row in got[0].rows]
         assert ks == sorted(set(k for k in range(K)
                                 if (k + 1) % every == 0 or k == K - 1))
+
+    # the estimators refuse a constrained problem; gd runs on one
+    @pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd"])
+    def test_constrained_every_row(self, monkeypatch, solver):
+        o = slackify(make_constrained_toy().oracle)
+        p0 = Point(np.array([[0.3, 0.2], [0.1, 0.4]]),
+                   np.array([[-0.4], [0.2]]))
+        cfg = PenaltyConfig(K=8, T=3, rho0=1e-3, lambda0=0.0)
+
+        def run():
+            return RECORDED_SOLVERS[solver](o, cfg, p0, record_every=1)[1]
+
+        assert_same_traces(run(), run_with_row_recorder(monkeypatch, run))
 
     @pytest.mark.parametrize("solver", ["penalty", "penalty_plain"])
     def test_constrained_and_metric_free(self, monkeypatch, solver):
@@ -608,6 +623,24 @@ class TestColumnarRecorder:
         got = run()
         assert len(got[0]) > 0
         assert_same_traces(got, want)
+
+
+def test_trace_reads_leave_it_unchanged():
+    inst = ex1(dim=4)
+    cfg = PenaltyConfig(K=5, T=2, box=inst.box)
+
+    def run():
+        return outer_loop(inst.oracle, "rmd", cfg,
+                          stacked_points(inst, (1, 2)),
+                          metric=inst.metric)[1][0]
+
+    trace, want = run(), run()
+    for name in ("f", "distance", "k", "n_hvp"):
+        trace.column(name)[:] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        trace.values[0, 0] = 0.0
+    assert_reads_match(trace, want)
+    assert trace.rows is trace.rows       # built once, then kept
 
 
 @pytest.mark.parametrize("shape", ["1-D", "batch sizes differ"])
