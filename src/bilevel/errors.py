@@ -6,8 +6,8 @@ class ContractViolationError(ValueError):
 
 
 class CapabilityError(ContractViolationError):
-    """A dense computation would exceed its size gate (FMD's sensitivity
-    matrix)."""
+    """A computation would exceed its size gate (FMD's sensitivity
+    matrix) or a buffer it needs cannot be allocated (a run's trace)."""
 
 
 class NumericError(ArithmeticError):

@@ -337,10 +337,6 @@ def _augment(X):
     return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
 
 
-def _sigmoid(z):
-    return _HALF * (_ONE + np.tanh(_HALF * z))
-
-
 # The logistic callbacks take every float operand as a 0-d float64 array
 # (0.5, 1.0, the ridge terms reg and 2 reg, the counts n_val and n_total,
 # the upper cost's sign), the same bits as the Python numbers for less
@@ -353,6 +349,13 @@ def _sigmoid(z):
 # these are the same bits as the y-scaled forms, since IEEE rounding is
 # symmetric in sign; the one signed-zero case, a margin exactly 0, meets
 # sigma and logaddexp, which map +-0 to the same value.
+#
+# Each toy stacks the signed rows of all its blocks, validation first, so
+# one contraction and one _margin_terms call give every margin term at a
+# point, and each callback reads its block's slice. That is exact: the
+# contraction over d and every elementwise ufunc treat each row on its
+# own, so a stacked row gives the bytes it gives alone. Sums over data
+# points stay one per block.
 
 def _signed(Xb, y):
     """NXy = -(y_i x_i), one row per example; Xb may carry batch axes."""
@@ -369,19 +372,19 @@ def _margin_terms(nz):
     margin is shared: the cross-entropy log(1 + exp(-z)) is
     logaddexp(0, -z), its slope contraction sigma(-z) NXy, and its
     curvature _curvature of the triple. sigma(-z) is 0.5 (1 + t), the
-    bytes of _sigmoid(-z)."""
+    logistic sigma(x) = 0.5 (1 + tanh(x / 2)) at x = -z."""
     t = np.tanh(_HALF * nz)
     return nz, _HALF * (_ONE + t), t
 
 
-def _curvature(terms):
+def _curvature(terms, start=0):
     """d2/dz2 of the cross-entropy, sigma(z) sigma(-z), from a
-    (-z, sigma(-z), t) triple, with no second tanh: sigma(z) is
-    0.5 (1 - t). That is _sigmoid(z) to the bit: -0.5 (-z) is
-    -(0.5 (-z)) exactly, numpy's float64 tanh is odd to the bit, so
-    tanh(0.5 z) is -t, and 1 + (-t) is 1 - t."""
+    (-z, sigma(-z), t) triple, for the rows from ``start`` on, with no
+    second tanh: sigma(z) is 0.5 (1 - t). That is sigma(z) to the
+    bit: -0.5 (-z) is -(0.5 (-z)) exactly, numpy's float64 tanh is odd
+    to the bit, so tanh(0.5 z) is -t, and 1 + (-t) is 1 - t."""
     _, s, t = terms
-    return _HALF * (_ONE - t) * s
+    return _HALF * (_ONE - t[..., start:]) * s[..., start:]
 
 
 def fit_logistic(X, y, sample_weight=None) -> np.ndarray:
@@ -455,19 +458,22 @@ def make_blobs(seed: int, n_train: int, n_val: int) -> DatasetSplit:
     return DatasetSplit(Xtr, ytr, Xv, yv, Xte, yte)
 
 
-def _val_upper(Xb_val, y_val, sign=1.0):
-    """Mean validation CE as the upper cost (sign=-1 for attackers)."""
-    n_val = np.array(float(len(y_val)))
-    sign = np.array(sign)
-    NXy = _signed(Xb_val, y_val)
+def _val_upper(NXy_val, terms, sign=1.0):
+    """Mean validation CE as the upper cost (sign=-1 for attackers).
+
+    ``terms(p)`` gives the shared margin terms of a toy's stacked signed
+    rows at p, whose first len(NXy_val) rows are NXy_val.
+    """
+    n = len(NXy_val)
+    n_val, sign = np.array(float(n)), np.array(sign)
 
     def eval_f(p):
-        return sign * np.mean(np.logaddexp(_ZERO, _neg_margin(NXy, p.v)),
+        return sign * np.mean(np.logaddexp(_ZERO, terms(p)[0][..., :n]),
                               axis=-1)
 
     def grad_v_f(p):
-        s = _sigmoid(_neg_margin(NXy, p.v))
-        return sign * _einsum("...n,nd->...d", s, NXy) / n_val
+        s = terms(p)[1][..., :n]
+        return sign * _einsum("...n,nd->...d", s, NXy_val) / n_val
 
     return eval_f, grad_v_f
 
@@ -480,7 +486,8 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     importances u' = 0.5 (tanh(u) + 1); the lower level minimizes the
     importance-weighted mean training CE (normalized by sum u', which is
     differentiated through) plus 0.05 |w|^2. noise_frac of the training
-    labels are flipped; the flip mask is recorded in ``info``.
+    labels are flipped; the flip mask is recorded in ``info``. The
+    validation and training rows share one margin pass per v.
     """
     if n_train < 1 or n_val < 1:
         raise ContractViolationError("n_train and n_val must be >= 1")
@@ -503,23 +510,26 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
                          split.X_test, split.y_test)
 
     Xb = _augment(split.X_train)
-    NXy = _signed(Xb, split.y_train)
-    Xb_val = _augment(split.X_val)
+    n_val = split.n_val
+    # the signed validation rows, then the training rows
+    NXy_all = np.concatenate([_signed(_augment(split.X_val), split.y_val),
+                              _signed(Xb, split.y_train)])
+    NXy = NXy_all[n_val:]
     reg = LOGISTIC_REG
     reg_c, two_reg = np.array(reg), np.array(2.0 * reg)
-    eval_f, grad_v_f = _val_upper(Xb_val, split.y_val)
 
     # terms the callbacks share at one point, each computed once per
     # value: the importances W, their sum S and S at v's shape (a
     # same-shape divide is cheaper than a broadcast one) on u, the margin
-    # terms on v, the weighted mean gradient m on (u, v)
+    # terms of every row on v, the weighted mean gradient m on (u, v)
     @_memo
     def weights(u):
         W = importance_values(u)
         S = np.sum(W, axis=-1)
         return W, S, spread(S[..., None], S.shape + (3,))
 
-    margin = _memo(lambda v: _margin_terms(_neg_margin(NXy, v)))
+    margin = _memo(lambda v: _margin_terms(_neg_margin(NXy_all, v)))
+    eval_f, grad_v_f = _val_upper(NXy_all[:n_val], lambda p: margin(p.v))
 
     def d_weights(u):
         return _HALF / np.cosh(u) ** 2
@@ -527,11 +537,12 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     @_memo
     def mean_grad(u, v):
         W, _, S_v = weights(u)
-        return _einsum("...n,nd->...d", W * margin(v)[1], NXy) / S_v
+        s = margin(v)[1][..., n_val:]
+        return _einsum("...n,nd->...d", W * s, NXy) / S_v
 
     def eval_g(p):
         W, S, _ = weights(p.u)
-        l = np.logaddexp(_ZERO, margin(p.v)[0])
+        l = np.logaddexp(_ZERO, margin(p.v)[0][..., n_val:])
         return np.sum(W * l, axis=-1) / S + reg_c * sqnorm(p.v)
 
     def grad_v_g(p):
@@ -540,13 +551,13 @@ def make_importance_toy(seed: int = 0, n_train: int = 200, n_val: int = 50,
     def hvp(p, q):
         W, _, S_v = weights(p.u)
         t = _einsum("nd,...d->...n", Xb, q)
-        return (_einsum("...n,nd->...d", W * _curvature(margin(p.v)) * t,
-                        Xb) / S_v + two_reg * q)
+        r = _curvature(margin(p.v), n_val)
+        return _einsum("...n,nd->...d", W * r * t, Xb) / S_v + two_reg * q
 
     def jvp(p, q):
         # row i of the mixed matrix: (dW_i/du_i)(grad l_i - m)/S
         S = weights(p.u)[1]
-        s = margin(p.v)[1]
+        s = margin(p.v)[1][..., n_val:]
         xq = _einsum("nd,...d->...n", NXy, q)
         mq = np.sum(mean_grad(p.u, p.v) * q, axis=-1)
         return d_weights(p.u) * (s * xq - mq[..., None]) / S[..., None]
@@ -582,7 +593,9 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
     fixed flipped labels, initialized from training points; the lower
     level is 0.05-regularized logistic regression on clean + poison. The
     upper objective is the negated validation CE (maximization written
-    as minimization). Poison features live in the [-5, 5] box.
+    as minimization). Poison features live in the [-5, 5] box. The
+    validation, clean and poison rows are stacked once per u and share
+    one margin pass per point.
     """
     if not n_train >= n_poison >= 1:
         raise ContractViolationError("need n_train >= n_poison >= 1")
@@ -596,59 +609,70 @@ def make_poison_toy(seed: int = 0, n_train: int = 100, n_val: int = 100,
 
     Xb_clean = _augment(split.X_train)
     y_clean = split.y_train
-    NXy_clean = _signed(Xb_clean, y_clean)
     ny_poison = -y_poison
-    Xb_val = _augment(split.X_val)
+    n_fixed = n_val + n_train
+    # the signed validation rows, then the clean rows
+    NXy_fixed = np.concatenate([_signed(_augment(split.X_val), split.y_val),
+                                _signed(Xb_clean, y_clean)])
+    NXy_clean = NXy_fixed[n_val:]
     n_total = np.array(float(n_train + n_poison))
     reg = LOGISTIC_REG
     reg_c, two_reg = np.array(reg), np.array(2.0 * reg)
-    eval_f, grad_v_f = _val_upper(Xb_val, split.y_val, sign=-1.0)
 
     # terms the callbacks share at one point, each computed once per
-    # value: the augmented poison block and its signed rows on u, the
-    # clean margin terms on v, the poison margin terms on (u, v)
+    # value: on u, the augmented clean and poison rows Xb, the signed
+    # validation, clean and poison rows NXy, and a memo of the margin
+    # terms of every NXy row on v (so one lookup of each gives the terms
+    # at (u, v) and the rows they came from)
     @_memo
-    def poison_block(u):
-        Xbp = _augment(u.reshape(u.shape[:-1] + (n_poison, 2)))
-        return Xbp, _signed(Xbp, y_poison)
+    def rows(u):
+        batch = u.shape[:-1]
+        Xbp = _augment(u.reshape(batch + (n_poison, 2)))
+        Xb = np.concatenate(
+            [np.broadcast_to(Xb_clean, batch + Xb_clean.shape), Xbp], axis=-2)
+        NXy = np.concatenate(
+            [np.broadcast_to(NXy_fixed, batch + NXy_fixed.shape),
+             _signed(Xbp, y_poison)], axis=-2)
+        return Xb, NXy, _memo(lambda v: _margin_terms(
+            _einsum("...nd,...d->...n", NXy, v)))
 
-    clean_margin = _memo(
-        lambda v: _margin_terms(_neg_margin(NXy_clean, v)))
-    poison_margin = _memo(lambda u, v: _margin_terms(
-        _einsum("...nd,...d->...n", poison_block(u)[1], v)))
+    def terms(p):
+        return rows(p.u)[2](p.v)
 
+    eval_f, grad_v_f = _val_upper(NXy_fixed[:n_val], terms, sign=-1.0)
+
+    # each sum over data points is taken per block: clean, then poison
     def eval_g(p):
-        lc = np.logaddexp(_ZERO, clean_margin(p.v)[0])
-        lp = np.logaddexp(_ZERO, poison_margin(p.u, p.v)[0])
-        return ((np.sum(lc, axis=-1) + np.sum(lp, axis=-1)) / n_total
+        l = np.logaddexp(_ZERO, terms(p)[0][..., n_val:])
+        return ((np.sum(l[..., :n_train], axis=-1)
+                 + np.sum(l[..., n_train:], axis=-1)) / n_total
                 + reg_c * sqnorm(p.v))
 
     def grad_v_g(p):
-        NXyp = poison_block(p.u)[1]
-        sc = clean_margin(p.v)[1]
-        sp = poison_margin(p.u, p.v)[1]
-        out = _einsum("...n,nd->...d", sc, NXy_clean)
-        out = out + _einsum("...n,...nd->...d", sp, NXyp)
+        _, NXy, margin = rows(p.u)
+        s = margin(p.v)[1]
+        out = _einsum("...n,nd->...d", s[..., n_val:n_fixed], NXy_clean)
+        out = out + _einsum("...n,...nd->...d", s[..., n_fixed:],
+                            NXy[..., n_fixed:, :])
         return out / n_total + two_reg * p.v
 
     def hvp(p, q):
-        Xbp = poison_block(p.u)[0]
-        rc = _curvature(clean_margin(p.v))
-        rp = _curvature(poison_margin(p.u, p.v))
-        tc = _einsum("nd,...d->...n", Xb_clean, q)
-        tp = _einsum("...nd,...d->...n", Xbp, q)
-        out = _einsum("...n,nd->...d", rc * tc, Xb_clean)
-        out = out + _einsum("...n,...nd->...d", rp * tp, Xbp)
+        Xb, _, margin = rows(p.u)
+        t = _einsum("...nd,...d->...n", Xb, q)
+        rt = _curvature(margin(p.v), n_val) * t
+        out = _einsum("...n,nd->...d", rt[..., :n_train], Xb_clean)
+        out = out + _einsum("...n,...nd->...d", rt[..., n_train:],
+                            Xb[..., n_train:, :])
         return out / n_total + two_reg * q
 
     def jvp(p, q):
         # d(grad_w l_j)/dx_j = r_j w_f xb_j^T + a_j E; rows (j,b) dot q
-        Xbp = poison_block(p.u)[0]
-        terms = poison_margin(p.u, p.v)
-        a = terms[1] * ny_poison
-        xq = _einsum("...nd,...d->...n", Xbp, q)
+        Xb, _, margin = rows(p.u)
+        terms_uv = margin(p.v)
+        a = terms_uv[1][..., n_fixed:] * ny_poison
+        xq = _einsum("...nd,...d->...n", Xb[..., n_train:, :], q)
         wf = p.v[..., None, :2]
-        out = ((_curvature(terms) * xq)[..., None] * wf
+        out = ((_curvature(terms_uv, n_fixed) * xq)[..., None] * wf
                + a[..., None] * q[..., None, :2])
         return out.reshape(p.u.shape) / n_total
 

@@ -272,7 +272,13 @@ class _Recorder:
         self.every = record_every
         self.total = total
         due = total // self.every + (total % self.every != 0)
-        self.cols = np.empty((due, len(_COLUMNS), batch))
+        try:
+            self.cols = np.empty((due, len(_COLUMNS), batch))
+        except (ValueError, MemoryError) as exc:
+            raise CapabilityError(
+                f"the trace of K={total}, record_every={record_every} and "
+                f"trials={batch} ({due} recorded rows) cannot be allocated: "
+                f"{exc}") from None
         self.shared = []
         self.t0 = time.perf_counter()
 

@@ -20,7 +20,8 @@ from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, SOLVER_NAMES,
                            worker_count, write_run_csv)
 from bilevel.cli import main
 from bilevel.core import derive_seed
-from bilevel.errors import ConfigError, ConvergenceError, NumericError
+from bilevel.errors import (CapabilityError, ConfigError, ConvergenceError,
+                            NumericError)
 from bilevel.problems import (PROBLEMS, ProblemSpec, get_problem,
                               make_synthetic)
 from bilevel.solvers import (OracleCounters, PenaltyConfig, SolverTrace,
@@ -414,6 +415,20 @@ seed = 0
                      str(tmp_path / "o.csv"), "--quiet"])
         assert code == 3
 
+    def test_trace_too_large_to_allocate_exit_2(self, tmp_path, capsys):
+        # numpy refuses a 2**62-row buffer before allocating anything
+        text = BASE_CONFIG.replace("K = 40", f"K = {2**62}").replace(
+            "record_every = 20", "record_every = 1")
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the trace of K={2**62}, "
+                              "record_every=1 and trials=")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_numeric_abort_writes_partial_csv(self, tmp_path, monkeypatch):
         # plain-gd at step 10 diverges on the quadratic; the abort comes
         # at u-iteration 7, after 7 recorded rows. One worker runs the
@@ -760,6 +775,14 @@ class TestRunTrialsApi:
         with pytest.raises(ConfigError,
                            match=f"^{key} must be <= sys.maxsize"):
             run_trials("example1", "penalty", **{"cfg": dict(K=2, T=1), **kw})
+
+    def test_trace_too_large_to_allocate_is_capability_error(self):
+        # the recorder's buffer once raised numpy's raw "array is too big"
+        with pytest.raises(CapabilityError,
+                           match=rf"^the trace of K={2**62}, record_every=1 "
+                                 r"and trials=1 \("):
+            run_trials("example1", "gd", cfg=dict(K=2**62, T=1),
+                       record_every=1)
 
     def test_numpy_counts_accepted(self):
         kw = dict(pparams={"dim": 4}, cfg=dict(K=3, T=1))

@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError
-from bilevel.oracle import Point, dense_matrix, fd_check_oracle, slackify
+from bilevel.oracle import (Point, ProblemOracle, dense_matrix,
+                            fd_check_oracle, slackify)
 from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               fit_logistic, importance_values, make_blobs,
                               make_constrained_toy, make_hyperparam_ridge,
                               make_importance_toy, make_poison_toy,
                               make_synthetic, ridge_closed_form,
                               _augment, _curvature, _margin_terms, _memo,
-                              _neg_margin, _row_space_projector, _sigmoid,
+                              _neg_margin, _row_space_projector,
                               _signed, _synthetic_a)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
+from bilevel.solvers import (OracleCounters, PenaltyConfig, penalty_aug_solve,
+                             penalty_solve)
+from helpers import assert_reads_match
 
 
 def logistic_losses(Xb, y, w):
@@ -501,6 +505,53 @@ def test_toy_callbacks_equal_formulas_bitwise(name, seed):
         check(Point(u, np.zeros_like(v)), q)
 
 
+# the curves benchmark's toy runs, K cut to 30
+TOY_RUNS = {
+    "poison_toy": (make_poison_toy, poison_formulas, penalty_aug_solve,
+                   dict(K=30, T=20, sigma0=0.1, rho0=0.01, gamma0=10.0,
+                        eps0=1.0, lambda0=1.0)),
+    "importance_toy": (make_importance_toy, importance_formulas,
+                       penalty_solve,
+                       dict(K=30, T=20, sigma0=0.05, rho0=0.01, gamma0=300.0,
+                            eps0=1.0)),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("name", sorted(TOY_RUNS))
+def test_toy_run_equals_formula_oracle_run_bitwise(name, trials):
+    # the shared terms live across callbacks, in the order a solver calls
+    # them: a whole run, every row recorded, must be the run of an oracle
+    # that shares nothing. Trial 0 starts at the toy's p0, the others
+    # near it
+    make, formulas, solve, kw = TOY_RUNS[name]
+    inst = make(0)
+    o = inst.oracle
+    ref = ProblemOracle(name=o.name, dim_u=o.dim_u, dim_v=o.dim_v, dim_c=0,
+                        **formulas(inst))
+    p0 = inst.init_sampler(0)
+    rng = make_rng(0, 0xB1A5)
+    jitter = np.zeros((trials, 1))
+    jitter[1:] = 0.1
+    pts = Point(p0.u + jitter * rng.standard_normal((trials, o.dim_u)),
+                p0.v + jitter * rng.standard_normal((trials, o.dim_v)))
+    cfg = PenaltyConfig(box=inst.box, **kw)
+    runs = []
+    for oracle in (o, ref):
+        counters = OracleCounters()
+        p = Point(pts.u.copy(), pts.v.copy())
+        runs.append(solve(oracle, cfg, p, record_every=1, counters=counters)
+                    + (counters,))
+    (end, traces, counters), (want_end, want_traces, want_counters) = runs
+    assert end.u.tobytes() == want_end.u.tobytes()
+    assert end.v.tobytes() == want_end.v.tobytes()
+    assert vars(counters) == vars(want_counters)
+    assert len(traces) == trials
+    for got, want in zip(traces, want_traces):
+        assert len(got) == kw["K"]
+        assert_reads_match(got, want)
+
+
 def synthetic_formulas(sid, A):
     """Examples 1-4 written with Python-float constants and np.einsum."""
     def sq(x):
@@ -860,7 +911,6 @@ def test_margin_terms_equal_two_tanh_forms_bitwise():
         terms = _margin_terms(nz)
         assert terms[0] is nz
         assert terms[1].tobytes() == two_tanh_s.tobytes()
-        assert _sigmoid(nz).tobytes() == two_tanh_s.tobytes()
         assert _curvature(terms).tobytes() == two_tanh_r.tobytes()
     # the signed zeros: -0.5 * -0.0 and -(0.5 * -0.0) are both +0.0
     z = np.array([0.0, -0.0])
