@@ -7,7 +7,8 @@ class ContractViolationError(ValueError):
 
 class CapabilityError(ContractViolationError):
     """A computation would exceed its size gate (FMD's sensitivity
-    matrix) or a buffer it needs cannot be allocated (a run's trace)."""
+    matrix) or a buffer it needs cannot be allocated (a run's trace, or
+    an example 3-4 instance's A and projector)."""
 
 
 class NumericError(ArithmeticError):

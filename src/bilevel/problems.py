@@ -13,6 +13,7 @@ a single core.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import (_INTS, AT_LEAST_1, BoxBounds, check_number, derive_seed,
                    gaussian_matrix, make_rng)
-from .errors import ContractViolationError
+from .errors import CapabilityError, ContractViolationError
 from .oracle import (_HALF, _NEG_TWO, _ONE, _TWO, _ZERO, Point,
                      ProblemOracle, sample_in_box, spread, sqnorm)
 
@@ -106,21 +107,41 @@ def _memo(fn):
 SYNTHETIC_BOX = BoxBounds(-5.0, 5.0)
 
 
-def _row_space_projector(A):
+def _row_space_projector(A, out=None):
     """P = A^T (A A^T)^-1 A, orthogonal projector onto the row space.
 
     A stacked A (one matrix per trial) is projected one trial at a time
-    into slices of one preallocated P, so the build holds P and A plus
-    one trial's A A^T and solve, not a batch of each. The bytes are those
-    of the batched expression: numpy's stacked matmul and solve make the
-    same per-matrix BLAS and LAPACK calls as the per-trial ones. A 2-D A
-    takes the same path, as a stack of one.
+    into slices of one P, so the fill holds P and A plus one trial's
+    A A^T and solve, not a batch of each. P is ``out`` when given (the
+    buffer examples 3-4 reserve at build and fill on their metric's
+    first call), else a new array. The bytes are those of the batched
+    expression: numpy's stacked matmul and solve make the same
+    per-matrix BLAS and LAPACK calls as the per-trial ones. A 2-D A takes
+    the same path, as a stack of one.
     """
-    P = np.empty(A.shape[:-2] + (A.shape[-1],) * 2)
-    for a, out in zip(A.reshape((-1,) + A.shape[-2:]),
-                      P.reshape((-1,) + P.shape[-2:])):
-        np.matmul(a.T, np.linalg.solve(a @ a.T, a), out=out)
+    P = np.empty(A.shape[:-2] + (A.shape[-1],) * 2) if out is None else out
+    for a, o in zip(A.reshape((-1,) + A.shape[-2:]),
+                    P.reshape((-1,) + P.shape[-2:])):
+        np.matmul(a.T, np.linalg.solve(a @ a.T, a), out=o)
     return P
+
+
+def _synthetic_buffers(sid: int, dim: int, stack: tuple):
+    """Unfilled A and projector buffers of example 3 or 4, one of each
+    per trial along the leading ``stack`` axis (none for one trial).
+
+    numpy refusing either one (``ValueError`` "array is too big", or
+    ``MemoryError``) is a CapabilityError naming the request.
+    """
+    shapes = (stack + (dim // 2, dim), stack + (dim, dim))
+    try:
+        return tuple(np.empty(shape) for shape in shapes)
+    except (ValueError, MemoryError) as exc:
+        nbytes = 8 * sum(math.prod(shape) for shape in shapes)
+        raise CapabilityError(
+            f"example{sid} at dim={dim} and trials="
+            f"{stack[0] if stack else 1} cannot be allocated: A and its "
+            f"row-space projector take {nbytes} bytes: {exc}") from None
 
 
 def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
@@ -184,16 +205,32 @@ def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
     raise ContractViolationError(f"synthetic id must be 1..4, got {sid}")
 
 
-def _synthetic_metric(sid: int, A):
+def _synthetic_metric(sid: int, A, P):
     if sid == 1:
         return lambda p: np.sqrt(sqnorm(p.u - _HALF) + sqnorm(p.v - _HALF))
     if sid == 2:
         return lambda p: np.sqrt(sqnorm(p.u) + sqnorm(p.v))
-    P = _row_space_projector(A)
+    # the buffer P is filled from A on the first call, so a build that is
+    # never scored never pays for the solve
+    filled = False
+
+    def fill():
+        nonlocal filled
+        _row_space_projector(A, out=P)
+        filled = True
+
     if sid == 3:
-        return lambda p: np.sqrt(sqnorm(_mat_vec(P, p.u - _HALF))
-                                 + sqnorm(_mat_vec(P, p.v - _HALF)))
-    return lambda p: np.sqrt(sqnorm(_mat_vec(P, p.u)) + sqnorm(p.v))
+        def metric(p):
+            if not filled:
+                fill()
+            return np.sqrt(sqnorm(_mat_vec(P, p.u - _HALF))
+                           + sqnorm(_mat_vec(P, p.v - _HALF)))
+    else:
+        def metric(p):
+            if not filled:
+                fill()
+            return np.sqrt(sqnorm(_mat_vec(P, p.u)) + sqnorm(p.v))
+    return metric
 
 
 def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
@@ -204,29 +241,30 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     projects onto the row space of A. A list of seeds gives the stacked
     instance, one independent trial per seed run in lockstep: ids 3-4
     stack one A per seed along the leading axis, each drawn in place into
-    its slice of the stack, so a build holds what it keeps (A and the
-    metric's projector) plus one trial's transients; the dim-512 build
-    sets the oracle_bound benchmark's ``peak_rss_mb``. ``dim`` is an
+    its slice of the stack. A is read-only once drawn. A build holds A
+    and the reserved, untouched buffer of the metric's projector P; the
+    metric's first call fills P one trial at a time, so the first scored
+    run pays for it and a build never scored does not. An A or P that
+    numpy cannot allocate is a CapabilityError. ``dim`` is an
     integer >= 1 (a bool is not). The callbacks scale and
     shift by 0-d float64 constants (``_TWO``, ``_NEG_TWO``, ``_ONE``, and
     ``_HALF`` in the metric), the same bits as the Python floats 2.0,
     -2.0, 1.0 and 0.5 for less per call, and return float64 arrays.
     """
     check_number("dim", dim, AT_LEAST_1)
-    A = None
+    A = P = None
     if sid in (3, 4):
         if dim % 2:
             raise ContractViolationError("ids 3-4 need an even dim")
-        if isinstance(seed, _INTS):
-            A = _synthetic_a(dim, seed)
-        else:
-            seeds = list(seed)
-            A = np.empty((len(seeds), dim // 2, dim))
-            for a, s in zip(A, seeds):
-                _synthetic_a(dim, s, out=a)
+        one = isinstance(seed, _INTS)
+        seeds = [seed] if one else list(seed)
+        A, P = _synthetic_buffers(sid, dim, () if one else (len(seeds),))
+        for a, s in zip(A.reshape((-1, dim // 2, dim)), seeds):
+            _synthetic_a(dim, s, out=a)
+        A.setflags(write=False)
     oracle = _synthetic_oracle(sid, dim, A)
     return ProblemInstance(
-        name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A),
+        name=oracle.name, oracle=oracle, metric=_synthetic_metric(sid, A, P),
         init_sampler=lambda s: sample_in_box(dim, dim, SYNTHETIC_BOX, s),
         box=SYNTHETIC_BOX, expects_singular=sid in (3, 4), info={"A": A})
 

@@ -429,6 +429,22 @@ seed = 0
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_instance_too_large_to_allocate_exit_2(self, tmp_path, capsys):
+        # example3's factory runs before the p0 draw, and numpy refuses
+        # A's 2**66 bytes before allocating anything
+        text = BASE_CONFIG.replace("name = example1", "name = example3") \
+            .replace("dim = 6", f"dim = {2**32}")
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        # trials counts the lockstep group built, a worker's share
+        assert re.match(rf"config error: example3 at dim={2**32} and "
+                        r"trials=[12] cannot be allocated: ", err)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_numeric_abort_writes_partial_csv(self, tmp_path, monkeypatch):
         # plain-gd at step 10 diverges on the quadratic; the abort comes
         # at u-iteration 7, after 7 recorded rows. One worker runs the
@@ -783,6 +799,19 @@ class TestRunTrialsApi:
                                  r"and trials=1 \("):
             run_trials("example1", "gd", cfg=dict(K=2**62, T=1),
                        record_every=1)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_instance_too_large_to_allocate_is_capability_error(self,
+                                                                trials):
+        # A and its projector once raised numpy's raw "array is too big";
+        # trials counts the lockstep group built, a worker's share
+        with pytest.raises(CapabilityError,
+                           match=rf"^example3 at dim={2**32} and "
+                                 rf"trials=[1-{trials}] cannot be allocated: A "
+                                 r"and its row-space projector take \d+ "
+                                 r"bytes: "):
+            run_trials("example3", "penalty", pparams={"dim": 2**32},
+                       cfg=dict(K=2, T=1), trials=trials)
 
     def test_numpy_counts_accepted(self):
         kw = dict(pparams={"dim": 4}, cfg=dict(K=3, T=1))

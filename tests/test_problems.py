@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilevel import bench, problems
+from bilevel.bench import run_trials
 from bilevel.core import make_rng
 from bilevel.errors import ContractViolationError
 from bilevel.oracle import (Point, ProblemOracle, dense_matrix,
-                            fd_check_oracle, slackify)
+                            fd_check_oracle, slackify, sqnorm)
 from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
                               fit_logistic, importance_values, make_blobs,
                               make_constrained_toy, make_hyperparam_ridge,
                               make_importance_toy, make_poison_toy,
                               make_synthetic, ridge_closed_form,
-                              _augment, _curvature, _margin_terms, _memo,
-                              _neg_margin, _row_space_projector,
+                              _augment, _curvature, _margin_terms, _mat_vec,
+                              _memo, _neg_margin, _row_space_projector,
                               _signed, _synthetic_a)
 from bilevel.hypergrad import exact_hypergrad, solve_lower_level
 from bilevel.solvers import (OracleCounters, PenaltyConfig, penalty_aug_solve,
@@ -215,6 +217,86 @@ class TestSynthetics:
             tracemalloc.stop()
         assert inst.info["A"].nbytes == len(seeds) * a_bytes
         assert peak <= (len(seeds) + 1) * (a_bytes + p_bytes)
+
+    @pytest.mark.parametrize("sid", [3, 4])
+    @pytest.mark.parametrize("dim", [2, 10, 64])
+    @pytest.mark.parametrize("seed", [7, [7, 8, 9]], ids=["one", "three"])
+    def test_build_makes_no_projector(self, monkeypatch, sid, dim, seed):
+        # the projector's solve once ran in every build, scored or not
+        calls = []
+        monkeypatch.setattr(problems, "_row_space_projector",
+                            lambda *a, **k: calls.append("projector"))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **k: calls.append("solve"))
+        make_synthetic(sid, dim, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("sid", [3, 4])
+    def test_first_distance_fills_the_projector_once(self, monkeypatch,
+                                                     sid):
+        fills = projector_spy(monkeypatch)
+        inst = make_synthetic(sid, 10, [7, 8])
+        p = inst.init_sampler([7, 8])
+        assert fills == []
+        first = inst.metric(p)
+        assert [inst.metric(p).tobytes() for _ in range(3)] == \
+            [first.tobytes()] * 3
+        assert len(fills) == 1 and fills[0] is inst.info["A"]
+
+    @pytest.mark.parametrize("sid", [3, 4])
+    def test_slot_reuse_fills_the_projector_once(self, monkeypatch, sid):
+        monkeypatch.delenv("BILEVEL_THREADS", raising=False)
+        monkeypatch.setattr(bench, "_slot", None)
+        fills = projector_spy(monkeypatch)
+        kw = dict(pparams={"dim": 8}, cfg=dict(K=3, T=1), trials=2,
+                  record_every=1)
+        first = run_trials(f"example{sid}", "gd", **kw)
+        assert len(fills) == 1
+        slot = bench._slot
+        again = run_trials(f"example{sid}", "gd", **kw)
+        assert bench._slot is slot and len(fills) == 1
+        assert [r.trace.column("distance").tobytes() for r in again] == \
+            [r.trace.column("distance").tobytes() for r in first]
+
+    @pytest.mark.parametrize("sid", [3, 4])
+    @pytest.mark.parametrize("seed", [7, [7, 8, 9]], ids=["one", "three"])
+    def test_distances_equal_an_eager_projector_bitwise(self, sid, seed):
+        inst = make_synthetic(sid, 64, seed)
+        P = _row_space_projector(inst.info["A"])
+        rng = make_rng(3, 1)
+        shape = (64,) if isinstance(seed, int) else (3, 64)
+        for _ in range(4):
+            p = Point(rng.uniform(-5, 5, shape), rng.uniform(-5, 5, shape))
+            if sid == 3:
+                want = np.sqrt(sqnorm(_mat_vec(P, p.u - 0.5))
+                               + sqnorm(_mat_vec(P, p.v - 0.5)))
+            else:
+                want = np.sqrt(sqnorm(_mat_vec(P, p.u)) + sqnorm(p.v))
+            got = inst.metric(p)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sid", [3, 4])
+    @pytest.mark.parametrize("seed", [7, [7, 8]], ids=["one", "two"])
+    def test_a_is_read_only(self, sid, seed):
+        # the metric fills its projector from this A on first use, and
+        # the instance slot shares it across run_trials calls
+        A = make_synthetic(sid, 4, seed).info["A"]
+        with pytest.raises(ValueError, match="read-only"):
+            A[..., 0, 0] = 1.0
+
+
+def projector_spy(monkeypatch):
+    """The A of each _row_space_projector call, which still runs."""
+    fills = []
+    real = problems._row_space_projector
+
+    def spy(A, out=None):
+        fills.append(A)
+        return real(A, out=out)
+
+    monkeypatch.setattr(problems, "_row_space_projector", spy)
+    return fills
 
 
 class TestConstrainedToy:
