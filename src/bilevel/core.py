@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericError
+from .errors import CapabilityError, ContractViolationError, NumericError
 
 # 1-D float64 array; batched call sites use (B, d) with identical semantics
 # per row.
@@ -142,6 +142,18 @@ def check_number(name: str, value, rule):
             wording = wording(value)
         raise ContractViolationError(
             f"{name} must be {wording}, got {value!r}")
+
+
+def allocate(what: str, *shapes) -> list:
+    """One unfilled float64 array per shape, or, when numpy refuses them
+    (``ValueError`` "array is too big", or ``MemoryError``), the one
+    CapabilityError "{what} cannot be allocated ({n} bytes): {reason}"."""
+    try:
+        return [np.empty(shape) for shape in shapes]
+    except (ValueError, MemoryError) as exc:
+        nbytes = 8 * sum(math.prod(shape) for shape in shapes)
+        raise CapabilityError(f"{what} cannot be allocated ({nbytes} "
+                              f"bytes): {exc}") from None
 
 
 def gaussian_matrix(rows: int, cols: int, seed, out=None) -> np.ndarray:

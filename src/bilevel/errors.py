@@ -7,8 +7,9 @@ class ContractViolationError(ValueError):
 
 class CapabilityError(ContractViolationError):
     """A computation would exceed its size gate (FMD's sensitivity
-    matrix) or a buffer it needs cannot be allocated (a run's trace, or
-    an example 3-4 instance's A and projector)."""
+    matrix) or a buffer it needs cannot be allocated (``core.allocate``:
+    a run's trace, an example 3-4 instance's A and projector, RMD's
+    trajectory, a dense matrix's copy buffers)."""
 
 
 class NumericError(ArithmeticError):

@@ -43,12 +43,12 @@ def exact_hypergrad(oracle: ProblemOracle, p: Point) -> np.ndarray:
     return oracle.grad_u_f(p) - oracle.jac_uv_g(p) @ q
 
 
-def newton_root(residual, x0, tol, what="newton_root", jacobian=None):
-    """Damped Newton on a smooth residual, in at most 100 steps.
+def newton_root(residual, x0, tol, what="newton_root", *, jacobian):
+    """Damped Newton on a smooth residual with Jacobian ``jacobian(x)``,
+    in at most 100 steps.
 
-    The Jacobian comes from ``jacobian(x)`` when given, else from central
-    differences of the residual. Exact on affine residuals in one step;
-    backtracks when the full step does not reduce the residual norm.
+    Exact on affine residuals in one step; backtracks when the full step
+    does not reduce the residual norm.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     r = residual(x)
@@ -56,8 +56,7 @@ def newton_root(residual, x0, tol, what="newton_root", jacobian=None):
         rn = np.linalg.norm(r)
         if rn <= tol:
             return x
-        J = (central_diff(residual, x, 1e-6).T if jacobian is None
-             else jacobian(x))
+        J = jacobian(x)
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -92,9 +91,11 @@ def minimize_penalty_v(oracle: ProblemOracle, u, v0,
                        params: PenaltyParams) -> np.ndarray:
     """Minimize the penalized objective over v to |grad_v| <= INNER_TOL."""
     u = np.asarray(u, dtype=np.float64)
-    return newton_root(
-        lambda v: penalty_grad_v(oracle, Point(u, v), params), v0, INNER_TOL,
-        what="penalized v-minimization")
+
+    def residual(v):
+        return penalty_grad_v(oracle, Point(u, v), params)
+    return newton_root(residual, v0, INNER_TOL, "penalized v-minimization",
+                       jacobian=lambda v: central_diff(residual, v, 1e-6).T)
 
 
 def fd_hypergrad(oracle: ProblemOracle, u, v0) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BoxBounds, RealVec, make_rng
+from .core import BoxBounds, RealVec, allocate, make_rng
 from .errors import ContractViolationError, NumericError
 
 
@@ -72,7 +72,8 @@ def dense_matrix(prod, dim_v: int):
     V copies of u and of v, rewritten in place on every call, and the
     identity stack, read-only. The set is built on the first call and
     again when the shapes change, never before: an oracle whose dense
-    pair is never called allocates nothing of size V^2 for it. A call on
+    pair is never called allocates nothing of size V^2 for it, and a set
+    numpy refuses is ``core.allocate``'s CapabilityError. A call on
     a point of the same shapes then allocates only the product and its
     transposed copy. The products see the same values as with fresh
     buffers (callbacks are pure), so the matrix has the same bytes. The
@@ -84,13 +85,14 @@ def dense_matrix(prod, dim_v: int):
     def dense(p):
         nonlocal slot
         if slot is None or slot[0] != p.u.shape or slot[1] != p.v.shape:
-            v = np.empty((dim_v,) + p.v.shape)
-            q = np.zeros(v.shape)
+            u, v, q = allocate("the copy buffers of a dense matrix",
+                               (dim_v,) + p.u.shape, (dim_v,) + p.v.shape,
+                               (dim_v,) + p.v.shape)
+            q.fill(0.0)
             i = np.arange(dim_v)
             q[i, ..., i] = 1.0
             q.setflags(write=False)
-            slot = (p.u.shape, p.v.shape,
-                    Point(np.empty((dim_v,) + p.u.shape), v), q)
+            slot = (p.u.shape, p.v.shape, Point(u, v), q)
         pt, q = slot[2], slot[3]
         pt.u[...] = p.u
         pt.v[...] = p.v

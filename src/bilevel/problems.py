@@ -13,15 +13,15 @@ a single core.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (_INTS, AT_LEAST_1, BoxBounds, check_number, derive_seed,
-                   gaussian_matrix, make_rng)
-from .errors import CapabilityError, ContractViolationError
+from .core import (_INTS, AT_LEAST_1, BoxBounds, allocate, check_number,
+                   derive_seed, gaussian_matrix, make_rng)
+from .errors import ContractViolationError
+from .hypergrad import newton_root
 from .oracle import (_HALF, _NEG_TWO, _ONE, _TWO, _ZERO, Point,
                      ProblemOracle, sample_in_box, spread, sqnorm)
 
@@ -126,24 +126,6 @@ def _row_space_projector(A, out=None):
     return P
 
 
-def _synthetic_buffers(sid: int, dim: int, stack: tuple):
-    """Unfilled A and projector buffers of example 3 or 4, one of each
-    per trial along the leading ``stack`` axis (none for one trial).
-
-    numpy refusing either one (``ValueError`` "array is too big", or
-    ``MemoryError``) is a CapabilityError naming the request.
-    """
-    shapes = (stack + (dim // 2, dim), stack + (dim, dim))
-    try:
-        return tuple(np.empty(shape) for shape in shapes)
-    except (ValueError, MemoryError) as exc:
-        nbytes = 8 * sum(math.prod(shape) for shape in shapes)
-        raise CapabilityError(
-            f"example{sid} at dim={dim} and trials="
-            f"{stack[0] if stack else 1} cannot be allocated: A and its "
-            f"row-space projector take {nbytes} bytes: {exc}") from None
-
-
 def _synthetic_oracle(sid: int, dim: int, A) -> ProblemOracle:
     if sid == 1:
         # f = |u|^2 + |v|^2, g = |1 - u - v|^2
@@ -245,8 +227,8 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
     and the reserved, untouched buffer of the metric's projector P; the
     metric's first call fills P one trial at a time, so the first scored
     run pays for it and a build never scored does not. An A or P that
-    numpy cannot allocate is a CapabilityError. ``dim`` is an
-    integer >= 1 (a bool is not). The callbacks scale and
+    numpy cannot allocate is ``core.allocate``'s CapabilityError.
+    ``dim`` is an integer >= 1 (a bool is not). The callbacks scale and
     shift by 0-d float64 constants (``_TWO``, ``_NEG_TWO``, ``_ONE``, and
     ``_HALF`` in the metric), the same bits as the Python floats 2.0,
     -2.0, 1.0 and 0.5 for less per call, and return float64 arrays.
@@ -258,7 +240,10 @@ def make_synthetic(sid: int, dim: int = 10, seed=0) -> ProblemInstance:
             raise ContractViolationError("ids 3-4 need an even dim")
         one = isinstance(seed, _INTS)
         seeds = [seed] if one else list(seed)
-        A, P = _synthetic_buffers(sid, dim, () if one else (len(seeds),))
+        stack = () if one else (len(seeds),)
+        A, P = allocate(f"example{sid}'s A and row-space projector at "
+                        f"dim={dim} for a batch of {len(seeds)} trial(s)",
+                        stack + (dim // 2, dim), stack + (dim, dim))
         for a, s in zip(A.reshape((-1, dim // 2, dim)), seeds):
             _synthetic_a(dim, s, out=a)
         A.setflags(write=False)
@@ -429,8 +414,11 @@ def fit_logistic(X, y, sample_weight=None) -> np.ndarray:
     """Newton fit of l2-regularized logistic regression (labels +-1).
 
     Minimizes sum(w_i * l_i) / sum(w_i) + LOGISTIC_REG * |w|^2 (bias
-    included in the parameter vector and in the penalty), in at most 60
-    steps.
+    included in the parameter vector and in the penalty) from w = 0
+    through ``hypergrad.newton_root`` to a gradient norm of 1e-12, then
+    takes one more full Newton step, as the fit always has: the toys'
+    warm starts are its bytes. A fit that does not get there is
+    newton_root's ConvergenceError.
     """
     Xb = _augment(np.asarray(X, float))
     y = np.asarray(y, float)
@@ -438,18 +426,20 @@ def fit_logistic(X, y, sample_weight=None) -> np.ndarray:
     if sample_weight is None:
         sample_weight = np.ones(len(y))
     wts = np.asarray(sample_weight, float) / np.sum(sample_weight)
-    w = np.zeros(Xb.shape[1])
+    ridge = 2.0 * LOGISTIC_REG
     eye = np.eye(Xb.shape[1])
-    for _ in range(60):
-        terms = _margin_terms(_neg_margin(NXy, w))
-        r = _curvature(terms)                      # d2l/dz2
-        grad = NXy.T @ (wts * terms[1]) + 2.0 * LOGISTIC_REG * w
-        hess = (Xb * (wts * r)[:, None]).T @ Xb + 2.0 * LOGISTIC_REG * eye
-        step = np.linalg.solve(hess, grad)
-        w = w - step
-        if np.linalg.norm(grad) < 1e-12:
-            break
-    return w
+
+    def grad(w):
+        s = _margin_terms(_neg_margin(NXy, w))[1]
+        return NXy.T @ (wts * s) + ridge * w
+
+    def hess(w):
+        r = _curvature(_margin_terms(_neg_margin(NXy, w)))    # d2l/dz2
+        return (Xb * (wts * r)[:, None]).T @ Xb + ridge * eye
+
+    w = newton_root(grad, np.zeros(Xb.shape[1]), 1e-12, "logistic fit",
+                    jacobian=hess)
+    return w - np.linalg.solve(hess(w), grad(w))
 
 
 def accuracy(w, X, y) -> float:

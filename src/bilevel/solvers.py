@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (COUNT, FINITE, NON_NEGATIVE, POSITIVE, BoxBounds,
-                   StepperState, _vdot, check_number, make_stepper,
+                   StepperState, _vdot, allocate, check_number, make_stepper,
                    project_box, stepper_step)
 from .errors import CapabilityError, ContractViolationError, NumericError
 from .oracle import (PenaltyParams, Point, ProblemOracle, penalty_grad_u,
@@ -272,13 +272,10 @@ class _Recorder:
         self.every = record_every
         self.total = total
         due = total // self.every + (total % self.every != 0)
-        try:
-            self.cols = np.empty((due, len(_COLUMNS), batch))
-        except (ValueError, MemoryError) as exc:
-            raise CapabilityError(
-                f"the trace of K={total}, record_every={record_every} and "
-                f"trials={batch} ({due} recorded rows) cannot be allocated: "
-                f"{exc}") from None
+        self.cols, = allocate(
+            f"the trace of K={total} at record_every={record_every} ({due} "
+            f"recorded rows) for a batch of {batch} trial(s)",
+            (due, len(_COLUMNS), batch))
         self.shared = []
         self.t0 = time.perf_counter()
 
@@ -512,8 +509,11 @@ def gd_alternating(oracle: ProblemOracle, cfg: PenaltyConfig,
 
     Uses no second-order oracle at all; converges only where the bilevel
     solution happens to be a stationary point of the naive dynamics.
-    p0 is a (B, ·) batch; returns the final Point batch and B traces.
+    Unconstrained problems only, as for the estimators. p0 is a (B, ·)
+    batch; returns the final Point batch and B traces.
     """
+    _require_unconstrained(oracle, "gd_alternating")
+
     def method(alg, v):
         st_v = make_stepper(cfg.stepper, v.shape)
         box = cfg.box
@@ -578,7 +578,7 @@ def rmd_hypergrad(oracle: ProblemOracle, u: np.ndarray, v0: np.ndarray,
     _check_estimator(oracle, "rmd_hypergrad", u, v0, T, rho)
     rho = np.array(rho, dtype=np.float64)
     v = np.asarray(v0, dtype=np.float64)
-    traj = np.empty((T + 1,) + v.shape)
+    traj, = allocate("RMD's trajectory", (T + 1,) + v.shape)
     traj[0] = v
     for t in range(T):
         v = v - rho * oracle.grad_v_g(Point(u, v))

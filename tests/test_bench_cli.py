@@ -20,7 +20,8 @@ from bilevel.bench import (RUN_COLUMNS, SOLVER_KEYS, SOLVER_NAMES,
                            worker_count, write_run_csv)
 from bilevel.cli import main
 from bilevel.core import derive_seed
-from bilevel.errors import (CapabilityError, ConfigError, ConvergenceError,
+from bilevel.errors import (CapabilityError, ConfigError,
+                            ContractViolationError, ConvergenceError,
                             NumericError)
 from bilevel.problems import (PROBLEMS, ProblemSpec, get_problem,
                               make_synthetic)
@@ -56,8 +57,41 @@ seed = 3
 """
 
 
+COMPARE_CONFIG = """
+[problem]
+name = example2
+dim = 4
+
+[solver.a]
+name = penalty
+K = 30
+T = 2
+
+[solver.b]
+name = penalty
+K = 30
+T = 2
+
+[solver.gd]
+name = gd
+K = 30
+T = 2
+
+[run]
+trials = 2
+record_every = 30
+seed = 1
+"""
+
+
 # plain-gd at step 10 on the quadratic: aborts at u-iteration 7
 DIVERGING = dict(K=200, stepper="plain-gd", rho0=10.0, sigma0=10.0)
+
+
+def first_batch(trials):
+    """Trials in the first worker's lockstep group, the batch an
+    allocation refusal names (with one worker, the whole request)."""
+    return len(range(trials)[::worker_count(trials)])
 
 
 class TestConfigParsing:
@@ -322,6 +356,33 @@ class TestConfigParsing:
         assert err.startswith(f"config error: {key} must be <= sys.maxsize")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", BASE_CONFIG.replace("name = penalty\n", ""),
+         "[solver] is missing the 'name' key"),
+        ("run", BASE_CONFIG + "bogus = 1\n", "[run] unknown key 'bogus'"),
+        ("sweep", BASE_CONFIG + "\n[sweep]\naxis = T\nvalues = 1\nstep = 2\n",
+         "[sweep] unknown keys ['step']"),
+        ("run", COMPARE_CONFIG, "run expects exactly one [solver] section"),
+        ("sweep", BASE_CONFIG,
+         "sweep needs a [sweep] section with axis/values")],
+        ids=["no-solver-name", "run-key", "sweep-key", "run-two-solvers",
+             "sweep-no-section"])
+    def test_refused_config_exit_2(self, tmp_path, capsys, command, text,
+                                   message):
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.cfg"]
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["run", "--config", str(missing), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {missing}: ")
+        assert err.count("\n") == 1
+
     def test_sweep_empty_values(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg",
                            BASE_CONFIG + "\n[sweep]\naxis = T\nvalues =\n")
@@ -424,8 +485,11 @@ seed = 0
         assert main(["run", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: the trace of K={2**62}, "
-                              "record_every=1 and trials=")
+        n = first_batch(2)
+        assert err.startswith(
+            f"config error: the trace of K={2**62} at record_every=1 "
+            f"({2**62} recorded rows) for a batch of {n} trial(s) cannot be "
+            f"allocated ({8 * 2**62 * 9 * n} bytes): ")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -439,9 +503,37 @@ seed = 0
         assert main(["run", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
         err = capsys.readouterr().err
-        # trials counts the lockstep group built, a worker's share
-        assert re.match(rf"config error: example3 at dim={2**32} and "
-                        r"trials=[12] cannot be allocated: ", err)
+        n = first_batch(2)
+        assert err.startswith(
+            f"config error: example3's A and row-space projector at "
+            f"dim={2**32} for a batch of {n} trial(s) cannot be allocated "
+            f"({8 * n * (2**31 + 2**32) * 2**32} bytes): ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rmd_trajectory_too_large_to_allocate_exit_2(self, tmp_path,
+                                                          capsys):
+        # once exited 1 with numpy's raw "array is too big" traceback
+        text = """
+[problem]
+name = example1
+
+[solver]
+name = rmd
+K = 1
+T = 4611686018427387904
+
+[run]
+trials = 1
+record_every = 1
+"""
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: RMD's trajectory cannot be "
+                              f"allocated ({8 * (2**62 + 1) * 10} bytes): ")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -493,33 +585,6 @@ record_every = 1
         assert all(r.final_point is None for r in results)
 
 
-COMPARE_CONFIG = """
-[problem]
-name = example2
-dim = 4
-
-[solver.a]
-name = penalty
-K = 30
-T = 2
-
-[solver.b]
-name = penalty
-K = 30
-T = 2
-
-[solver.gd]
-name = gd
-K = 30
-T = 2
-
-[run]
-trials = 2
-record_every = 30
-seed = 1
-"""
-
-
 class TestCmdCompare:
     def test_identical_entries_identical_rows(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", COMPARE_CONFIG)
@@ -535,6 +600,23 @@ class TestCmdCompare:
                 continue
             assert va == vb, col
         assert len(rows) == 4
+
+    def test_summary_lines_name_each_entry(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", COMPARE_CONFIG)
+        out = tmp_path / "summary.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = read_csv(out)
+        header = rows[0]
+        assert len(lines) == len(rows) - 1 == 3
+        for line, row in zip(lines, rows[1:]):
+            col = dict(zip(header, row))
+            assert re.fullmatch(
+                rf"example2/{col['label']}: "
+                rf"final mean={float(col['final_mean']):.6g} "
+                rf"sd={float(col['final_sd']):.3g} hvp={col['n_hvp_total']} "
+                rf"jvp={col['n_jvp_total']} peak={col['peak_stored_vecs']} "
+                r"wall=\d+\.\d{3}s", line), line
 
     def test_compare_needs_two_solvers(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", BASE_CONFIG)
@@ -552,6 +634,23 @@ class TestCmdSweep:
         assert len(summary) == 3
         per_value = read_csv(tmp_path / "sweep_solver_T=1.csv")
         assert tuple(per_value[0]) == RUN_COLUMNS
+
+    def test_summary_lines_name_each_value(self, tmp_path, capsys):
+        text = BASE_CONFIG + "\n[sweep]\naxis = T\nvalues = 1, 2\n"
+        cfg = write_config(tmp_path / "s.cfg", text)
+        assert main(["sweep", "--config", cfg, "--out",
+                     str(tmp_path / "sweep.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = read_csv(tmp_path / "sweep_summary.csv")
+        header = summary[0]
+        assert len(lines) == len(summary) - 1 == 2
+        for line, row in zip(lines, summary[1:]):
+            mean, sd = (float(row[header.index(c)])
+                        for c in ("final_mean", "final_sd"))
+            value = row[header.index("value")]
+            assert re.fullmatch(
+                rf"example1/solver T={value}: final mean={mean:.6g} "
+                rf"sd={sd:.3g} wall=\d+\.\d{{3}}s", line), line
 
     def test_summary_matches_recomputation(self, tmp_path):
         text = BASE_CONFIG + "\n[sweep]\naxis = T\nvalues = 1, 2\n"
@@ -656,6 +755,85 @@ class TestCmdCheck:
     def test_hypergrad_on_constrained_is_config_error(self, monkeypatch,
                                                       capsys):
         self.refused_before_any_solve(monkeypatch, capsys, "hypergrad")
+
+    def test_singular_check_unconverged_solve_is_one_fail_line(
+            self, capsys, monkeypatch):
+        # once read as "singular by design (ConvergenceError): pass"
+        def stalled(*args, **kwargs):
+            raise ConvergenceError(
+                "lower-level solve: stalled at residual 1.000e+00")
+        monkeypatch.setattr(bench, "solve_lower_level", stalled)
+        assert main(["check", "example3", "hypergrad"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: lower-level solve: stalled at residual 1.000e+00\n")
+
+    def test_singular_check_lets_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a singularity")
+        monkeypatch.setattr(bench, "exact_hypergrad", broken)
+        with pytest.raises(TypeError, match="not a singularity"):
+            main(["check", "example4", "lemma3"])
+
+    def test_singular_check_without_the_error_fails(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(bench, "exact_hypergrad",
+                            lambda oracle, p: np.zeros(oracle.dim_u))
+        assert main(["check", "example3", "hypergrad"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: expected a singularity error\n")
+
+    def test_oracle_level_wrong_gradient_fails(self, capsys, monkeypatch):
+        spec = get_problem("example1")
+
+        def wrong(seed):
+            inst = spec.factory(seed)
+            return dataclasses.replace(inst, oracle=dataclasses.replace(
+                inst.oracle, grad_u_f=lambda p: 3.0 * p.u))
+        monkeypatch.setitem(PROBLEMS, "example1",
+                            dataclasses.replace(spec, factory=wrong))
+        assert main(["check", "example1", "oracle"]) == 1
+        report, fail = capsys.readouterr().out.splitlines()
+        assert report.startswith("check example1 oracle: FdCheckReport(")
+        assert re.fullmatch(r"FAIL: max fd error \d\.\d{3}e[+-]\d+ >= 1e-4",
+                            fail), fail
+
+    def test_hypergrad_level_disagreeing_estimate_fails(self, capsys,
+                                                        monkeypatch):
+        rmd = bench.rmd_hypergrad
+        monkeypatch.setattr(bench, "rmd_hypergrad",
+                            lambda *a, **k: (2.0 * rmd(*a, **k)[0], None))
+        assert main(["check", "quadratic", "hypergrad"]) == 1
+        report, fail = capsys.readouterr().out.splitlines()
+        assert report.startswith("check quadratic hypergrad: fd=")
+        assert re.fullmatch(r"FAIL: rmd disagrees with the dense oracle: "
+                            r"\d\.\d{3}e[+-]\d+ >= 1e-4", fail), fail
+
+    def test_lemma_level_broken_identity_fails(self, capsys, monkeypatch):
+        grad_u = hypergrad.penalty_grad_u
+        monkeypatch.setattr(hypergrad, "penalty_grad_u",
+                            lambda *a: 1.5 * grad_u(*a))
+        assert main(["check", "example1", "lemma3"]) == 1
+        report, fail = capsys.readouterr().out.splitlines()
+        worst = re.fullmatch(r"check example1 lemma3: max relative error "
+                             r"(\S+)", report).group(1)
+        assert float(worst) >= 1e-6
+        assert fail == (f"FAIL: inner-gradient identity error {worst} "
+                        ">= 1e-6")
+
+    @pytest.mark.parametrize("problem", ["example3", "example4"])
+    def test_kkt_level_singular_reports_rank_without_verdict(self, capsys,
+                                                             problem):
+        assert main(["check", problem, "kkt"]) == 0
+        report, note = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(rf"check {problem} kkt: feasibility=\S+ "
+                            r"stationarity=\S+ rank=\d+", report), report
+        assert note == ("note: rank-deficient by construction; thresholds "
+                        "not asserted, rank reported above")
+
+    def test_unknown_level_is_config_error(self):
+        # the CLI's argparse choices refuse it first; the API names it
+        with pytest.raises(ConfigError, match="^unknown check level 'bogus'"):
+            bench.cmd_check("example1", "bogus")
 
     def test_unknown_problem(self):
         assert main(["check", "nonexistent", "oracle"]) == 2
@@ -795,8 +973,10 @@ class TestRunTrialsApi:
     def test_trace_too_large_to_allocate_is_capability_error(self):
         # the recorder's buffer once raised numpy's raw "array is too big"
         with pytest.raises(CapabilityError,
-                           match=rf"^the trace of K={2**62}, record_every=1 "
-                                 r"and trials=1 \("):
+                           match=rf"^the trace of K={2**62} at record_every=1 "
+                                 rf"\({2**62} recorded rows\) for a batch of "
+                                 r"1 trial\(s\) cannot be allocated "
+                                 rf"\({8 * 2**62 * 9} bytes\): "):
             run_trials("example1", "gd", cfg=dict(K=2**62, T=1),
                        record_every=1)
 
@@ -804,14 +984,25 @@ class TestRunTrialsApi:
     def test_instance_too_large_to_allocate_is_capability_error(self,
                                                                 trials):
         # A and its projector once raised numpy's raw "array is too big";
-        # trials counts the lockstep group built, a worker's share
+        # the batch is the lockstep group built, a worker's share
+        n = first_batch(trials)
+        nbytes = 8 * n * (2**31 + 2**32) * 2**32
         with pytest.raises(CapabilityError,
-                           match=rf"^example3 at dim={2**32} and "
-                                 rf"trials=[1-{trials}] cannot be allocated: A "
-                                 r"and its row-space projector take \d+ "
-                                 r"bytes: "):
+                           match=r"^example3's A and row-space projector at "
+                                 rf"dim={2**32} for a batch of {n} "
+                                 r"trial\(s\) cannot be allocated "
+                                 rf"\({nbytes} bytes\): "):
             run_trials("example3", "penalty", pparams={"dim": 2**32},
                        cfg=dict(K=2, T=1), trials=trials)
+
+    def test_rmd_trajectory_too_large_to_allocate_is_capability_error(self):
+        # T + 1 stored v-vectors once raised numpy's raw "array is too
+        # big" (at T = 2**40, a raw MemoryError for 80 TiB)
+        with pytest.raises(CapabilityError,
+                           match=r"^RMD's trajectory cannot be allocated "
+                                 rf"\({8 * (2**62 + 1) * 4} bytes\): "):
+            run_trials("example1", "rmd", pparams={"dim": 4},
+                       cfg=dict(K=1, T=2**62))
 
     def test_numpy_counts_accepted(self):
         kw = dict(pparams={"dim": 4}, cfg=dict(K=3, T=1))
@@ -967,9 +1158,12 @@ class TestRunTrialsApi:
         assert res[0].final_point.u.shape == (2,)   # u plus one slack
 
     def test_constrained_baseline_rejected(self):
-        with pytest.raises(Exception):
-            run_trials("constrained_toy", "gd", cfg=dict(K=5, T=1),
-                       trials=1, seed=0)
+        for solver in ("gd", "rmd", "fmd", "approxgrad"):
+            with pytest.raises(ContractViolationError,
+                               match=f"^solver '{solver}' does not support "
+                                     "constrained problems$"):
+                run_trials("constrained_toy", solver, cfg=dict(K=5, T=1),
+                           trials=1, seed=0)
 
     def test_summarize_fields(self):
         res = run_trials("example1", "gd", pparams={"dim": 4},

@@ -2,6 +2,7 @@ import gc
 import re
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bilevel.core import (ADAM_SPENT_M, COUNT, BoxBounds, check_number,
-                          gaussian_matrix, make_rng, make_stepper,
-                          project_box, stepper_step)
-from bilevel.errors import ContractViolationError, NumericError
+from bilevel import core
+from bilevel.core import (ADAM_SPENT_M, COUNT, BoxBounds, allocate,
+                          check_number, gaussian_matrix, make_rng,
+                          make_stepper, project_box, stepper_step)
+from bilevel.errors import (CapabilityError, ContractViolationError,
+                            NumericError)
 
 
 def reference_adam(x0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -580,3 +583,26 @@ def test_count_is_at_least_one_and_fits_an_index(value, wording):
         with pytest.raises(ContractViolationError,
                            match=f"^K must be {re.escape(wording)}"):
             check_number("K", value, COUNT)
+
+
+class TestAllocate:
+    def test_unfilled_float64_arrays_of_each_shape(self):
+        a, b = allocate("two buffers", (2, 3), (4,))
+        assert (a.shape, b.shape) == ((2, 3), (4,))
+        assert a.dtype == b.dtype == np.float64
+
+    def test_shapes_numpy_refuses_are_one_capability_error(self):
+        # 2**64 entries exceed an index, so numpy allocates nothing
+        with pytest.raises(CapabilityError,
+                           match=r"^two buffers cannot be allocated "
+                                 rf"\({8 * (2**64 + 1)} bytes\): \w"):
+            allocate("two buffers", (2**32, 2**32), (1,))
+
+    def test_memory_error_is_the_same_capability_error(self, monkeypatch):
+        def refuse(shape):
+            raise MemoryError("Unable to allocate 80.0 TiB")
+        monkeypatch.setattr(core, "np", SimpleNamespace(empty=refuse))
+        with pytest.raises(CapabilityError,
+                           match=r"^a buffer cannot be allocated \(80 "
+                                 r"bytes\): Unable to allocate 80.0 TiB$"):
+            allocate("a buffer", (10,))

@@ -161,14 +161,16 @@ class TestInnerSolvers:
     def test_newton_root_affine_one_step(self):
         A = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([1.0, -1.0])
-        x = newton_root(lambda x: A @ x - b, np.zeros(2), tol=1e-12)
+        x = newton_root(lambda x: A @ x - b, np.zeros(2), tol=1e-12,
+                        jacobian=lambda x: A)
         np.testing.assert_allclose(A @ x, b, atol=1e-10)
 
     def test_newton_root_reports_failure(self):
         # residual with no root: |r| bounded below by 1
         with pytest.raises(ConvergenceError):
             newton_root(lambda x: np.array([np.cos(x[0]) + 2.0]),
-                        np.zeros(1), tol=1e-10)
+                        np.zeros(1), tol=1e-10,
+                        jacobian=lambda x: np.array([[-np.sin(x[0])]]))
 
     def test_solve_lower_level_logistic(self):
         from bilevel.problems import PROBLEMS

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from bilevel import bench, problems
 from bilevel.bench import run_trials
 from bilevel.core import make_rng
-from bilevel.errors import ContractViolationError
+from bilevel.errors import (CapabilityError, ContractViolationError,
+                            ConvergenceError)
 from bilevel.oracle import (Point, ProblemOracle, dense_matrix,
                             fd_check_oracle, slackify, sqnorm)
 from bilevel.problems import (PROBLEMS, accuracy, constrained_toy_grid_optimum,
@@ -782,6 +783,13 @@ class TestLogisticHelpers:
         w_masked = fit_logistic(Xa, ya, sample_weight=wts)
         np.testing.assert_allclose(w_clean, w_masked, atol=1e-6)
 
+    def test_fit_that_does_not_converge_raises(self):
+        # a NaN feature leaves every Newton step a NaN; the fit once
+        # returned it quietly after 60 steps
+        X = np.array([[2.0, 0.0], [-2.0, np.nan]])
+        with pytest.raises(ConvergenceError, match="^logistic fit: "):
+            fit_logistic(X, np.array([1.0, -1.0]))
+
     def test_blobs_balanced(self):
         split = make_blobs(0, 100, 50)
         assert abs(split.y_train.sum()) <= 1
@@ -1106,6 +1114,19 @@ def test_dense_pair_holds_no_array_before_its_first_call():
     assert slot_arrays(dense) == []
     dense(Point(np.zeros(2), np.zeros(3)))
     assert slot_arrays(dense) != []
+
+
+@pytest.mark.parametrize("cb", ["hess_vv_g", "jac_uv_g"])
+def test_dense_buffers_numpy_refuses_are_a_capability_error(cb):
+    # V copies of a V-vector at V = 2**32 take 2**64 entries, so numpy
+    # refuses them before allocating anything; the point's zero-stride
+    # views take no memory. This once raised numpy's raw error
+    dim = 2**32
+    z = np.broadcast_to(np.zeros(1), (dim,))
+    with pytest.raises(CapabilityError,
+                       match=r"^the copy buffers of a dense matrix cannot "
+                             rf"be allocated \({8 * 3 * dim * dim} bytes\): "):
+        getattr(make_synthetic(1, dim).oracle, cb)(Point(z, z))
 
 
 def test_dense_slot_follows_the_shape_of_u_too():

@@ -430,6 +430,15 @@ class TestOuterLoop:
                        PenaltyConfig(K=2, box=inst.box),
                        Point(np.zeros((1, 1)), np.zeros((1, 1))))
 
+    def test_gd_constrained_rejected(self):
+        # gd once ran on h and ended infeasible (feas_norm 1.0)
+        inst = make_constrained_toy()
+        with pytest.raises(ContractViolationError,
+                           match=r"^gd_alternating handles unconstrained "
+                                 r"problems only \(h must be absent\)$"):
+            gd_alternating(inst.oracle, PenaltyConfig(K=2, box=inst.box),
+                           Point(np.zeros((1, 1)), np.zeros((1, 1))))
+
 
 def test_attach_counters_counts_every_surface():
     o = make_quadratic(0).oracle
@@ -570,8 +579,8 @@ class TestColumnarRecorder:
         assert ks == sorted(set(k for k in range(K)
                                 if (k + 1) % every == 0 or k == K - 1))
 
-    # the estimators refuse a constrained problem; gd runs on one
-    @pytest.mark.parametrize("solver", ["penalty", "penalty_plain", "gd"])
+    # gd and the estimators refuse a constrained problem
+    @pytest.mark.parametrize("solver", ["penalty", "penalty_plain"])
     def test_constrained_every_row(self, monkeypatch, solver):
         o = slackify(make_constrained_toy().oracle)
         p0 = Point(np.array([[0.3, 0.2], [0.1, 0.4]]),
